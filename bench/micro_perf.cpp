@@ -146,8 +146,9 @@ void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
       static_cast<std::int64_t>(state.iterations() * batch.size()));
 }
 
-// Full pipelined estimator over a bit-parallel streaming population (the
-// production configuration: every unit is freshly simulated): thread-count
+// Full pipelined estimator over a compiled-backend streaming population (the
+// production configuration: `--sim-backend auto` picks the compiled tape for
+// zero-delay circuits, and every unit is freshly simulated): thread-count
 // scaling of the speculative hyper-sample waves. Items = simulated units
 // consumed by the stopping rule.
 void BM_EstimatorPipeline(benchmark::State& state) {
@@ -158,7 +159,10 @@ void BM_EstimatorPipeline(benchmark::State& state) {
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  pop.enable_bit_parallel();
+  if (!pop.enable_compiled()) {
+    state.SkipWithError("compiled backend rejected");
+    return;
+  }
   maxpower::EstimatorOptions opt;
   std::unique_ptr<util::ThreadPool> pool;
   maxpower::ParallelOptions par;
@@ -190,7 +194,10 @@ void BM_EstimatorPipelineInstrumented(benchmark::State& state) {
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  pop.enable_bit_parallel();
+  if (!pop.enable_compiled()) {
+    state.SkipWithError("compiled backend rejected");
+    return;
+  }
   auto& reg = util::MetricRegistry::global();
   const bool was_enabled = reg.enabled();
   reg.enable(true);
@@ -237,6 +244,25 @@ void BM_WeibullMle(benchmark::State& state) {
   for (auto& x : xs) x = g.sample(rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(evt::fit_weibull_mle(xs).params.mu);
+  }
+}
+
+// The fit stage as the pipeline runs it: default_tail_fitter() on m = 10
+// maxima under raw_mle_options() (the HyperSampleOptions default). The
+// endpoint path (streaming populations) adds ridge stabilization; the
+// quantile path (finite populations) fits raw and maps to the 1 - 1/|V|
+// quantile.
+void BM_TailFitter(benchmark::State& state, bool endpoint) {
+  const stats::ReversedWeibull g(3.0, 1.0, 10.0);
+  Rng rng(3);
+  std::vector<double> xs(10);
+  for (auto& x : xs) x = g.sample(rng);
+  const maxpower::HyperSampleOptions options;
+  const maxpower::TailFitContext context{
+      options, endpoint ? std::nullopt : std::optional<std::size_t>(100000)};
+  const auto& fitter = maxpower::default_tail_fitter();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fitter.fit(xs, context).estimate);
   }
 }
 
@@ -433,6 +459,8 @@ BENCHMARK(BM_EstimatorPipelineInstrumented)
 BENCHMARK(BM_MetricCounterInc);
 BENCHMARK(BM_TraceEvent);
 BENCHMARK(BM_WeibullMle)->Arg(10)->Arg(50)->Arg(500);
+BENCHMARK_CAPTURE(BM_TailFitter, endpoint, true);
+BENCHMARK_CAPTURE(BM_TailFitter, quantile, false);
 BENCHMARK(BM_PwmFit)->Arg(10)->Arg(50)->Arg(500);
 BENCHMARK(BM_HyperSample);
 BENCHMARK(BM_StudentTCritical);

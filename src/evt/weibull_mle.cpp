@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -24,8 +25,9 @@ struct PowerSums {
   double ratio;   ///< weighted mean of t_i with weights z_i^alpha
 };
 
-PowerSums power_sums(std::span<const double> t, double alpha) {
-  const double tmax = *std::max_element(t.begin(), t.end());
+/// `tmax` = max t_i, the shift that keeps every exp() argument <= 0; it
+/// depends only on the endpoint, so callers compute it once per mu.
+PowerSums power_sums(std::span<const double> t, double tmax, double alpha) {
   double s0 = 0.0;
   double s1 = 0.0;
   for (double ti : t) {
@@ -52,14 +54,16 @@ double weibull_log_likelihood(std::span<const double> maxima,
   return ll;
 }
 
-FixedMuFit fit_weibull_mle_fixed_mu(std::span<const double> maxima, double mu,
-                                    const WeibullMleOptions& opt) {
-  MPE_EXPECTS(maxima.size() >= 2);
+namespace {
+
+/// The inner solve at endpoint `mu`. `t` is caller-owned scratch, so one
+/// profile search reuses a single buffer across all its evaluations.
+FixedMuFit fixed_mu_fit(std::span<const double> maxima, double mu,
+                        const WeibullMleOptions& opt, std::vector<double>& t) {
   FixedMuFit fit;
   const auto m = static_cast<double>(maxima.size());
 
-  std::vector<double> t;  // t_i = log(mu - x_i)
-  t.reserve(maxima.size());
+  t.clear();  // t_i = log(mu - x_i)
   double tsum = 0.0;
   double tabs_max = 0.0;
   for (double x : maxima) {
@@ -69,10 +73,11 @@ FixedMuFit fit_weibull_mle_fixed_mu(std::span<const double> maxima, double mu,
     tsum += ti;
     tabs_max = std::max(tabs_max, std::fabs(ti));
   }
+  const double tmax = *std::max_element(t.begin(), t.end());
 
   // psi(alpha) = m/alpha + sum t_i - m * R(alpha); strictly decreasing.
   auto psi = [&](double alpha) {
-    const PowerSums ps = power_sums(t, alpha);
+    const PowerSums ps = power_sums(t, tmax, alpha);
     return m / alpha + tsum - m * ps.ratio;
   };
 
@@ -92,12 +97,12 @@ FixedMuFit fit_weibull_mle_fixed_mu(std::span<const double> maxima, double mu,
   } else if (psi_hi >= 0.0) {
     alpha_hat = hi;  // degenerate: near-identical z_i (huge shape)
   } else {
-    const auto r = math::brent_root(psi, lo, hi, 1e-10);
+    const auto r = math::brent_root(psi, lo, hi, psi_lo, psi_hi, 1e-10);
     alpha_hat = r.x;
     fit.converged = r.converged;
   }
 
-  const PowerSums ps = power_sums(t, alpha_hat);
+  const PowerSums ps = power_sums(t, tmax, alpha_hat);
   const double log_beta = std::log(m) - ps.log_s0;
   fit.alpha = alpha_hat;
   fit.beta = std::exp(log_beta);
@@ -107,6 +112,16 @@ FixedMuFit fit_weibull_mle_fixed_mu(std::span<const double> maxima, double mu,
       m * std::log(alpha_hat) + m * log_beta + (alpha_hat - 1.0) * tsum - m;
   if (alpha_hat == lo || alpha_hat == hi) fit.converged = false;
   return fit;
+}
+
+}  // namespace
+
+FixedMuFit fit_weibull_mle_fixed_mu(std::span<const double> maxima, double mu,
+                                    const WeibullMleOptions& opt) {
+  MPE_EXPECTS(maxima.size() >= 2);
+  std::vector<double> t;
+  t.reserve(maxima.size());
+  return fixed_mu_fit(maxima, mu, opt, t);
 }
 
 namespace {
@@ -162,11 +177,14 @@ WeibullMleResult fit_weibull_mle(std::span<const double> maxima,
     return out;
   }
 
+  // `evals` counts the inner solves actually computed: the ridge walk and
+  // the final solves reuse earlier ones instead of solving again.
+  std::vector<double> t;  // scratch shared by every inner solve of this fit
+  t.reserve(maxima.size());
   int evals = 0;
-  auto profile = [&](double mu) {
+  auto solve = [&](double mu) {
     ++evals;
-    const FixedMuFit f = fit_weibull_mle_fixed_mu(maxima, mu, opt);
-    return f.log_likelihood;
+    return fixed_mu_fit(maxima, mu, opt, t);
   };
 
   // Coarse scan of mu = xmax + delta on a log grid.
@@ -178,13 +196,15 @@ WeibullMleResult fit_weibull_mle(std::span<const double> maxima,
   int best_idx = 0;
   double best_ll = kNegInf;
   std::vector<double> deltas(static_cast<std::size_t>(n_grid));
+  std::vector<double> grid_ll(static_cast<std::size_t>(n_grid));
   for (int i = 0; i < n_grid; ++i) {
+    const auto k = static_cast<std::size_t>(i);
     const double ld =
         log_lo + (log_hi - log_lo) * static_cast<double>(i) / (n_grid - 1);
-    deltas[static_cast<std::size_t>(i)] = std::exp(ld);
-    const double ll = profile(xmax + deltas[static_cast<std::size_t>(i)]);
-    if (ll > best_ll) {
-      best_ll = ll;
+    deltas[k] = std::exp(ld);
+    grid_ll[k] = solve(xmax + deltas[k]).log_likelihood;
+    if (grid_ll[k] > best_ll) {
+      best_ll = grid_ll[k];
       best_idx = i;
     }
   }
@@ -193,18 +213,26 @@ WeibullMleResult fit_weibull_mle(std::span<const double> maxima,
   out.mu_at_upper_bound = (best_idx == n_grid - 1);
 
   // Golden-section refinement between the grid neighbors of the best point
-  // (in log-delta space, where the profile is smooth).
+  // (in log-delta space, where the profile is smooth). The minimizer returns
+  // one of the points it evaluated, so its solve is kept rather than redone.
   const int lo_i = std::max(best_idx - 1, 0);
   const int hi_i = std::min(best_idx + 1, n_grid - 1);
+  std::vector<std::pair<double, FixedMuFit>> golden;
+  golden.reserve(64);
   auto neg_profile_logdelta = [&](double ld) {
-    return -profile(xmax + std::exp(ld));
+    golden.emplace_back(ld, solve(xmax + std::exp(ld)));
+    return -golden.back().second.log_likelihood;
   };
   const auto gm = math::golden_minimize(
       neg_profile_logdelta, std::log(deltas[static_cast<std::size_t>(lo_i)]),
       std::log(deltas[static_cast<std::size_t>(hi_i)]), 1e-10, 200);
 
   double mu_hat = xmax + std::exp(gm.x);
-  FixedMuFit inner = fit_weibull_mle_fixed_mu(maxima, mu_hat, opt);
+  const auto at_min =
+      std::find_if(golden.begin(), golden.end(),
+                   [&](const auto& e) { return e.first == gm.x; });
+  // Only a NaN minimizer (non-finite maxima) misses the lookup.
+  FixedMuFit inner = at_min != golden.end() ? at_min->second : solve(mu_hat);
 
   // Ridge stabilization: if the maximum sits implausibly far above the
   // sample (the Weibull->Gumbel degeneracy), report the smallest endpoint
@@ -218,28 +246,39 @@ WeibullMleResult fit_weibull_mle(std::span<const double> maxima,
     double lo_delta_x = deltas.front();
     double hi_delta_x = mu_hat - xmax;
     double prev_delta = deltas.front();
-    for (double delta : deltas) {
-      if (xmax + delta >= mu_hat) break;
-      if (profile(xmax + delta) >= target) {
+    for (std::size_t k = 0; k < deltas.size(); ++k) {
+      if (xmax + deltas[k] >= mu_hat) break;
+      if (grid_ll[k] >= target) {
         lo_delta_x = prev_delta;
-        hi_delta_x = delta;
+        hi_delta_x = deltas[k];
         break;
       }
-      prev_delta = delta;
+      prev_delta = deltas[k];
     }
-    // Bisect the crossing in log-delta space.
+    // Bisect the crossing in log-delta space. Stop once the midpoint rounds
+    // onto hi_ld (hi_ld cannot move, whatever the profile says there) or onto
+    // a lo_ld already known to miss the target: every further step would
+    // re-evaluate that same double and change nothing.
     double lo_ld = std::log(lo_delta_x);
     double hi_ld = std::log(hi_delta_x);
+    bool lo_below = false;     // profile at lo_ld known to miss the target
+    bool hi_solved = false;    // hi_fit is the solve at hi_ld
+    FixedMuFit hi_fit;
     for (int it = 0; it < 60; ++it) {
       const double mid = 0.5 * (lo_ld + hi_ld);
-      if (profile(xmax + std::exp(mid)) >= target) {
+      if (mid == hi_ld || (mid == lo_ld && lo_below)) break;
+      const FixedMuFit f = solve(xmax + std::exp(mid));
+      if (f.log_likelihood >= target) {
         hi_ld = mid;
+        hi_fit = f;
+        hi_solved = true;
       } else {
         lo_ld = mid;
+        lo_below = true;
       }
     }
     mu_hat = xmax + std::exp(hi_ld);
-    inner = fit_weibull_mle_fixed_mu(maxima, mu_hat, opt);
+    inner = hi_solved ? hi_fit : solve(mu_hat);
   }
 
   out.params.alpha = inner.alpha;

@@ -62,13 +62,14 @@ struct HyperSampleOptions {
   std::size_t n = 30;  ///< sample size (units per sample maximum)
   std::size_t m = 10;  ///< number of sample maxima fed to the MLE
   /// Apply the finite-population quantile correction when the population is
-  /// finite. When false, the raw endpoint mu-hat is reported.
+  /// finite. When false, the fitted endpoint mu-hat is reported.
   bool finite_correction = true;
   FiniteQuantileMode quantile_mode = FiniteQuantileMode::kPaperTail;
   evt::WeibullMleOptions mle = raw_mle_options();
-  /// Ridge tolerance used for the *endpoint* path (infinite populations or
-  /// finite_correction == false), where a raw ridge fit would report an
-  /// unbounded endpoint. Ignored when the quantile path is taken.
+  /// Ridge tolerance for the *endpoint* path (infinite populations or
+  /// finite_correction == false): its single fit uses this in place of a
+  /// non-positive `mle.ridge_tolerance`, because a raw ridge fit would
+  /// report an unbounded endpoint. Ignored when the quantile path is taken.
   double endpoint_ridge_tolerance = 0.5;
   /// Degradation policy for degenerate fits (see DegenerateFitPolicy). The
   /// kDiscardRedraw policy is applied by the estimator loop, not here.

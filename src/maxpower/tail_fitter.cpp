@@ -54,27 +54,24 @@ class WeibullMleFitter final : public TailFitter {
   TailFitOutcome fit(std::span<const double> maxima,
                      const TailFitContext& context) const override {
     const auto& options = context.options;
-    TailFitOutcome out;
-    out.mle = evt::fit_weibull_mle(maxima, options.mle);
-    out.mu_hat = out.mle.params.mu;
-
-    if (options.finite_correction && context.population_size.has_value()) {
-      out.estimate = finite_population_estimate(out.mle.params,
-                                                *context.population_size,
-                                                options.n,
-                                                options.quantile_mode);
-    } else {
-      // Endpoint path: a raw ridge fit would report an unbounded endpoint,
-      // so refit with ridge stabilization when the user's options have none.
-      if (options.mle.ridge_tolerance <= 0.0 &&
-          options.endpoint_ridge_tolerance > 0.0) {
-        evt::WeibullMleOptions stabilized = options.mle;
-        stabilized.ridge_tolerance = options.endpoint_ridge_tolerance;
-        out.mle = evt::fit_weibull_mle(maxima, stabilized);
-        out.mu_hat = out.mle.params.mu;
-      }
-      out.estimate = out.mu_hat;
+    const bool quantile_path =
+        options.finite_correction && context.population_size.has_value();
+    // Endpoint path: a raw ridge fit would report an unbounded endpoint, so
+    // it fits with ridge stabilization when the user's options have none.
+    evt::WeibullMleOptions mle = options.mle;
+    if (!quantile_path && mle.ridge_tolerance <= 0.0 &&
+        options.endpoint_ridge_tolerance > 0.0) {
+      mle.ridge_tolerance = options.endpoint_ridge_tolerance;
     }
+    TailFitOutcome out;
+    out.mle = evt::fit_weibull_mle(maxima, mle);
+    out.mu_hat = out.mle.params.mu;
+    out.estimate = quantile_path
+                       ? finite_population_estimate(out.mle.params,
+                                                    *context.population_size,
+                                                    options.n,
+                                                    options.quantile_mode)
+                       : out.mu_hat;
     out.degenerate = !out.mle.converged || out.mle.alpha_below_two;
 
     if (out.degenerate &&

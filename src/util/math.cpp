@@ -213,9 +213,17 @@ double erfc_inv(double y) {
 SolveResult brent_root(const std::function<double(double)>& f, double lo,
                        double hi, double xtol, int max_iter) {
   MPE_EXPECTS(lo <= hi);
+  const double f_lo = f(lo);
+  return brent_root(f, lo, hi, f_lo, f(hi), xtol, max_iter);
+}
+
+SolveResult brent_root(const std::function<double(double)>& f, double lo,
+                       double hi, double f_lo, double f_hi, double xtol,
+                       int max_iter) {
+  MPE_EXPECTS(lo <= hi);
   SolveResult r;
   double a = lo, b = hi;
-  double fa = f(a), fb = f(b);
+  double fa = f_lo, fb = f_hi;
   if (fa == 0.0) return {a, 0.0, 0, true};
   if (fb == 0.0) return {b, 0.0, 0, true};
   MPE_EXPECTS_MSG(fa * fb < 0.0, "brent_root requires a sign change");

@@ -51,6 +51,12 @@ struct SolveResult {
 SolveResult brent_root(const std::function<double(double)>& f, double lo,
                        double hi, double xtol = 1e-12, int max_iter = 200);
 
+/// brent_root for a caller that already holds f(lo) and f(hi): the solve
+/// starts from them instead of evaluating both endpoints again.
+SolveResult brent_root(const std::function<double(double)>& f, double lo,
+                       double hi, double f_lo, double f_hi,
+                       double xtol = 1e-12, int max_iter = 200);
+
 /// Simple bisection fallback; same contract as brent_root.
 SolveResult bisect_root(const std::function<double(double)>& f, double lo,
                         double hi, double xtol = 1e-12, int max_iter = 300);

@@ -103,6 +103,22 @@ TEST(BrentRoot, TranscendentalRoot) {
   EXPECT_NEAR(r.x, 0.7390851332151607, 1e-10);
 }
 
+TEST(BrentRoot, KnownEndpointValuesAreNotReevaluated) {
+  int calls = 0;
+  auto f = [&](double x) {
+    ++calls;
+    return std::cos(x) - x;
+  };
+  const auto full = math::brent_root(f, 0.0, 1.0, 1e-10);
+  const int full_calls = calls;
+  calls = 0;
+  const auto seeded = math::brent_root(f, 0.0, 1.0, f(0.0), f(1.0), 1e-10);
+  EXPECT_EQ(seeded.x, full.x);
+  EXPECT_EQ(seeded.f, full.f);
+  EXPECT_EQ(seeded.iterations, full.iterations);
+  EXPECT_EQ(calls, full_calls);  // the two endpoint calls above included
+}
+
 TEST(BisectRoot, AgreesWithBrent) {
   auto f = [](double x) { return std::exp(x) - 3.0; };
   const auto rb = math::brent_root(f, 0.0, 2.0);
