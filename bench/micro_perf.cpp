@@ -116,12 +116,48 @@ void BM_StreamingDrawBatch(benchmark::State& state, const std::string& name,
       static_cast<std::int64_t>(state.iterations() * batch.size()));
 }
 
+// The generator families as production builds them for a circuit of the
+// given input width: uniform (the `estimate` default and the examples),
+// transition probability 0.5 (the campaign, manifest, serve and fleet
+// default), high activity >= 0.3 (the paper's unconstrained populations),
+// and a per-line Markov chain.
+std::unique_ptr<vec::PairGenerator> make_generator(const std::string& kind,
+                                                   std::size_t width) {
+  if (kind == "tprob") {
+    return std::make_unique<vec::TransitionProbPairGenerator>(width, 0.5);
+  }
+  if (kind == "highact") {
+    return std::make_unique<vec::HighActivityPairGenerator>(width, 0.3);
+  }
+  if (kind == "markov") {
+    return std::make_unique<vec::MarkovPairGenerator>(width, 0.3, 0.2);
+  }
+  return std::make_unique<vec::UniformPairGenerator>(width);
+}
+
+// Pair generation alone at c7552 width (207 inputs): generate_into, the
+// form every batched draw path calls, into one reused pair.
+void BM_PairGen(benchmark::State& state, const std::string& kind) {
+  const auto gen = make_generator(kind, preset("c7552").num_inputs());
+  Rng rng(7);
+  vec::VectorPair pair;
+  for (auto _ : state) {
+    gen->generate_into(rng, pair);
+    benchmark::DoNotOptimize(pair.first.data());
+    benchmark::DoNotOptimize(pair.second.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+
 // End-to-end draw throughput of the compiled backend (generation +
 // simulation), directly comparable to BM_StreamingDrawBatch: the issue's
 // acceptance bar is >= 2x units/s over the bit-parallel interpreter on
-// c7552 with AVX2 or wider.
+// c7552 with AVX2 or wider. The `c7552_tprob` row draws with the
+// production default generator on the dispatched kernel.
 void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
-                          sim::SimdKernel kernel) {
+                          sim::SimdKernel kernel,
+                          const std::string& generator = "uniform") {
   if (!sim::kernel_available(kernel)) {
     state.SkipWithError("kernel unavailable on this host");
     return;
@@ -130,8 +166,8 @@ void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
   sim::PowerEvalOptions eval_opt;
   eval_opt.delay_model = sim::DelayModel::kZero;
   sim::CyclePowerEvaluator eval(nl, eval_opt);
-  const vec::UniformPairGenerator gen(nl.num_inputs());
-  vec::StreamingPopulation pop(gen, eval);
+  const auto gen = make_generator(generator, nl.num_inputs());
+  vec::StreamingPopulation pop(*gen, eval);
   if (!pop.enable_compiled(kernel)) {
     state.SkipWithError("compiled backend rejected");
     return;
@@ -445,6 +481,12 @@ BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_avx2x256, std::string("c7552"),
                   sim::SimdKernel::kAvx2x256);
 BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_avx512x512,
                   std::string("c7552"), sim::SimdKernel::kAvx512x512);
+BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_tprob, std::string("c7552"),
+                  sim::best_kernel(), std::string("tprob"));
+BENCHMARK_CAPTURE(BM_PairGen, uniform, std::string("uniform"));
+BENCHMARK_CAPTURE(BM_PairGen, tprob, std::string("tprob"));
+BENCHMARK_CAPTURE(BM_PairGen, highact, std::string("highact"));
+BENCHMARK_CAPTURE(BM_PairGen, markov, std::string("markov"));
 BENCHMARK(BM_EstimatorPipeline)
     ->ArgName("threads")
     ->Arg(1)

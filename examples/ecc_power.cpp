@@ -23,11 +23,9 @@ class CodewordPairGenerator final : public vec::PairGenerator {
                         bool inject_error)
       : encoder_(encoder), n_(n), inject_error_(inject_error) {}
 
-  vec::VectorPair generate(Rng& rng) const override {
-    vec::VectorPair p;
-    p.first = codeword(rng);
-    p.second = codeword(rng);
-    return p;
+  void generate_into(Rng& rng, vec::VectorPair& out) const override {
+    out.first = codeword(rng);
+    out.second = codeword(rng);
   }
   std::size_t width() const override { return n_; }
   std::string description() const override {

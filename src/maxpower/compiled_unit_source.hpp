@@ -7,10 +7,11 @@
 // buffers) out of a freelist, so the steady-state draw path performs no
 // heap allocations and no shared-state writes.
 //
-// Value-stream contract: fill() consumes the RNG exactly like the scalar
-// draw sequence (generator_.generate per unit, ZeroDelaySimulator evaluate),
-// and the compiled kernels are bit-identical to the scalar oracle — so a
-// seeded run produces the same estimate regardless of backend or lane width.
+// Value-stream contract: fill() draws one pair per unit, in unit order, with
+// generator_.generate_into (the same RNG consumption as generate(), the
+// scalar draw path's call), and the compiled kernels are bit-identical to
+// the scalar oracle — so a seeded run produces the same estimate regardless
+// of backend or lane width.
 #pragma once
 
 #include <atomic>

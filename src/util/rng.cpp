@@ -31,6 +31,12 @@ double Rng::uniform(double lo, double hi) {
   return lo + (hi - lo) * uniform();
 }
 
+std::uint64_t Rng::bernoulli_threshold(double p) {
+  MPE_EXPECTS(p >= 0.0 && p <= 1.0);
+  // p * 2^53 is exact for every p in [0, 1], subnormals included.
+  return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+}
+
 std::uint64_t Rng::below(std::uint64_t n) {
   MPE_EXPECTS(n > 0);
   // Lemire's nearly-divisionless unbiased reduction.

@@ -28,6 +28,8 @@ class Rng {
   /// Next raw 64-bit output. Inline: the generator step is a handful of
   /// shifts/xors, and per-bit callers (vector-pair generation) sit on the
   /// simulation hot path where an out-of-line call per bit dominates.
+  /// Per-bit callers draw from a local copy (`Rng r = rng; ... rng = r;`)
+  /// so their byte stores cannot alias the state out of registers.
   result_type operator()() {
     const std::uint64_t result = rotl(s_[0] + s_[3], 23) + s_[0];
     const std::uint64_t t = s_[1] << 17;
@@ -58,6 +60,17 @@ class Rng {
   bool bernoulli(double p) {
     MPE_EXPECTS(p >= 0.0 && p <= 1.0);
     return uniform() < p;
+  }
+
+  /// Integer form of bernoulli(p) for per-bit loops. bernoulli(p) tests
+  /// (x >> 11) * 2^-53 < p on the raw word x; both sides are exact, so the
+  /// test equals (x >> 11) < ceil(p * 2^53). Compute this threshold once,
+  /// then draw with bernoulli_below(): the same words, the same results.
+  static std::uint64_t bernoulli_threshold(double p);
+
+  /// One Bernoulli draw against a bernoulli_threshold(p).
+  bool bernoulli_below(std::uint64_t threshold) {
+    return ((*this)() >> 11) < threshold;
   }
 
   /// Standard normal variate (Marsaglia polar method, cached spare).

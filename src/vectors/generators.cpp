@@ -1,36 +1,23 @@
 #include "vectors/generators.hpp"
 
-#include <stdexcept>
-
 #include "util/contracts.hpp"
 
 namespace mpe::vec {
+
+namespace {
+
+const std::uint64_t kHalf = Rng::bernoulli_threshold(0.5);
+
+}  // namespace
 
 UniformPairGenerator::UniformPairGenerator(std::size_t width)
     : width_(width) {
   MPE_EXPECTS(width >= 1);
 }
 
-VectorPair UniformPairGenerator::generate(Rng& rng) const {
-  return VectorPair{random_vector(width_, rng), random_vector(width_, rng)};
-}
-
 void UniformPairGenerator::generate_into(Rng& rng, VectorPair& out) const {
-  // Same bit stream as generate(): width_ Bernoulli(0.5) draws per vector.
-  // bernoulli(0.5) tests uniform() < 0.5, i.e. (x >> 11) * 2^-53 < 0.5 with
-  // x the raw rng() word; every (x >> 11) * 2^-53 is exact, so the test is
-  // equivalent to x >> 11 < 2^52, i.e. x < 2^63 — bit 63 of x is clear.
-  // Reading the sign bit directly gives the identical value for every x
-  // while skipping the int-to-double convert, multiply, and FP compare on
-  // this hot path.
-  out.first.resize(width_);
-  for (auto& bit : out.first) {
-    bit = static_cast<std::uint8_t>(~rng() >> 63);
-  }
-  out.second.resize(width_);
-  for (auto& bit : out.second) {
-    bit = static_cast<std::uint8_t>(~rng() >> 63);
-  }
+  fill_bernoulli(width_, kHalf, out.first, rng);
+  fill_bernoulli(width_, kHalf, out.second, rng);
 }
 
 std::string UniformPairGenerator::description() const {
@@ -44,42 +31,18 @@ HighActivityPairGenerator::HighActivityPairGenerator(std::size_t width,
   MPE_EXPECTS(min_activity >= 0.0 && min_activity < 1.0);
 }
 
-VectorPair HighActivityPairGenerator::generate(Rng& rng) const {
+void HighActivityPairGenerator::generate_into(Rng& rng,
+                                              VectorPair& out) const {
   // Rejection sampling. Uniform pairs have mean activity 0.5, so thresholds
   // up to ~0.45 accept quickly at realistic widths; guard against extreme
   // settings with a bounded retry count and a constructive fallback.
   for (int attempt = 0; attempt < 10'000; ++attempt) {
-    VectorPair p{random_vector(width_, rng), random_vector(width_, rng)};
-    if (p.activity() >= min_activity_) return p;
-  }
-  // Fallback: force the activity by flipping exactly ceil(width*min) lines.
-  VectorPair p;
-  p.first = random_vector(width_, rng);
-  p.second = p.first;
-  const auto flips =
-      static_cast<std::size_t>(min_activity_ * static_cast<double>(width_)) + 1;
-  for (std::size_t f = 0; f < flips && f < width_; ++f) {
-    std::size_t idx;
-    do {
-      idx = rng.below(width_);
-    } while (p.second[idx] != p.first[idx]);
-    p.second[idx] ^= 1;
-  }
-  return p;
-}
-
-void HighActivityPairGenerator::generate_into(Rng& rng,
-                                              VectorPair& out) const {
-  // In-place mirror of generate(): identical rejection loop, identical RNG
-  // consumption, no per-attempt allocations.
-  out.first.resize(width_);
-  out.second.resize(width_);
-  for (int attempt = 0; attempt < 10'000; ++attempt) {
-    for (auto& bit : out.first) bit = rng.bernoulli(0.5) ? 1 : 0;
-    for (auto& bit : out.second) bit = rng.bernoulli(0.5) ? 1 : 0;
+    fill_bernoulli(width_, kHalf, out.first, rng);
+    fill_bernoulli(width_, kHalf, out.second, rng);
     if (out.activity() >= min_activity_) return;
   }
-  for (auto& bit : out.first) bit = rng.bernoulli(0.5) ? 1 : 0;
+  // Fallback: force the activity by flipping exactly ceil(width*min) lines.
+  fill_bernoulli(width_, kHalf, out.first, rng);
   out.second = out.first;
   const auto flips =
       static_cast<std::size_t>(min_activity_ * static_cast<double>(width_)) + 1;
@@ -99,28 +62,17 @@ std::string HighActivityPairGenerator::description() const {
 
 TransitionProbPairGenerator::TransitionProbPairGenerator(
     std::size_t width, double transition_prob, double p1)
-    : width_(width), transition_prob_(transition_prob), p1_(p1) {
+    : width_(width),
+      transition_prob_(transition_prob),
+      one_threshold_(Rng::bernoulli_threshold(p1)),
+      flip_threshold_(Rng::bernoulli_threshold(transition_prob)) {
   MPE_EXPECTS(width >= 1);
-  MPE_EXPECTS(transition_prob >= 0.0 && transition_prob <= 1.0);
-  MPE_EXPECTS(p1 >= 0.0 && p1 <= 1.0);
-}
-
-VectorPair TransitionProbPairGenerator::generate(Rng& rng) const {
-  VectorPair p;
-  p.first = biased_vector(width_, p1_, rng);
-  p.second = flip_with_probability(p.first, transition_prob_, rng);
-  return p;
 }
 
 void TransitionProbPairGenerator::generate_into(Rng& rng,
                                                 VectorPair& out) const {
-  // biased_vector then flip_with_probability, with storage reuse.
-  out.first.resize(width_);
-  for (auto& bit : out.first) bit = rng.bernoulli(p1_) ? 1 : 0;
-  out.second = out.first;
-  for (auto& bit : out.second) {
-    if (rng.bernoulli(transition_prob_)) bit ^= 1;
-  }
+  fill_bernoulli(width_, one_threshold_, out.first, rng);
+  fill_flipped(out.first, flip_threshold_, out.second, rng);
 }
 
 std::string TransitionProbPairGenerator::description() const {

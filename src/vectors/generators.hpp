@@ -23,15 +23,16 @@ class PairGenerator {
   virtual ~PairGenerator() = default;
 
   /// Draws one vector pair.
-  virtual VectorPair generate(Rng& rng) const = 0;
-
-  /// Draws one vector pair into `out`, reusing its storage. Consumes the
-  /// RNG exactly like generate(), so the two forms are interchangeable in
-  /// any seeded stream; batched draw paths use this to avoid four
-  /// allocations per unit. The default delegates to generate().
-  virtual void generate_into(Rng& rng, VectorPair& out) const {
-    out = generate(rng);
+  VectorPair generate(Rng& rng) const {
+    VectorPair p;
+    generate_into(rng, p);
+    return p;
   }
+
+  /// Draws one vector pair into `out`, reusing its storage: the one draw
+  /// loop of each generator, which batched draw paths call to avoid four
+  /// allocations per unit. Consumes the RNG exactly like generate().
+  virtual void generate_into(Rng& rng, VectorPair& out) const = 0;
 
   /// Primary-input width the pairs are generated for.
   virtual std::size_t width() const = 0;
@@ -44,7 +45,6 @@ class PairGenerator {
 class UniformPairGenerator final : public PairGenerator {
  public:
   explicit UniformPairGenerator(std::size_t width);
-  VectorPair generate(Rng& rng) const override;
   void generate_into(Rng& rng, VectorPair& out) const override;
   std::size_t width() const override { return width_; }
   std::string description() const override;
@@ -57,7 +57,6 @@ class UniformPairGenerator final : public PairGenerator {
 class HighActivityPairGenerator final : public PairGenerator {
  public:
   HighActivityPairGenerator(std::size_t width, double min_activity);
-  VectorPair generate(Rng& rng) const override;
   void generate_into(Rng& rng, VectorPair& out) const override;
   std::size_t width() const override { return width_; }
   std::string description() const override;
@@ -74,7 +73,6 @@ class TransitionProbPairGenerator final : public PairGenerator {
  public:
   TransitionProbPairGenerator(std::size_t width, double transition_prob,
                               double p1 = 0.5);
-  VectorPair generate(Rng& rng) const override;
   void generate_into(Rng& rng, VectorPair& out) const override;
   std::size_t width() const override { return width_; }
   std::string description() const override;
@@ -83,7 +81,8 @@ class TransitionProbPairGenerator final : public PairGenerator {
  private:
   std::size_t width_;
   double transition_prob_;
-  double p1_;
+  std::uint64_t one_threshold_;   // Rng::bernoulli_threshold(p1)
+  std::uint64_t flip_threshold_;  // Rng::bernoulli_threshold(transition_prob)
 };
 
 }  // namespace mpe::vec

@@ -20,27 +20,43 @@ double VectorPair::activity() const {
 
 InputVector random_vector(std::size_t width, Rng& rng) {
   MPE_EXPECTS(width >= 1);
-  InputVector v(width);
-  for (auto& bit : v) bit = rng.bernoulli(0.5) ? 1 : 0;
+  InputVector v;
+  fill_bernoulli(width, Rng::bernoulli_threshold(0.5), v, rng);
   return v;
 }
 
 InputVector biased_vector(std::size_t width, double p1, Rng& rng) {
   MPE_EXPECTS(width >= 1);
-  MPE_EXPECTS(p1 >= 0.0 && p1 <= 1.0);
-  InputVector v(width);
-  for (auto& bit : v) bit = rng.bernoulli(p1) ? 1 : 0;
+  InputVector v;
+  fill_bernoulli(width, Rng::bernoulli_threshold(p1), v, rng);
   return v;
 }
 
 InputVector flip_with_probability(const InputVector& base,
                                   double transition_prob, Rng& rng) {
-  MPE_EXPECTS(transition_prob >= 0.0 && transition_prob <= 1.0);
-  InputVector v(base);
-  for (auto& bit : v) {
-    if (rng.bernoulli(transition_prob)) bit ^= 1;
-  }
+  InputVector v;
+  fill_flipped(base, Rng::bernoulli_threshold(transition_prob), v, rng);
   return v;
+}
+
+// Both loops draw from a local copy of the generator (see Rng::operator())
+// and write through pointers held in locals, so no byte store can alias
+// the xoshiro state or a vector's bounds out of registers.
+void fill_bernoulli(std::size_t width, std::uint64_t threshold,
+                    InputVector& out, Rng& rng) {
+  out.resize(width);
+  Rng r = rng;
+  for (auto& bit : out) bit = r.bernoulli_below(threshold);
+  rng = r;
+}
+
+void fill_flipped(const InputVector& base, std::uint64_t threshold,
+                  InputVector& out, Rng& rng) {
+  out.resize(base.size());
+  const std::uint8_t* in = base.data();
+  Rng r = rng;
+  for (auto& bit : out) bit = *in++ ^ r.bernoulli_below(threshold);
+  rng = r;
 }
 
 }  // namespace mpe::vec

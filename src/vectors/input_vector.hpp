@@ -37,4 +37,15 @@ InputVector biased_vector(std::size_t width, double p1, Rng& rng);
 InputVector flip_with_probability(const InputVector& base,
                                   double transition_prob, Rng& rng);
 
+/// Resizes `out` to `width` and sets each bit, in index order, by one
+/// draw against `threshold` (Rng::bernoulli_threshold(p)): the same words
+/// and results as `bit = rng.bernoulli(p)` per line.
+void fill_bernoulli(std::size_t width, std::uint64_t threshold,
+                    InputVector& out, Rng& rng);
+
+/// Sets `out` to `base` with each bit, in index order, flipped by one
+/// Bernoulli draw against `threshold`.
+void fill_flipped(const InputVector& base, std::uint64_t threshold,
+                  InputVector& out, Rng& rng);
+
 }  // namespace mpe::vec

@@ -16,6 +16,9 @@ MarkovPairGenerator::MarkovPairGenerator(std::vector<double> p01,
     MPE_EXPECTS(p10_[i] >= 0.0 && p10_[i] <= 1.0);
     MPE_EXPECTS_MSG(p01_[i] + p10_[i] > 0.0,
                     "absorbing line: p01 + p10 must be positive");
+    thresholds_.push_back({Rng::bernoulli_threshold(stationary_one(i)),
+                           Rng::bernoulli_threshold(p01_[i]),
+                           Rng::bernoulli_threshold(p10_[i])});
   }
 }
 
@@ -34,17 +37,21 @@ double MarkovPairGenerator::transition_prob(std::size_t line) const {
   return (1.0 - p1) * p01_[line] + p1 * p10_[line];
 }
 
-VectorPair MarkovPairGenerator::generate(Rng& rng) const {
-  VectorPair pair;
-  pair.first.resize(p01_.size());
-  pair.second.resize(p01_.size());
-  for (std::size_t i = 0; i < p01_.size(); ++i) {
-    const bool cur = rng.bernoulli(stationary_one(i));
-    pair.first[i] = cur ? 1 : 0;
-    const double flip = cur ? p10_[i] : p01_[i];
-    pair.second[i] = (rng.bernoulli(flip) ? !cur : cur) ? 1 : 0;
+void MarkovPairGenerator::generate_into(Rng& rng, VectorPair& out) const {
+  // Local copy of the generator and raw pointers: see fill_bernoulli().
+  const std::size_t width = thresholds_.size();
+  out.first.resize(width);
+  out.second.resize(width);
+  std::uint8_t* first = out.first.data();
+  std::uint8_t* second = out.second.data();
+  const Thresholds* line = thresholds_.data();
+  Rng r = rng;
+  for (std::size_t i = 0; i < width; ++i) {
+    const bool cur = r.bernoulli_below(line[i].one);
+    first[i] = cur;
+    second[i] = cur ^ r.bernoulli_below(cur ? line[i].fall : line[i].rise);
   }
-  return pair;
+  rng = r;
 }
 
 std::string MarkovPairGenerator::description() const {
@@ -57,17 +64,16 @@ CorrelatedPairGenerator::CorrelatedPairGenerator(
     : group_of_(std::move(group_of)),
       group_event_prob_(std::move(group_event_prob)),
       cond_flip_prob_(cond_flip_prob),
-      p1_(p1) {
+      one_threshold_(Rng::bernoulli_threshold(p1)),
+      flip_threshold_(Rng::bernoulli_threshold(cond_flip_prob)) {
   MPE_EXPECTS(!group_of_.empty());
   MPE_EXPECTS(!group_event_prob_.empty());
-  MPE_EXPECTS(cond_flip_prob >= 0.0 && cond_flip_prob <= 1.0);
-  MPE_EXPECTS(p1 >= 0.0 && p1 <= 1.0);
   for (std::size_t g : group_of_) {
     MPE_EXPECTS_MSG(g < group_event_prob_.size(),
                     "line assigned to nonexistent group");
   }
   for (double p : group_event_prob_) {
-    MPE_EXPECTS(p >= 0.0 && p <= 1.0);
+    event_thresholds_.push_back(Rng::bernoulli_threshold(p));
   }
 }
 
@@ -76,22 +82,33 @@ double CorrelatedPairGenerator::transition_prob(std::size_t line) const {
   return group_event_prob_[group_of_[line]] * cond_flip_prob_;
 }
 
-VectorPair CorrelatedPairGenerator::generate(Rng& rng) const {
+void CorrelatedPairGenerator::generate_into(Rng& rng,
+                                            VectorPair& out) const {
   // Draw the shared group events first, then per-line conditional flips.
-  std::vector<bool> event(group_event_prob_.size());
-  for (std::size_t g = 0; g < event.size(); ++g) {
-    event[g] = rng.bernoulli(group_event_prob_[g]);
+  // The events live past the pair's end in out.second, so a reused pair
+  // needs no allocation. Local generator copy: see fill_bernoulli().
+  const std::size_t width = group_of_.size();
+  const std::size_t groups = event_thresholds_.size();
+  out.first.resize(width);
+  out.second.resize(width + groups);
+  std::uint8_t* first = out.first.data();
+  std::uint8_t* second = out.second.data();
+  std::uint8_t* event = second + width;
+  const std::uint64_t* event_threshold = event_thresholds_.data();
+  const std::size_t* group = group_of_.data();
+  const std::uint64_t one = one_threshold_;
+  const std::uint64_t flip = flip_threshold_;
+  Rng r = rng;
+  for (std::size_t g = 0; g < groups; ++g) {
+    event[g] = r.bernoulli_below(event_threshold[g]);
   }
-  VectorPair pair;
-  pair.first.resize(group_of_.size());
-  pair.second.resize(group_of_.size());
-  for (std::size_t i = 0; i < group_of_.size(); ++i) {
-    const bool cur = rng.bernoulli(p1_);
-    pair.first[i] = cur ? 1 : 0;
-    const bool flips = event[group_of_[i]] && rng.bernoulli(cond_flip_prob_);
-    pair.second[i] = (flips ? !cur : cur) ? 1 : 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    const bool cur = r.bernoulli_below(one);
+    first[i] = cur;
+    second[i] = cur ^ (event[group[i]] && r.bernoulli_below(flip));
   }
-  return pair;
+  rng = r;
+  out.second.resize(width);
 }
 
 std::string CorrelatedPairGenerator::description() const {

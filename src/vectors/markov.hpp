@@ -34,7 +34,7 @@ class MarkovPairGenerator final : public PairGenerator {
   /// Convenience: uniform chain across all lines.
   MarkovPairGenerator(std::size_t width, double p01, double p10);
 
-  VectorPair generate(Rng& rng) const override;
+  void generate_into(Rng& rng, VectorPair& out) const override;
   std::size_t width() const override { return p01_.size(); }
   std::string description() const override;
 
@@ -46,8 +46,14 @@ class MarkovPairGenerator final : public PairGenerator {
   double transition_prob(std::size_t line) const;
 
  private:
+  /// Line i's Rng::bernoulli_threshold of stationary_one(i), p01 and p10.
+  struct Thresholds {
+    std::uint64_t one, rise, fall;
+  };
+
   std::vector<double> p01_;
   std::vector<double> p10_;
+  std::vector<Thresholds> thresholds_;
 };
 
 /// Group-correlated transitions (joint-transition specification).
@@ -60,7 +66,7 @@ class CorrelatedPairGenerator final : public PairGenerator {
                           std::vector<double> group_event_prob,
                           double cond_flip_prob, double p1 = 0.5);
 
-  VectorPair generate(Rng& rng) const override;
+  void generate_into(Rng& rng, VectorPair& out) const override;
   std::size_t width() const override { return group_of_.size(); }
   std::string description() const override;
 
@@ -73,7 +79,10 @@ class CorrelatedPairGenerator final : public PairGenerator {
   std::vector<std::size_t> group_of_;
   std::vector<double> group_event_prob_;
   double cond_flip_prob_;
-  double p1_;
+  // Rng::bernoulli_threshold of the probabilities above and of p1.
+  std::vector<std::uint64_t> event_thresholds_;
+  std::uint64_t one_threshold_;
+  std::uint64_t flip_threshold_;
 };
 
 }  // namespace mpe::vec

@@ -97,6 +97,55 @@ TEST(Rng, BernoulliDegenerate) {
   }
 }
 
+// An Rng whose next output is `x`: xoshiro256++ returns
+// rotl(s0 + s3, 23) + s0, which is x for s0 = 0 and s3 = rotr(x, 23).
+Rng emitting(std::uint64_t x) {
+  Rng::State state;
+  state.s = {0, 1, 0, (x >> 23) | (x << 41)};
+  Rng rng;
+  rng.set_state(state);
+  return rng;
+}
+
+TEST(Rng, BernoulliThresholdMatchesBernoulliOnEveryWord) {
+  const std::vector<double> ps = {0.0,
+                                  1.0,
+                                  0.5,
+                                  std::nextafter(0.5, 0.0),
+                                  std::nextafter(0.5, 1.0),
+                                  1.0 / 3.0,
+                                  0.3,
+                                  0.7,
+                                  4.9e-324,
+                                  1e-300,
+                                  1.0 - 0x1.0p-53};
+  EXPECT_EQ(emitting(0x0123456789abcdefULL)(), 0x0123456789abcdefULL);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.0), 0u);
+  EXPECT_EQ(Rng::bernoulli_threshold(0.5), std::uint64_t{1} << 52);
+  EXPECT_EQ(Rng::bernoulli_threshold(1.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(Rng::bernoulli_threshold(4.9e-324), 1u);
+
+  std::vector<std::uint64_t> words;
+  Rng source(23);
+  for (int i = 0; i < 100000; ++i) words.push_back(source());
+  for (double p : ps) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    for (std::uint64_t x : {(t - 1) << 11, t << 11, ~std::uint64_t{0}}) {
+      words.push_back(x);
+    }
+  }
+  for (double p : ps) {
+    const std::uint64_t t = Rng::bernoulli_threshold(p);
+    for (std::uint64_t x : words) {
+      Rng a = emitting(x);
+      Rng b = emitting(x);
+      ASSERT_EQ(a.bernoulli(p), b.bernoulli_below(t))
+          << "p = " << p << ", word = " << x;
+      ASSERT_EQ(a.state().s, b.state().s);
+    }
+  }
+}
+
 TEST(Rng, NormalMomentsMatch) {
   Rng rng(23);
   const int n = 200000;
