@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "dist/transport.hpp"
+#include "dist/worker_hub.hpp"
 #include "maxpower/ledger.hpp"
 #include "util/status.hpp"
 
@@ -51,23 +52,23 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
   shard_policy_.max_holders = 2;
   shard_policy_.straggler_after = config_.straggler_after;
 
-  jobs_.reserve(config_.jobs.size());
-  for (std::size_t i = 0; i < config_.jobs.size(); ++i) {
-    const auto& job = config_.jobs[i];
+  // The specs move into their JobStates: one container, so a retired job
+  // leaves nothing behind.
+  std::vector<maxpower::CampaignJob> manifest = std::move(config_.jobs);
+  config_.jobs.clear();
+  jobs_.reserve(manifest.size());
+  for (auto& job : manifest) {
     if (!maxpower::valid_campaign_job_name(job.name)) {
       throw Error(ErrorCode::kBadData, "invalid campaign job name",
                   ErrorContext{}.kv("job", job.name).str());
     }
-    if (!by_name_.emplace(job.name, i).second) {
+    if (!by_name_.emplace(job.name, jobs_.size()).second) {
       throw Error(ErrorCode::kBadData, "duplicate job name in manifest",
                   ErrorContext{}.kv("job", job.name).str());
     }
-    JobState state;
-    state.index = i;
-    state.outcome.name = job.name;
-    init_shards(state, job);
-    jobs_.push_back(std::move(state));
+    jobs_.push_back(make_state(std::move(job)));
   }
+  publish_live_jobs();
 
   // The ledger is the only durable coordinator state: a restarted
   // coordinator rediscovers completed work here, and in-flight work through
@@ -145,12 +146,15 @@ std::size_t CoordinatorCore::shard_size_now() const {
   return static_cast<std::size_t>(target);
 }
 
-void CoordinatorCore::init_shards(JobState& state,
-                                  const maxpower::CampaignJob& job) {
-  if (!sharded_mode()) return;
+CoordinatorCore::JobState CoordinatorCore::make_state(
+    maxpower::CampaignJob job) {
+  JobState state;
+  state.outcome.name = job.name;
+  state.job = std::move(job);
+  if (!sharded_mode()) return state;
   state.mode = JobMode::kSharded;
   const std::size_t size = shard_size_now();
-  const std::uint64_t attempts = maxpower::job_attempt_budget(job);
+  const std::uint64_t attempts = maxpower::job_attempt_budget(state.job);
   const std::size_t n = maxpower::shard_count(attempts, size);
   state.shards.resize(n);
   for (std::size_t k = 0; k < n; ++k) {
@@ -158,6 +162,14 @@ void CoordinatorCore::init_shards(JobState& state,
     state.shards[k].lo = range.lo;
     state.shards[k].hi = range.hi;
   }
+  return state;
+}
+
+void CoordinatorCore::publish_live_jobs() {
+  if (config_.metrics == nullptr) return;
+  const auto level = static_cast<std::int64_t>(jobs_.size());
+  config_.metrics->gauge("mpe_coord_live_jobs").add(level - live_jobs_metric_);
+  live_jobs_metric_ = level;
 }
 
 void CoordinatorCore::observe_shard_latency(const ShardState& shard,
@@ -192,17 +204,12 @@ void CoordinatorCore::add_job(maxpower::CampaignJob job) {
     throw Error(ErrorCode::kBadData, "invalid campaign job name",
                 ErrorContext{}.kv("job", job.name).str());
   }
-  const std::size_t i = config_.jobs.size();
-  if (!by_name_.emplace(job.name, i).second) {
+  if (!by_name_.emplace(job.name, jobs_.size()).second) {
     throw Error(ErrorCode::kBadData, "duplicate job name",
                 ErrorContext{}.kv("job", job.name).str());
   }
-  config_.jobs.push_back(std::move(job));
-  JobState state;
-  state.index = i;
-  state.outcome.name = config_.jobs[i].name;
-  init_shards(state, config_.jobs[i]);
-  jobs_.push_back(std::move(state));
+  jobs_.push_back(make_state(std::move(job)));
+  publish_live_jobs();
 }
 
 bool CoordinatorCore::abandon(const std::string& job) {
@@ -212,7 +219,7 @@ bool CoordinatorCore::abandon(const std::string& job) {
     return false;
   }
   CampaignJobOutcome outcome;
-  outcome.name = config_.jobs[state->index].name;
+  outcome.name = state->job.name;
   outcome.status = JobStatus::kStopped;
   outcome.error = ErrorCode::kCancelled;
   outcome.attempts = state->lease.assignments;
@@ -221,7 +228,23 @@ bool CoordinatorCore::abandon(const std::string& job) {
 }
 
 std::vector<CampaignJobOutcome> CoordinatorCore::take_completions() {
-  return std::exchange(completions_, {});
+  std::vector<CampaignJobOutcome> out = std::exchange(completions_, {});
+  if (!config_.persistent || out.empty()) return out;
+  // Retirement: the outcome now belongs to the caller, and a persistent
+  // coordinator must not hold every job it ever ran. Late messages for a
+  // retired job meet the unknown-job replies (revoke / error), which
+  // workers already treat as settled.
+  std::erase_if(jobs_, [&](const JobState& s) {
+    return std::any_of(out.begin(), out.end(), [&](const auto& done) {
+      return done.name == s.job.name;
+    });
+  });
+  by_name_.clear();
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    by_name_.emplace(jobs_[i].job.name, i);
+  }
+  publish_live_jobs();
+  return out;
 }
 
 CoordinatorCore::JobState* CoordinatorCore::find(const std::string& job) {
@@ -234,8 +257,7 @@ std::string CoordinatorCore::grant(JobState& state, const std::string& worker,
   sched::grant(state.lease, whole_policy_, worker, now);
   ++leases_granted_;
   return encode_lease(
-      config_.jobs[state.index].name,
-      maxpower::campaign_job_to_json(config_.jobs[state.index]),
+      state.job.name, maxpower::campaign_job_to_json(state.job),
       static_cast<std::uint64_t>(config_.lease.count()),
       static_cast<std::uint64_t>(config_.job_deadline.count()));
 }
@@ -253,7 +275,7 @@ void CoordinatorCore::record(JobState& state,
 void CoordinatorCore::fail_exhausted(JobState& state, std::size_t attempts,
                                      ErrorCode error) {
   CampaignJobOutcome outcome;
-  outcome.name = config_.jobs[state.index].name;
+  outcome.name = state.job.name;
   outcome.status = JobStatus::kFailed;
   outcome.attempts = attempts;
   outcome.error = error;
@@ -277,8 +299,7 @@ std::string CoordinatorCore::grant_shard(JobState& state, std::size_t k,
   sched::grant(shard.lease, shard_policy_, worker, now);
   ++leases_granted_;
   return encode_shard_lease(
-      config_.jobs[state.index].name,
-      maxpower::campaign_job_to_json(config_.jobs[state.index]),
+      state.job.name, maxpower::campaign_job_to_json(state.job),
       static_cast<std::uint64_t>(k), shard.lo, shard.hi,
       static_cast<std::uint64_t>(config_.lease.count()),
       static_cast<std::uint64_t>(config_.job_deadline.count()));
@@ -294,7 +315,7 @@ void CoordinatorCore::try_assemble(JobState& state) {
     prefix.insert(prefix.end(), shard.samples.begin(), shard.samples.end());
   }
   if (prefix.empty()) return;
-  const maxpower::CampaignJob& job = config_.jobs[state.index];
+  const maxpower::CampaignJob& job = state.job;
   const maxpower::AssembledJob assembled =
       maxpower::assemble_job(job, prefix);
   if (!assembled.terminal) return;  // probe only: more shards needed
@@ -594,6 +615,23 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
   return encode_error("unexpected message kind");
 }
 
+CoordinatorCore::Clock::time_point CoordinatorCore::next_expiry() const {
+  // Exactly the holders tick() would expire.
+  Clock::time_point soonest = Clock::time_point::max();
+  const auto scan = [&](const sched::Lease& lease) {
+    if (lease.phase != sched::LeasePhase::kLeased) return;
+    for (const auto& holder : lease.holders) {
+      soonest = std::min(soonest, holder.expiry);
+    }
+  };
+  for (const auto& state : jobs_) {
+    scan(state.lease);
+    if (state.phase() != JobPhase::kPending) continue;
+    for (const auto& shard : state.shards) scan(shard.lease);
+  }
+  return soonest;
+}
+
 bool CoordinatorCore::any_leased() const {
   return std::any_of(jobs_.begin(), jobs_.end(), [](const JobState& s) {
     if (s.phase() == JobPhase::kLeased) return true;
@@ -651,13 +689,14 @@ maxpower::CampaignResult serve_campaign(
     CoordinatorCore& core, Listener& listener,
     const CoordinatorServerOptions& options) {
   using Clock = CoordinatorCore::Clock;
-  std::vector<std::unique_ptr<LineChannel>> conns;
+  // Without a waker, a tripped control is still seen this often.
+  constexpr std::chrono::milliseconds kControlCheck{1000};
+  WorkerHub hub(core, {&listener});
 
   const auto drain_grace = options.drain_grace.count() > 0
                                ? options.drain_grace
                                : std::chrono::milliseconds{30000};
   Clock::time_point drain_deadline = Clock::time_point::max();
-  bool busy = false;  // did the previous iteration process any line?
 
   for (;;) {
     const auto now = Clock::now();
@@ -673,50 +712,19 @@ maxpower::CampaignResult serve_campaign(
     if (core.draining() && (!core.any_leased() || now >= drain_deadline)) {
       break;
     }
+    // Anything moved: look again before blocking.
+    if (hub.service(now)) continue;
 
-    // Shard leases multiply message traffic per job; when the previous
-    // iteration had work, poll the accept non-blocking so one slow accept
-    // timeout cannot throttle the whole fleet's request rate.
-    if (auto conn = listener.accept(busy ? std::chrono::milliseconds{0}
-                                         : options.poll)) {
-      conns.push_back(std::move(conn));
+    PollSet set;
+    hub.watch(set);
+    if (options.waker != nullptr) set.add(options.waker->fd());
+    Clock::time_point wake_at =
+        std::min({hub.next_deadline(), drain_deadline, now + kControlCheck});
+    if (!options.control.deadline.unlimited()) {
+      wake_at = std::min(wake_at, now + options.control.deadline.remaining());
     }
-    busy = false;
-
-    for (auto& conn : conns) {
-      // Drain every line this peer already delivered; a worker only has one
-      // message in flight, but a batch can pile up while we were busy.
-      for (;;) {
-        std::string line;
-        const auto status =
-            conn->recv_line(line, std::chrono::milliseconds{0});
-        if (status == LineChannel::RecvStatus::kClosed) {
-          conn->close();  // peer gone; lease expiry covers its jobs
-          break;
-        }
-        if (status == LineChannel::RecvStatus::kOverflow) {
-          // A frame past the receive limit is a protocol violation, not a
-          // transport fault: say so before hanging up.
-          conn->send_line(encode_error("oversized frame"));
-          conn->close();
-          break;
-        }
-        if (status != LineChannel::RecvStatus::kLine) break;
-        busy = true;
-        std::string reply;
-        try {
-          reply = core.handle(decode_message(line), Clock::now());
-        } catch (const Error& e) {
-          reply = encode_error(e.what());
-        }
-        if (!conn->send_line(reply)) {
-          conn->close();
-          break;
-        }
-        if (!conn->line_buffered()) break;
-      }
-    }
-    std::erase_if(conns, [](const auto& c) { return !c->valid(); });
+    set.wait(wake_at);
+    if (options.waker != nullptr) options.waker->clear();
   }
 
   maxpower::CampaignResult result = core.summary();
@@ -727,42 +735,8 @@ maxpower::CampaignResult serve_campaign(
   }
   // Linger briefly so connected workers learn the campaign is over from a
   // drain reply instead of burning their whole redial budget against a
-  // vanished socket. Heartbeats get revoke (stop wasted work on stale
-  // leases); everything else gets drain. Exit as soon as every worker has
-  // hung up, or after a hard cap.
-  const auto linger_deadline = Clock::now() + std::chrono::milliseconds{2000};
-  while (!conns.empty() && Clock::now() < linger_deadline) {
-    if (auto conn = listener.accept(std::chrono::milliseconds{10})) {
-      conns.push_back(std::move(conn));
-    }
-    for (auto& conn : conns) {
-      for (;;) {
-        std::string line;
-        const auto status =
-            conn->recv_line(line, std::chrono::milliseconds{0});
-        if (status == LineChannel::RecvStatus::kClosed ||
-            status == LineChannel::RecvStatus::kOverflow) {
-          conn->close();
-          break;
-        }
-        if (status != LineChannel::RecvStatus::kLine) break;
-        bool heartbeat = false;
-        std::string job;
-        try {
-          const Message msg = decode_message(line);
-          heartbeat = msg.kind == MessageKind::kHeartbeat;
-          job = msg.job;
-        } catch (const Error&) {
-        }
-        if (!conn->send_line(heartbeat ? encode_revoke(job)
-                                       : encode_drain())) {
-          conn->close();
-          break;
-        }
-      }
-    }
-    std::erase_if(conns, [](const auto& c) { return !c->valid(); });
-  }
+  // vanished socket.
+  hub.linger(std::chrono::milliseconds{2000});
   return result;
 }
 

@@ -117,10 +117,12 @@ struct CoordinatorConfig {
   bool whole_job_fallback = true;
   /// Estimation-as-a-service mode: the job set is dynamic (add_job), so a
   /// worker request finding nothing pending is answered `wait`, never
-  /// `drain` (begin_drain() still wins once called).
+  /// `drain` (begin_drain() still wins once called). Jobs are retired once
+  /// take_completions() hands them out, so state scales with live jobs.
   bool persistent = false;
-  /// Optional metric sink: shard latency observations and the adaptive
-  /// shard-size level (mpe_coord_* series). Null = no metrics.
+  /// Optional metric sink: shard latency observations, the adaptive
+  /// shard-size level and the live-job count (mpe_coord_* series). Null =
+  /// no metrics.
   util::MetricRegistry* metrics = nullptr;
 };
 
@@ -155,7 +157,11 @@ class CoordinatorCore {
   /// Drains the outcomes that turned terminal since the last call, in
   /// record order. The estimation server's fleet executor maps these back
   /// to submit tickets; the campaign CLI never calls it (summary() already
-  /// aggregates).
+  /// aggregates). In persistent mode the returned jobs are retired: their
+  /// spec, lease and shard state are erased, and later messages for them
+  /// get the unknown-job replies (heartbeat: revoke; result: error, which
+  /// workers treat as settled) with no ledger append. Their names become
+  /// reusable.
   std::vector<maxpower::CampaignJobOutcome> take_completions();
 
   /// The shard size a job created right now would be partitioned with
@@ -165,6 +171,10 @@ class CoordinatorCore {
   /// Expires overdue leases; records jobs that exhausted their assignment
   /// budget as failed. Call once per loop iteration.
   void tick(Clock::time_point now);
+
+  /// The earliest lease expiry tick() has yet to act on (max() when nothing
+  /// is leased): the serving loops block no longer than this.
+  Clock::time_point next_expiry() const;
 
   /// Stops granting leases (SIGTERM drain). In-flight leases keep being
   /// served so running jobs can finish and report.
@@ -188,6 +198,10 @@ class CoordinatorCore {
   /// Shards completed across all jobs (monotonic; test/observability hook).
   std::size_t shards_done() const { return shards_done_; }
 
+  /// Jobs the coordinator still holds state for (test/observability hook;
+  /// in persistent mode, the jobs not yet handed out by take_completions).
+  std::size_t live_jobs() const { return jobs_.size(); }
+
  private:
   /// Whether a job hands out whole-job or shard leases. Sharded is the
   /// default under shard_size > 0 but a job with no shard progress can be
@@ -204,7 +218,7 @@ class CoordinatorCore {
   };
 
   struct JobState {
-    std::size_t index = 0;  ///< into config_.jobs
+    maxpower::CampaignJob job;
     JobMode mode = JobMode::kWhole;
     bool skipped = false;   ///< done per the ledger before this run
     /// Terminal flavor once `lease` is done: failed vs done.
@@ -229,8 +243,11 @@ class CoordinatorCore {
   bool sharded_mode() const {
     return config_.shard_size > 0 || config_.shard_auto;
   }
-  /// Partitions a fresh JobState (ctor and add_job share it).
-  void init_shards(JobState& state, const maxpower::CampaignJob& job);
+  /// A fresh JobState for `job`, partitioned when sharded (ctor and add_job
+  /// share it).
+  JobState make_state(maxpower::CampaignJob job);
+  /// Pushes the live-job count to the mpe_coord_live_jobs gauge (delta).
+  void publish_live_jobs();
   /// Folds one finished shard's latency into the adaptive-size EWMA and the
   /// metric series.
   void observe_shard_latency(const ShardState& shard, Clock::time_point now);
@@ -251,6 +268,7 @@ class CoordinatorCore {
   /// point.
   void try_assemble(JobState& state);
 
+  /// config_.jobs is moved into jobs_ at construction and stays empty.
   CoordinatorConfig config_;
   /// Lease policies over the shared substrate: whole jobs are exclusive
   /// claims, shards allow one speculative straggler re-issue.
@@ -268,28 +286,35 @@ class CoordinatorCore {
   double ewma_ms_per_attempt_ = 0.0;
   /// Level last pushed to the mpe_coord_shard_size gauge (delta tracking).
   std::int64_t shard_size_metric_ = 0;
+  /// Level last pushed to the mpe_coord_live_jobs gauge (delta tracking).
+  std::int64_t live_jobs_metric_ = 0;
   /// Outcomes recorded since the last take_completions().
   std::vector<maxpower::CampaignJobOutcome> completions_;
 };
+
+class Listener;  // dist/transport.hpp
+class Waker;     // dist/transport.hpp
 
 /// Socket-server options for serve_campaign.
 struct CoordinatorServerOptions {
   std::string socket_path;   ///< Unix-domain socket to listen on
   util::RunControl control;  ///< cancellation → graceful drain
-  /// Outer poll granularity: accept/expiry latency, not correctness.
-  std::chrono::milliseconds poll{20};
+  /// Woken after `control` trips (the CLI's signal handler does), so the
+  /// drain starts at once. Without one the loop still re-checks `control`
+  /// at least once a second. Must outlive the call.
+  const Waker* waker = nullptr;
   /// Hard cap on how long a drain waits for in-flight leases before the
   /// coordinator exits anyway (0 = wait a full lease duration).
   std::chrono::milliseconds drain_grace{0};
 };
 
 /// Runs the coordinator loop until the campaign finishes or a drain
-/// completes. Returns the invocation summary (CampaignResult::stopped set
-/// when the run was cut short by drain).
+/// completes. The loop blocks in poll(2) on the listener, the worker
+/// channels and the waker, never in a sleep; idle workers' requests are
+/// parked (dist/worker_hub.hpp). Returns the invocation summary
+/// (CampaignResult::stopped set when the run was cut short by drain).
 maxpower::CampaignResult serve_campaign(CoordinatorCore& core,
                                         const CoordinatorServerOptions& options);
-
-class Listener;  // dist/transport.hpp
 
 /// Same loop over a caller-owned listener (Unix-domain or TCP), so one
 /// coordinator serves a multi-host fleet. `options.socket_path` is ignored.

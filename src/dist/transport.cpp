@@ -5,10 +5,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -304,6 +306,46 @@ std::unique_ptr<LineChannel> connect_tcp(const std::string& host,
   }
   set_nodelay(fd);
   return std::make_unique<LineChannel>(fd);
+}
+
+Waker::Waker() : fd_(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+  if (fd_ < 0) {
+    throw Error(ErrorCode::kIo, "eventfd failed",
+                ErrorContext{}.kv("errno", std::strerror(errno)).str());
+  }
+}
+
+Waker::~Waker() { ::close(fd_); }
+
+void Waker::wake() const noexcept {
+  const int saved_errno = errno;  // a signal handler must leave errno alone
+  const std::uint64_t one = 1;
+  // A full counter (EAGAIN) already reads as readable: nothing is lost.
+  [[maybe_unused]] const ssize_t n = ::write(fd_, &one, sizeof one);
+  errno = saved_errno;
+}
+
+void Waker::clear() const noexcept {
+  std::uint64_t count = 0;
+  [[maybe_unused]] const ssize_t n = ::read(fd_, &count, sizeof count);
+}
+
+void PollSet::add(int fd) {
+  if (fd >= 0) fds_.push_back(pollfd{fd, POLLIN, 0});
+}
+
+int PollSet::wait(Clock::time_point deadline) {
+  int timeout_ms = -1;
+  if (deadline != Clock::time_point::max()) {
+    // Round up: waking a hair early would find the deadline not yet due
+    // and spin once more.
+    const auto left = deadline - Clock::now();
+    const auto ms =
+        std::chrono::ceil<std::chrono::milliseconds>(left).count();
+    timeout_ms = static_cast<int>(std::clamp<long long>(ms, 0, 1 << 30));
+  }
+  const int rc = ::poll(fds_.data(), fds_.size(), timeout_ms);
+  return rc > 0 ? rc : 0;  // EINTR (a signal) reads as a wake-up too
 }
 
 std::pair<std::unique_ptr<LineChannel>, std::unique_ptr<LineChannel>>

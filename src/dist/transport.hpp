@@ -15,13 +15,20 @@
 // worker death is an expected event, handled by lease expiry, not by
 // exception control flow), and receives are poll(2)-bounded so a silent
 // peer can never wedge the coordinator loop.
+//
+// The serving loops block on readiness, not on sleeps: a PollSet gathers
+// every listener and channel fd (plus a Waker for events that arrive
+// without a socket — executor completions, signals) into one poll(2).
 #pragma once
+
+#include <poll.h>
 
 #include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace mpe::dist {
 
@@ -82,6 +89,9 @@ class Listener {
   /// Accepts one connection, waiting up to `timeout`; nullptr on timeout.
   virtual std::unique_ptr<LineChannel> accept(
       std::chrono::milliseconds timeout) = 0;
+
+  /// The listening fd (readable when a connection is pending; -1 closed).
+  virtual int fd() const = 0;
 };
 
 /// Listening end of a Unix-domain socket. Binding unlinks a stale socket
@@ -99,7 +109,7 @@ class UnixListener final : public Listener {
       std::chrono::milliseconds timeout) override;
 
   const std::string& path() const { return path_; }
-  int fd() const { return fd_; }
+  int fd() const override { return fd_; }
   void close();
 
  private:
@@ -130,7 +140,7 @@ class TcpListener final : public Listener {
 
   /// The bound port (the kernel's pick when constructed with port 0).
   std::uint16_t port() const { return port_; }
-  int fd() const { return fd_; }
+  int fd() const override { return fd_; }
   void close();
 
  private:
@@ -142,6 +152,43 @@ class TcpListener final : public Listener {
 /// reachable — callers retry under their backoff policy.
 std::unique_ptr<LineChannel> connect_tcp(const std::string& host,
                                          std::uint16_t port);
+
+/// Wakes a loop blocked in PollSet::wait from another thread or from a
+/// signal handler: an eventfd that turns readable on wake(). Wake-ups
+/// coalesce; the loop clear()s the fd before it re-checks whatever the wake
+/// announced, so a wake-up that races the check is never lost.
+class Waker {
+ public:
+  Waker();  ///< throws Error(kIo) on OS failure
+  ~Waker();
+  Waker(const Waker&) = delete;
+  Waker& operator=(const Waker&) = delete;
+
+  /// Async-signal-safe (one write(2)); callable from any thread.
+  void wake() const noexcept;
+  /// Consumes pending wake-ups.
+  void clear() const noexcept;
+  int fd() const { return fd_; }
+
+ private:
+  int fd_ = -1;
+};
+
+/// One poll(2) over a set of fds, all watched for readability (a hung-up
+/// or failed peer also reads as ready — the next recv reports it). Built
+/// fresh for each wait; negative fds are skipped.
+class PollSet {
+ public:
+  using Clock = std::chrono::steady_clock;
+
+  void add(int fd);
+  /// Blocks until an fd is ready or `deadline` passes (time_point::max()
+  /// blocks indefinitely). Returns the number of ready fds (0 on timeout).
+  int wait(Clock::time_point deadline);
+
+ private:
+  std::vector<pollfd> fds_;
+};
 
 /// A connected channel pair (AF_UNIX socketpair) for in-process tests and
 /// pipe-shaped deployments. Throws mpe::Error(kIo) on OS failure.

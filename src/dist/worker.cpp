@@ -2,11 +2,12 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <atomic>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <thread>
 #include <utility>
@@ -146,8 +147,48 @@ struct WorkerLoop {
     return deliver_until_acked(encode_result(cfg.worker_id, outcome));
   }
 
+  /// Runs `work` on a helper thread while this thread keeps the lease
+  /// alive: it sleeps on the runner's completion and wakes only for the
+  /// next heartbeat. `beat` sends one heartbeat and returns true when the
+  /// coordinator revoked the lease; revocation and the worker's own brake
+  /// both trip `cancel`, so the runner winds down within one heartbeat.
+  /// Returns whether the lease was revoked.
+  bool run_beating(const std::function<void()>& work,
+                   const util::CancellationToken& cancel,
+                   const std::function<bool()>& beat) {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool finished = false;
+    std::thread runner([&] {
+      work();
+      const std::lock_guard<std::mutex> lock(mu);
+      finished = true;
+      cv.notify_one();
+    });
+
+    bool revoked = false;
+    std::unique_lock<std::mutex> lock(mu);
+    while (!finished) {
+      if (cancelled()) cancel.request_stop();
+      lock.unlock();
+      // A dead channel is not fatal mid-job: the engine keeps computing
+      // while we redial once per beat; on success the heartbeat re-adopts
+      // the lease from a restarted coordinator.
+      if (!ch && !cancelled()) dial_once();
+      if (ch && beat()) {
+        revoked = true;
+        cancel.request_stop();
+      }
+      lock.lock();
+      cv.wait_for(lock, cfg.heartbeat, [&] { return finished; });
+    }
+    lock.unlock();
+    runner.join();
+    return revoked;
+  }
+
   /// Runs one leased job on a helper thread while this thread keeps the
-  /// lease alive, then reports the outcome.
+  /// lease alive (run_beating), then reports the outcome.
   void execute_lease(const Message& lease) {
     ++sum.leases;
     CampaignJob job;
@@ -181,36 +222,17 @@ struct WorkerLoop {
 
     Rng job_rng(rng());  // independent stream; main thread keeps using rng
     CampaignJobOutcome outcome;
-    std::atomic<bool> finished{false};
-    std::thread runner([&] {
-      outcome = maxpower::run_campaign_job(job, options, job_rng);
-      outcome.worker = cfg.worker_id;
-      finished.store(true, std::memory_order_release);
-    });
-
-    bool revoked = false;
-    auto last_beat = std::chrono::steady_clock::now() - cfg.heartbeat;
-    while (!finished.load(std::memory_order_acquire)) {
-      if (cancelled()) job_cancel.request_stop();
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_beat >= cfg.heartbeat) {
-        last_beat = now;
-        // A dead channel is not fatal mid-job: the engine keeps computing
-        // while we redial once per beat; on success the heartbeat re-adopts
-        // the lease from a restarted coordinator.
-        if (!ch && !cancelled()) dial_once();
-        if (ch) {
+    const bool revoked = run_beating(
+        [&] {
+          outcome = maxpower::run_campaign_job(job, options, job_rng);
+          outcome.worker = cfg.worker_id;
+        },
+        job_cancel,
+        [&] {
           const auto reply =
               transact(encode_heartbeat(cfg.worker_id, lease.job));
-          if (reply && reply->kind == MessageKind::kRevoke) {
-            revoked = true;
-            job_cancel.request_stop();
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    runner.join();
+          return reply && reply->kind == MessageKind::kRevoke;
+        });
 
     if (revoked && outcome.status != JobStatus::kDone) {
       // Someone else owns the job now; our partial run is irrelevant (the
@@ -260,35 +282,19 @@ struct WorkerLoop {
     options.checkpoint_every_k = cfg.checkpoint_every_k;
 
     maxpower::ShardOutcome outcome;
-    std::atomic<bool> finished{false};
-    std::thread runner([&] {
-      outcome = maxpower::run_campaign_shard(job, lease.shard, lease.lo,
-                                             lease.hi, options);
-      finished.store(true, std::memory_order_release);
-    });
-
-    bool revoked = false;
-    auto last_beat = std::chrono::steady_clock::now() - cfg.heartbeat;
-    while (!finished.load(std::memory_order_acquire)) {
-      if (cancelled()) shard_cancel.request_stop();
-      const auto now = std::chrono::steady_clock::now();
-      if (now - last_beat >= cfg.heartbeat) {
-        last_beat = now;
-        if (!ch && !cancelled()) dial_once();
-        if (ch) {
+    // A revoke means someone else owns (or finished) the shard: stop
+    // computing but keep the checkpoint — a future holder resumes it.
+    const bool revoked = run_beating(
+        [&] {
+          outcome = maxpower::run_campaign_shard(job, lease.shard, lease.lo,
+                                                 lease.hi, options);
+        },
+        shard_cancel,
+        [&] {
           const auto reply = transact(
               encode_shard_heartbeat(cfg.worker_id, lease.job, lease.shard));
-          if (reply && reply->kind == MessageKind::kRevoke) {
-            // Someone else owns (or finished) the shard; stop computing but
-            // keep the checkpoint — a future holder resumes it.
-            revoked = true;
-            shard_cancel.request_stop();
-          }
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    runner.join();
+          return reply && reply->kind == MessageKind::kRevoke;
+        });
 
     if (revoked && outcome.status != JobStatus::kDone) {
       ++sum.stopped;
@@ -329,12 +335,10 @@ struct WorkerLoop {
         case MessageKind::kShardLease:
           execute_shard_lease(*reply);
           break;
-        case MessageKind::kWait: {
-          const auto ms = std::clamp<std::uint64_t>(reply->ms, 10, 2000);
-          util::interruptible_sleep(std::chrono::milliseconds(ms),
-                                    cfg.control);
+        case MessageKind::kWait:
+          // The coordinator already held this request for the wait's
+          // length (it parks idle requests): ask again at once.
           break;
-        }
         case MessageKind::kDrain:
           sum.drained = true;
           return sum;

@@ -114,6 +114,7 @@
 #include "dist/protocol.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
+#include "dist/worker_hub.hpp"
 #include "server/circuit_cache.hpp"
 #include "server/server.hpp"
 #include "server/server_core.hpp"

@@ -16,6 +16,12 @@
 // iteration with the wall clock; the executor hands back trace events and
 // terminal completions keyed by the ServerCore ticket. Every started job
 // yields exactly one completion — including after stop_all().
+//
+// The serve loop blocks in poll(2) between iterations, so an executor says
+// what should wake it: fds to watch (fleet: worker sockets), a deadline
+// (fleet: parked requests and lease expiry; local: the next trace flush),
+// and the server's Waker, which a local job's runner thread writes when it
+// finishes.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +30,10 @@
 
 #include "maxpower/campaign.hpp"
 #include "server/server_core.hpp"
+
+namespace mpe::dist {
+class PollSet;
+}
 
 namespace mpe::server {
 
@@ -61,6 +71,14 @@ class JobExecutor {
 
   /// True when no started job is still in flight.
   virtual bool idle() const = 0;
+
+  /// Adds the fds whose readiness calls for a pump().
+  virtual void watch(dist::PollSet& /*set*/) const {}
+
+  /// When pump() next has timed work to do (max() when none).
+  virtual Clock::time_point next_deadline(Clock::time_point /*now*/) const {
+    return Clock::time_point::max();
+  }
 
   /// Drain began: in-flight jobs keep running to completion, but the
   /// executor may stop courting new capacity (fleet: workers asking for

@@ -56,10 +56,11 @@ FleetExecutor::FleetExecutor(CircuitCache& cache, const std::string& state_dir,
                              dist::Listener* tcp_listener)
     : cache_(cache),
       core_(fleet_core_config(state_dir, options)),
-      unix_listener_(unix_listener),
-      tcp_listener_(tcp_listener),
+      hub_(core_, {unix_listener, tcp_listener},
+           &util::MetricRegistry::global(),
+           [this](const dist::Message& msg) { shard_landed(msg); }),
       salt_(random_salt()) {
-  if (unix_listener_ == nullptr && tcp_listener_ == nullptr) {
+  if (unix_listener == nullptr && tcp_listener == nullptr) {
     throw Error(ErrorCode::kUsage,
                 "fleet mode needs a worker-facing listener");
   }
@@ -67,33 +68,12 @@ FleetExecutor::FleetExecutor(CircuitCache& cache, const std::string& state_dir,
 
 FleetExecutor::~FleetExecutor() {
   // The serve loop is gone; tell lingering workers the shop is closed so
-  // they exit on a drain reply instead of redialing a dead socket. Bounded:
-  // workers poll at most once a second, so most catch it on the first pass.
+  // they exit on a drain reply instead of redialing a dead socket.
   core_.begin_drain();
-  const auto deadline = Clock::now() + std::chrono::milliseconds{1200};
-  while (!conns_.empty() && Clock::now() < deadline) {
-    for (auto& conn : conns_) {
-      for (;;) {
-        std::string line;
-        const auto status =
-            conn->recv_line(line, std::chrono::milliseconds{10});
-        if (status != dist::LineChannel::RecvStatus::kLine) {
-          if (status != dist::LineChannel::RecvStatus::kTimeout) conn->close();
-          break;
-        }
-        std::string reply;
-        try {
-          reply = core_.handle(dist::decode_message(line), Clock::now());
-        } catch (const Error& e) {
-          reply = dist::encode_error(e.what());
-        }
-        if (!conn->send_line(reply)) {
-          conn->close();
-          break;
-        }
-      }
-    }
-    std::erase_if(conns_, [](const auto& c) { return !c->valid(); });
+  try {
+    hub_.linger(std::chrono::milliseconds{1200});
+  } catch (const Error&) {
+    // A failing listener only cuts this courtesy short.
   }
 }
 
@@ -120,69 +100,19 @@ void FleetExecutor::start(ServerCore::Started started) {
   inflight_.emplace(name, std::move(entry));
 }
 
-void FleetExecutor::service_connections(Clock::time_point now,
-                                        std::vector<ExecEvent>& events,
-                                        bool& activity) {
-  const std::chrono::milliseconds no_wait{0};
-  if (unix_listener_ != nullptr) {
-    while (auto conn = unix_listener_->accept(no_wait)) {
-      conns_.push_back(std::move(conn));
-      activity = true;
-    }
+void FleetExecutor::shard_landed(const dist::Message& msg) {
+  const auto it = inflight_.find(msg.job);
+  if (it == inflight_.end() ||
+      !it->second.shards_seen.insert(msg.shard).second) {
+    return;
   }
-  if (tcp_listener_ != nullptr) {
-    while (auto conn = tcp_listener_->accept(no_wait)) {
-      conns_.push_back(std::move(conn));
-      activity = true;
-    }
-  }
-  for (auto& conn : conns_) {
-    for (;;) {
-      std::string line;
-      const auto status = conn->recv_line(line, no_wait);
-      if (status == dist::LineChannel::RecvStatus::kClosed) {
-        conn->close();  // worker gone; lease expiry covers its shards
-        break;
-      }
-      if (status == dist::LineChannel::RecvStatus::kOverflow) {
-        conn->send_line(dist::encode_error("oversized frame"));
-        conn->close();
-        break;
-      }
-      if (status != dist::LineChannel::RecvStatus::kLine) break;
-      activity = true;
-      std::string reply;
-      try {
-        const dist::Message msg = dist::decode_message(line);
-        const std::size_t shards_before = core_.shards_done();
-        reply = core_.handle(msg, now);
-        if (msg.kind == dist::MessageKind::kShardResult &&
-            core_.shards_done() > shards_before) {
-          // A fresh shard landed: surface it to the submitter as a trace
-          // event (the fleet analogue of the local engine's event stream).
-          const auto it = inflight_.find(msg.job);
-          if (it != inflight_.end() &&
-              it->second.shards_seen.insert(msg.shard).second) {
-            util::JsonFields f;
-            f.add("shard", msg.shard)
-                .add("lo", msg.lo)
-                .add("hi", msg.hi)
-                .add("worker", msg.worker);
-            events.push_back({it->second.ticket, it->second.next_seq++,
-                              "shard_done", f.body()});
-          }
-        }
-      } catch (const Error& e) {
-        reply = dist::encode_error(e.what());
-      }
-      if (!conn->send_line(reply)) {
-        conn->close();
-        break;
-      }
-      if (!conn->line_buffered()) break;
-    }
-  }
-  std::erase_if(conns_, [](const auto& c) { return !c->valid(); });
+  util::JsonFields f;
+  f.add("shard", msg.shard)
+      .add("lo", msg.lo)
+      .add("hi", msg.hi)
+      .add("worker", msg.worker);
+  landed_.push_back(
+      {it->second.ticket, it->second.next_seq++, "shard_done", f.body()});
 }
 
 bool FleetExecutor::pump(Clock::time_point now, std::vector<ExecEvent>& events,
@@ -199,7 +129,11 @@ bool FleetExecutor::pump(Clock::time_point now, std::vector<ExecEvent>& events,
     activity = true;
   }
 
-  service_connections(now, events, activity);
+  // Accepts, answers worker messages, and re-asks parked requests — which
+  // is how a job start()ed or abandoned above reaches an idle worker.
+  if (hub_.service(now)) activity = true;
+  for (ExecEvent& ev : landed_) events.push_back(std::move(ev));
+  landed_.clear();
   core_.tick(now);
 
   for (maxpower::CampaignJobOutcome& outcome : core_.take_completions()) {
@@ -224,6 +158,7 @@ bool FleetExecutor::pump(Clock::time_point now, std::vector<ExecEvent>& events,
   // during the destructor's linger still gets the same answer.
   if (draining_ && inflight_.empty() && !core_.draining()) {
     core_.begin_drain();
+    activity = true;  // parked requests hear drain on the next pass
   }
   return activity;
 }

@@ -7,6 +7,10 @@
 // job, while the actual computation runs on however many workers (and
 // hosts) joined the fleet.
 //
+// Idle workers' requests are parked, not answered `wait` (dist/worker_hub):
+// a submitted job's first shard lease goes out in the same loop iteration
+// that add_job()s it.
+//
 // One scheduling substrate, twice: ServerCore (admission/fairness over
 // sched::AdmissionQueue) decides which job runs next; the embedded
 // CoordinatorCore (leases over sched::Lease) decides which worker computes
@@ -32,6 +36,7 @@
 
 #include "dist/coordinator.hpp"
 #include "dist/transport.hpp"
+#include "dist/worker_hub.hpp"
 #include "server/circuit_cache.hpp"
 #include "server/executor.hpp"
 #include "server/server.hpp"  // FleetOptions
@@ -46,19 +51,24 @@ class FleetExecutor final : public JobExecutor {
   FleetExecutor(CircuitCache& cache, const std::string& state_dir,
                 const FleetOptions& options, dist::Listener* unix_listener,
                 dist::Listener* tcp_listener);
-  /// Lingers briefly answering drain so connected workers exit cleanly
-  /// instead of burning their redial budget against a closed socket.
+  /// Answers parked requests `drain`, then lingers briefly answering drain
+  /// so connected workers exit cleanly instead of burning their redial
+  /// budget against a closed socket.
   ~FleetExecutor() override;
 
   void start(ServerCore::Started started) override;
   bool pump(Clock::time_point now, std::vector<ExecEvent>& events,
             std::vector<ExecCompletion>& completions) override;
   bool idle() const override { return inflight_.empty(); }
+  void watch(dist::PollSet& set) const override { hub_.watch(set); }
+  Clock::time_point next_deadline(Clock::time_point) const override {
+    return hub_.next_deadline();
+  }
   void drain() override { draining_ = true; }
   void stop_all() override;
 
   /// Test/observability hooks.
-  std::size_t workers_connected() const { return conns_.size(); }
+  std::size_t workers_connected() const { return hub_.connections(); }
   const dist::CoordinatorCore& core() const { return core_; }
 
  private:
@@ -72,15 +82,16 @@ class FleetExecutor final : public JobExecutor {
   };
 
   std::string salted_name(std::uint64_t ticket, const std::string& id) const;
-  void service_connections(Clock::time_point now,
-                           std::vector<ExecEvent>& events, bool& activity);
+  /// A fresh shard landed: surface it to the submitter as a trace event
+  /// (the fleet analogue of the local engine's event stream).
+  void shard_landed(const dist::Message& msg);
 
   CircuitCache& cache_;
   dist::CoordinatorCore core_;
-  dist::Listener* unix_listener_;
-  dist::Listener* tcp_listener_;
-  std::vector<std::unique_ptr<dist::LineChannel>> conns_;
+  dist::WorkerHub hub_;
   std::map<std::string, Inflight> inflight_;  ///< salted name -> job
+  /// shard_done events not yet handed out by pump().
+  std::vector<ExecEvent> landed_;
   std::string salt_;
   bool draining_ = false;
 };

@@ -2,15 +2,18 @@
 
 #include <algorithm>
 #include <chrono>
+#include <exception>
 #include <utility>
 
 namespace mpe::server {
 
 LocalExecutor::LocalExecutor(CircuitCache& cache, std::string state_dir,
-                             std::size_t trace_capacity, std::size_t slots)
+                             std::size_t trace_capacity, std::size_t slots,
+                             const dist::Waker& waker)
     : cache_(cache),
       state_dir_(std::move(state_dir)),
       trace_capacity_(trace_capacity),
+      waker_(waker),
       // One worker per executor slot: ServerCore already caps concurrent
       // grants at max_active, so the pool never queues more than that.
       pool_(static_cast<unsigned>(std::max<std::size_t>(1, slots))) {}
@@ -24,10 +27,21 @@ void LocalExecutor::start(ServerCore::Started started) {
   }
   auto tracer = job.tracer;
   CircuitCache* cache = &cache_;
+  const dist::Waker* waker = &waker_;
   std::string state_dir = state_dir_;
-  job.result = pool_.submit([spec = std::move(started), tracer, cache,
-                             state_dir = std::move(state_dir)]() {
-    return execute_job(spec, tracer.get(), *cache, state_dir);
+  // The promise is fulfilled before the wake-up, so the woken loop always
+  // finds the result ready.
+  std::promise<ExecJobResult> result;
+  job.result = result.get_future();
+  pool_.submit([spec = std::move(started), tracer, cache, waker,
+                state_dir = std::move(state_dir),
+                result = std::move(result)]() mutable {
+    try {
+      result.set_value(execute_job(spec, tracer.get(), *cache, state_dir));
+    } catch (...) {
+      result.set_exception(std::current_exception());  // rethrown by pump()
+    }
+    waker->wake();
   });
   active_.push_back(std::move(job));
 }
@@ -63,6 +77,14 @@ bool LocalExecutor::pump(Clock::time_point /*now*/,
     ++it;
   }
   return activity;
+}
+
+LocalExecutor::Clock::time_point LocalExecutor::next_deadline(
+    Clock::time_point now) const {
+  const bool traced =
+      std::any_of(active_.begin(), active_.end(),
+                  [](const Active& a) { return a.tracer != nullptr; });
+  return traced ? now + kEventFlush : Clock::time_point::max();
 }
 
 void LocalExecutor::stop_all() {

@@ -1,8 +1,8 @@
 #include "server/server.hpp"
 
+#include <algorithm>
 #include <map>
 #include <memory>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -17,6 +17,9 @@ namespace mpe::server {
 namespace {
 
 using Clock = ServerCore::Clock;
+
+/// Without a waker, a tripped control is still seen this often.
+constexpr std::chrono::milliseconds kControlCheck{1000};
 
 struct ServerMetrics {
   util::Counter connections = util::MetricRegistry::global().counter(
@@ -136,6 +139,10 @@ ServerReport Server::serve() {
   ServerReport report;
   ServerStats published;  // last stats snapshot pushed to the registry
 
+  // Wakes the blocked loop when a local job's result is ready. Declared
+  // before the executor, whose pool threads write it, so it outlives them.
+  dist::Waker waker;
+
   // The execution seam: jobs run in-process (thread pool) or on the shard
   // fleet, behind the same interface. ServerCore cannot tell the difference.
   std::unique_ptr<JobExecutor> executor;
@@ -148,7 +155,7 @@ ServerReport Server::serve() {
     } else {
       executor = std::make_unique<LocalExecutor>(
           cache_, options_.state_dir, options_.trace_capacity,
-          scheduler.max_active);
+          scheduler.max_active, waker);
     }
   }
 
@@ -295,13 +302,43 @@ ServerReport Server::serve() {
       }
     }
 
-    if (!activity) std::this_thread::sleep_for(options_.poll);
+    if (activity) continue;  // something moved: look again before blocking
+
+    // Nothing to do: block until a socket, the waker, or the nearest
+    // deadline needs the loop. Client lines were all drained above (poll
+    // cannot see bytes a channel already buffered); the fleet executor
+    // reports its own buffered lines through next_deadline().
+    dist::PollSet set;
+    set.add(waker.fd());
+    if (options_.waker != nullptr) set.add(options_.waker->fd());
+    if (!drain_started) {
+      if (impl_->unix_listener != nullptr) {
+        set.add(impl_->unix_listener->fd());
+      }
+      if (impl_->tcp_listener != nullptr) set.add(impl_->tcp_listener->fd());
+    }
+    for (const auto& [id, conn] : conns) set.add(conn.channel->fd());
+    executor->watch(set);
+    Clock::time_point wake_at =
+        std::min({core.next_deadline(), executor->next_deadline(now),
+                  now + kControlCheck});
+    if (drain_started) wake_at = std::min(wake_at, drain_deadline);
+    if (!options_.control.deadline.unlimited()) {
+      wake_at = std::min(wake_at, now + options_.control.deadline.remaining());
+    }
+    set.wait(wake_at);
+    waker.clear();
+    if (options_.waker != nullptr) options_.waker->clear();
   }
 
   report.stats = core.stats();
   publish_delta(published, report.stats);
+  executor.reset();  // the fleet lingers on the worker listeners first
+  // A late dialer is refused rather than left waiting on a dead loop.
   if (impl_->unix_listener != nullptr) impl_->unix_listener->close();
   if (impl_->tcp_listener != nullptr) impl_->tcp_listener->close();
+  if (impl_->worker_unix != nullptr) impl_->worker_unix->close();
+  if (impl_->worker_tcp != nullptr) impl_->worker_tcp->close();
   return report;
 }
 

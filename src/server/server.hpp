@@ -17,6 +17,13 @@
 // come from the shared bounded-LRU CircuitCache instead of being rebuilt
 // per job.
 //
+// The loop is readiness-driven: between iterations it blocks in one
+// poll(2) over the client listeners and channels, the fleet's worker
+// listeners and channels, and a waker (local job completions, the CLI's
+// signal handler). The timeout is the nearest real deadline — a job
+// deadline, a lease expiry, a parked worker request, the drain grace — so
+// an idle daemon sleeps in the kernel and a busy one never waits on a tick.
+//
 // Lifecycle: serve() blocks until the RunControl in the options trips
 // (SIGTERM/SIGINT in the CLI). It then drains like the distributed
 // coordinator: queued jobs are answered `stopped` immediately, running
@@ -30,6 +37,10 @@
 #include "server/circuit_cache.hpp"
 #include "server/server_core.hpp"
 #include "util/deadline.hpp"
+
+namespace mpe::dist {
+class Waker;
+}
 
 namespace mpe::server {
 
@@ -77,8 +88,10 @@ struct ServerOptions {
   ServerConfig scheduler;
   /// Serving brake: request_stop() (or deadline expiry) begins the drain.
   util::RunControl control;
-  /// Loop granularity when idle: latency floor for accepts and replies.
-  std::chrono::milliseconds poll{20};
+  /// Woken after `control` trips (the CLI's signal handler does), so the
+  /// drain starts at once. Without one the loop still re-checks `control`
+  /// at least once a second. Must outlive serve().
+  const dist::Waker* waker = nullptr;
   /// How long running jobs may finish after drain begins.
   std::chrono::milliseconds drain_grace{30000};
   /// Per-connection receive-buffer cap (frame-less flood protection).

@@ -251,6 +251,19 @@ std::vector<Outbound> ServerCore::tick(Clock::time_point now) {
   return out;
 }
 
+ServerCore::Clock::time_point ServerCore::next_deadline() const {
+  Clock::time_point soonest = Clock::time_point::max();
+  for (const auto& [conn, client] : clients_) {
+    if (const auto* queued = queue_.queue(conn)) {
+      for (const Job& job : *queued) soonest = std::min(soonest, job.deadline);
+    }
+  }
+  for (const Job& job : running_) {
+    if (!job.deadline_hit) soonest = std::min(soonest, job.deadline);
+  }
+  return soonest;
+}
+
 std::vector<Outbound> ServerCore::begin_drain(Clock::time_point /*now*/) {
   std::vector<Outbound> out;
   if (draining_) return out;

@@ -128,6 +128,11 @@ class ServerCore {
   /// True when no job is queued or running.
   bool idle() const { return running_.empty() && queue_.queued_total() == 0; }
 
+  /// The earliest deadline tick() has yet to act on — a queued job's, or a
+  /// running job's whose token it has not tripped — or max() when none.
+  /// The serving loop blocks no longer than this.
+  Clock::time_point next_deadline() const;
+
   /// Counters for the server-stats reply (cache/capacity from config).
   ServerStats stats() const;
 

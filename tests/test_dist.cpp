@@ -15,6 +15,9 @@
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <memory>
+#include <optional>
 #include <string>
 #include <system_error>
 #include <thread>
@@ -24,10 +27,12 @@
 #include "dist/protocol.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
+#include "dist/worker_hub.hpp"
 #include "maxpower/campaign.hpp"
 #include "maxpower/ledger.hpp"
 #include "maxpower/shard.hpp"
 #include "util/atomic_file.hpp"
+#include "util/metrics.hpp"
 
 namespace {
 
@@ -771,7 +776,65 @@ TEST(CoordinatorCore, PersistentModeWaitsWhenIdleAndAcceptsAddedJobs) {
   // Finished again — and still waiting, never draining.
   EXPECT_EQ(reply_kind(core.handle(request("w1"), t0 + 2s)),
             md::MessageKind::kWait);
-  EXPECT_THROW(core.add_job(tiny_job("late", 8)), mpe::Error);  // dup name
+  // Names are unique among live jobs ("late" retired when it was handed out).
+  core.add_job(tiny_job("next", 8));
+  EXPECT_THROW(core.add_job(tiny_job("next", 9)), mpe::Error);  // dup name
+}
+
+std::size_t ledger_lines(const std::string& path) {
+  std::ifstream in(path);
+  std::size_t lines = 0;
+  for (std::string line; std::getline(in, line);) ++lines;
+  return lines;
+}
+
+TEST(CoordinatorCore, PersistentModeRetiresJobsOnceHandedOut) {
+  // A persistent coordinator holds state for live jobs only: once
+  // take_completions() hands a job out, its spec, leases and shard samples
+  // are gone, whatever number of jobs it has run.
+  auto config = sharded_config(fresh_dir("cc_retire"));
+  config.jobs.clear();
+  config.persistent = true;
+  mpe::util::MetricRegistry registry;
+  registry.enable(true);
+  config.metrics = &registry;
+  const std::string ledger_path = config.state_dir + "/campaign.jsonl";
+  md::CoordinatorCore core(std::move(config));
+  const auto t0 = Clock::now();
+  constexpr int kJobs = 1000;
+  for (int i = 0; i < kJobs; ++i) {
+    const std::string name = "r" + std::to_string(i);
+    core.add_job(tiny_job(name, 100 + static_cast<std::uint64_t>(i)));
+    EXPECT_EQ(registry.snapshot().value("mpe_coord_live_jobs"), 1.0);
+    const md::Message lease =
+        md::decode_message(core.handle(request_v2("w0"), t0));
+    ASSERT_EQ(lease.kind, md::MessageKind::kShardLease);
+    ASSERT_EQ(lease.job, name);
+    // Identical estimates: shard 0 alone is terminal.
+    ASSERT_EQ(reply_kind(core.handle(shard_done("w0", name, 0, 0, 8), t0)),
+              md::MessageKind::kAck);
+    const auto done = core.take_completions();
+    ASSERT_EQ(done.size(), 1u);
+    ASSERT_EQ(done[0].status, mp::JobStatus::kDone);
+  }
+  EXPECT_EQ(core.live_jobs(), 0u);
+  EXPECT_EQ(registry.snapshot().value("mpe_coord_live_jobs"), 0.0);
+  EXPECT_FALSE(core.any_leased());
+  EXPECT_EQ(core.next_expiry(), Clock::time_point::max());
+  EXPECT_THROW(core.phase("r7"), mpe::Error);  // unknown now
+  const std::size_t lines = ledger_lines(ledger_path);
+  EXPECT_EQ(lines, 2u * kJobs);  // one shard + one job record each
+
+  // Late messages for a retired job get the unknown-job replies: revoke
+  // for a heartbeat, and for a duplicate shard result a reply that
+  // deliver_until_acked settles on — with no ledger line appended.
+  EXPECT_EQ(reply_kind(core.handle(shard_heartbeat("w1", "r7", 0), t0 + 1s)),
+            md::MessageKind::kRevoke);
+  EXPECT_EQ(reply_kind(core.handle(shard_done("w1", "r7", 0, 0, 8), t0 + 1s)),
+            md::MessageKind::kError);
+  EXPECT_EQ(ledger_lines(ledger_path), lines);
+  EXPECT_TRUE(core.take_completions().empty());
+  EXPECT_EQ(core.live_jobs(), 0u);
 }
 
 TEST(CoordinatorCore, AbandonRevokesTheLeaseAndRecordsStopped) {
@@ -864,6 +927,134 @@ TEST(CoordinatorCore, AutoShardSizingTracksObservedLatencyWithinBounds) {
   ASSERT_EQ(l2.kind, md::MessageKind::kShardLease);
   EXPECT_EQ(l2.job, "j2");
   EXPECT_EQ(l2.hi - l2.lo, 3u);
+}
+
+// ------------------------------------------------ parked worker requests
+
+/// A raw protocol-v2 worker on a real Unix socket, driven line by line.
+struct RawWorker {
+  std::unique_ptr<md::LineChannel> channel;
+  std::string id;
+
+  RawWorker(const std::string& sock, std::string worker)
+      : channel(md::connect_unix(sock)), id(std::move(worker)) {}
+
+  void send(const std::string& line) { ASSERT_TRUE(channel->send_line(line)); }
+
+  /// The next reply within `timeout`, or nullopt when none came.
+  std::optional<md::Message> reply(std::chrono::milliseconds timeout) {
+    std::string line;
+    if (channel->recv_line(line, timeout) !=
+        md::LineChannel::RecvStatus::kLine) {
+      return std::nullopt;
+    }
+    return md::decode_message(line);
+  }
+
+  /// The next reply's kind (kError when none came).
+  md::MessageKind reply_kind(std::chrono::milliseconds timeout) {
+    const auto msg = reply(timeout);
+    return msg ? msg->kind : md::MessageKind::kError;
+  }
+};
+
+md::CoordinatorConfig one_shard_config(const std::string& dir) {
+  auto config = two_job_config(dir);
+  config.jobs.clear();
+  config.persistent = true;
+  config.shard_size = 200;  // covers tiny_job's whole budget: one shard
+  config.lease = 1000ms;
+  config.reassign.jitter = 0.0;  // the backoff gate is exactly 100 ms
+  return config;
+}
+
+TEST(WorkerHubParking, IdleRequestIsHeldUntilWorkOrDrainArrives) {
+  const std::string dir = fresh_dir("hub_park");
+  md::CoordinatorCore core(one_shard_config(dir));
+  md::UnixListener listener(dir + ".sock");
+  md::WorkerHub hub(core, {&listener});
+  const auto t0 = Clock::now();
+
+  RawWorker w(dir + ".sock", "w0");
+  ASSERT_NE(w.channel, nullptr);
+  w.send(md::encode_hello(w.id));
+  hub.service(t0);
+  ASSERT_EQ(w.reply_kind(1000ms), md::MessageKind::kAck);
+
+  // No jobs: the request is parked, not answered `wait`.
+  w.send(md::encode_request(w.id));
+  hub.service(t0);
+  EXPECT_EQ(hub.parked(), 1u);
+  EXPECT_FALSE(w.reply(50ms));
+  hub.service(t0 + 100ms);  // before the park deadline: still held
+  EXPECT_FALSE(w.reply(50ms));
+  EXPECT_EQ(hub.next_deadline(), t0 + 250ms);  // the core's wait period
+
+  // A job arrives: the parked request is granted on the next pass.
+  core.add_job(tiny_job("j1", 3));
+  hub.service(t0 + 100ms);
+  const auto lease = w.reply(1000ms);
+  ASSERT_TRUE(lease);
+  EXPECT_EQ(lease->kind, md::MessageKind::kShardLease);
+  EXPECT_EQ(lease->job, "j1");
+  EXPECT_EQ(hub.parked(), 0u);
+
+  // The only shard is out: the next request parks again, and the drain
+  // answers it at once.
+  w.send(md::encode_request(w.id));
+  hub.service(t0 + 200ms);
+  EXPECT_EQ(hub.parked(), 1u);
+  EXPECT_FALSE(w.reply(50ms));
+  core.begin_drain();
+  hub.service(t0 + 200ms);
+  const auto drain = w.reply(1000ms);
+  ASSERT_TRUE(drain);
+  EXPECT_EQ(drain->kind, md::MessageKind::kDrain);
+  EXPECT_EQ(hub.parked(), 0u);
+}
+
+TEST(WorkerHubParking, BackoffGatedShardIsGrantedNoEarlierThanItsGate) {
+  const std::string dir = fresh_dir("hub_gate");
+  md::CoordinatorCore core(one_shard_config(dir));
+  md::UnixListener listener(dir + ".sock");
+  md::WorkerHub hub(core, {&listener});
+  const auto t0 = Clock::now();
+  RawWorker a(dir + ".sock", "a");
+  RawWorker b(dir + ".sock", "b");
+  for (RawWorker* w : {&a, &b}) {
+    w->send(md::encode_hello(w->id));
+    hub.service(t0);
+    ASSERT_EQ(w->reply_kind(1000ms), md::MessageKind::kAck);
+  }
+  core.add_job(tiny_job("j1", 3));
+  a.send(md::encode_request(a.id));
+  hub.service(t0);
+  ASSERT_EQ(a.reply_kind(1000ms), md::MessageKind::kShardLease);
+  b.send(md::encode_request(b.id));
+  hub.service(t0);
+  EXPECT_FALSE(b.reply(50ms));  // parked behind a's lease
+
+  // a goes silent. At expiry b's park period has long passed: it hears the
+  // core's `wait` of that moment — the shard is back in the pool but gated
+  // 100 ms behind the expiry.
+  const auto expiry = t0 + 1000ms;
+  hub.service(expiry);
+  const auto wait = b.reply(1000ms);
+  ASSERT_TRUE(wait);
+  ASSERT_EQ(wait->kind, md::MessageKind::kWait);
+  EXPECT_EQ(wait->ms, 100u);
+
+  // b asks again at once; the request parks until exactly the gate.
+  b.send(md::encode_request(b.id));
+  hub.service(expiry);
+  EXPECT_EQ(hub.next_deadline(), expiry + 100ms);
+  hub.service(expiry + 99ms);
+  EXPECT_FALSE(b.reply(50ms));
+  hub.service(expiry + 100ms);
+  const auto lease = b.reply(1000ms);
+  ASSERT_TRUE(lease);
+  EXPECT_EQ(lease->kind, md::MessageKind::kShardLease);
+  EXPECT_EQ(lease->job, "j1");
 }
 
 // ------------------------------------------------- end-to-end over a socket

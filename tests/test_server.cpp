@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/protocol.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
 #include "maxpower/campaign.hpp"
@@ -210,6 +211,21 @@ class Client {
     }
   }
 
+  /// Reads replies until the first event of `id` arrives (counted in
+  /// events_); fails on its terminal reply instead.
+  void await_event(const std::string& id) {
+    while (true) {
+      const auto msg = recv();
+      if (msg.kind == ms::ServerMessageKind::kEvent && msg.id == id) {
+        ++events_;
+        return;
+      }
+      if (msg.kind == ms::ServerMessageKind::kAccepted) continue;
+      ADD_FAILURE() << "no event for " << id << " before a terminal reply";
+      return;
+    }
+  }
+
   std::size_t events() const { return events_; }
 
  private:
@@ -224,9 +240,9 @@ class LiveServer {
       : options_(std::move(options)) {
     options_.tcp = true;
     options_.tcp_port = 0;
-    options_.poll = 5ms;
     // A default-constructed token is inert; stop() needs a live one.
     options_.control.cancel = mpe::util::CancellationToken::create();
+    options_.waker = &waker_;
     server_ = std::make_unique<ms::Server>(options_);
     thread_ = std::thread([this] { report_ = server_->serve(); });
   }
@@ -238,11 +254,13 @@ class LiveServer {
 
   const ms::ServerReport& stop() {
     options_.control.cancel.request_stop();
+    waker_.wake();  // the loop is blocked in poll(2)
     if (thread_.joinable()) thread_.join();
     return report_;
   }
 
  private:
+  md::Waker waker_;
   ms::ServerOptions options_;
   std::unique_ptr<ms::Server> server_;
   std::thread thread_;
@@ -524,6 +542,9 @@ TEST(ServerFleet, CancelAbandonsTheFleetJobAndAnswersStopped) {
   ASSERT_TRUE(client.alive());
   client.handshake("cancel");
   client.submit("slow", slow_job("slow"));
+  // Cancel a job the fleet is computing: the first shard_done event shows
+  // the worker joined and holds the job's shards.
+  client.await_event("slow");
   client.send(ms::encode_cancel("slow"));
   const auto result = client.await_terminal("slow");
   ASSERT_EQ(result.kind, ms::ServerMessageKind::kResult);
@@ -535,12 +556,59 @@ TEST(ServerFleet, CancelAbandonsTheFleetJobAndAnswersStopped) {
   EXPECT_TRUE(s0.drained);
 }
 
+TEST(ServerFleetParking, SubmitReachesAParkedWorkerAtOnce) {
+  // An idle worker's request is held, not answered `wait`; a submit then
+  // reaches it within one loop iteration instead of one wait period
+  // (250 ms), and the drain answers it at once.
+  const std::string dir = fresh_dir("server_fleet_park");
+  ms::ServerOptions options;
+  options.state_dir = dir;
+  options.fleet.enabled = true;
+  options.fleet.worker_socket = dir + "/workers.sock";
+  options.fleet.shard_size = 16;
+  LiveServer server{options};
+
+  auto worker = md::connect_unix(dir + "/workers.sock");
+  ASSERT_NE(worker, nullptr);
+  const auto reply = [&](std::chrono::milliseconds timeout) {
+    std::string line;
+    if (worker->recv_line(line, timeout) !=
+        md::LineChannel::RecvStatus::kLine) {
+      return md::MessageKind::kError;  // no reply
+    }
+    return md::decode_message(line).kind;
+  };
+  ASSERT_TRUE(worker->send_line(md::encode_hello("raw")));
+  ASSERT_EQ(reply(10000ms), md::MessageKind::kAck);
+  ASSERT_TRUE(worker->send_line(md::encode_request("raw")));
+  EXPECT_EQ(reply(100ms), md::MessageKind::kError);  // parked: no reply
+
+  Client client(server.port());
+  ASSERT_TRUE(client.alive());
+  client.handshake("park");
+  const auto submitted = std::chrono::steady_clock::now();
+  client.submit("j1", tiny_job("j1", 7));
+  EXPECT_EQ(reply(10000ms), md::MessageKind::kShardLease);
+  EXPECT_LT(std::chrono::steady_clock::now() - submitted, 50ms);
+
+  // Take the job back off the fleet, then park again and drain.
+  client.send(ms::encode_cancel("j1"));
+  EXPECT_EQ(client.await_terminal("j1").status, mp::JobStatus::kStopped);
+  ASSERT_TRUE(worker->send_line(md::encode_request("raw")));
+  EXPECT_EQ(reply(100ms), md::MessageKind::kError);
+  std::thread stopper([&server] { EXPECT_TRUE(server.stop().drained); });
+  EXPECT_EQ(reply(10000ms), md::MessageKind::kDrain);
+  worker.reset();  // hang up so the server's linger ends
+  stopper.join();
+}
+
 TEST(ServerLive, UnixSocketServesTheSameProtocol) {
   const std::string dir = fresh_dir("server_live_unix");
   ms::ServerOptions options;
   options.unix_socket = dir + "/mpe.sock";
-  options.poll = 5ms;
   options.control.cancel = mpe::util::CancellationToken::create();
+  md::Waker waker;
+  options.waker = &waker;
   ms::Server server(options);
   std::thread thread([&server] { server.serve(); });
 
@@ -559,6 +627,7 @@ TEST(ServerLive, UnixSocketServesTheSameProtocol) {
             ms::ServerMessageKind::kServerStats);
 
   options.control.cancel.request_stop();
+  waker.wake();
   thread.join();
 }
 

@@ -24,8 +24,11 @@
 // estimation winds down at the next hyper-sample boundary, the final
 // checkpoint and any report output are flushed, and the process exits with
 // the cancelled exit code (8). A second signal force-exits immediately.
+// The serving loops (serve, campaign-coordinator) block in poll(2), so the
+// handler also writes their waker.
 #include <sys/stat.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -46,12 +49,24 @@ using namespace mpe;
 // shared atomic flag (an async-signal-safe store).
 util::CancellationToken g_cancel = util::CancellationToken::create();
 volatile std::sig_atomic_t g_signal_count = 0;
+/// The serving loop's waker, once one exists (a lock-free atomic).
+std::atomic<const dist::Waker*> g_waker{nullptr};
 
 void handle_signal(int) {
   const std::sig_atomic_t prior = g_signal_count;
   g_signal_count = prior + 1;  // ++ on volatile is deprecated in C++20
   if (prior > 0) std::_Exit(8 /* exit_code(kCancelled) */);
   g_cancel.request_stop();
+  if (const dist::Waker* waker = g_waker.load()) waker->wake();  // write(2)
+}
+
+/// The waker the signal handler writes for the serving loops. It lives as
+/// long as the process (never closed), so a late signal can never write to
+/// a closed or reused fd.
+const dist::Waker* signal_waker() {
+  static const dist::Waker* const waker = new dist::Waker();
+  g_waker.store(waker);
+  return waker;
 }
 
 void install_signal_handlers() {
@@ -98,7 +113,7 @@ void install_signal_handlers() {
       "            [--state-dir DIR] [--cache-cap N] [--max-active N]\n"
       "            [--max-queue N] [--queue-per-client N] [--threads N]\n"
       "            [--job-deadline-ms N] [--max-deadline-ms N]\n"
-      "            [--drain-grace-ms N] [--poll-ms N] [--trace-capacity N]\n"
+      "            [--drain-grace-ms N] [--trace-capacity N]\n"
       "            fleet mode (jobs run on campaign workers):\n"
       "            --fleet --worker-socket <path> | --worker-port N\n"
       "            [--worker-host H] [--lease-ms N] [--max-assign N]\n"
@@ -459,6 +474,7 @@ int cmd_campaign_coordinator(const Cli& cli) {
   dist::CoordinatorServerOptions server;
   server.socket_path = socket_path;
   server.control.cancel = g_cancel;  // SIGINT/SIGTERM -> graceful drain
+  server.waker = signal_waker();
   const auto drain_grace_ms = cli.get_int("drain-grace-ms", 0);
   if (drain_grace_ms > 0) {
     server.drain_grace = std::chrono::milliseconds(drain_grace_ms);
@@ -583,7 +599,7 @@ int cmd_serve(const Cli& cli) {
   cli.check_known({"socket", "tcp-port", "host", "state-dir", "cache-cap",
                    "max-active", "max-queue", "queue-per-client", "threads",
                    "job-deadline-ms", "max-deadline-ms", "drain-grace-ms",
-                   "poll-ms", "trace-capacity", "fleet", "worker-socket",
+                   "trace-capacity", "fleet", "worker-socket",
                    "worker-port", "worker-host", "lease-ms", "max-assign",
                    "shard-size", "shard-floor", "shard-ceiling",
                    "shard-target-ms", "straggler-ms"});
@@ -624,8 +640,6 @@ int cmd_serve(const Cli& cli) {
   if (drain_grace_ms > 0) {
     opt.drain_grace = std::chrono::milliseconds(drain_grace_ms);
   }
-  const auto poll_ms = cli.get_int("poll-ms", 0);
-  if (poll_ms > 0) opt.poll = std::chrono::milliseconds(poll_ms);
   if (cli.has("trace-capacity")) {
     opt.trace_capacity = static_cast<std::size_t>(
         std::max<long long>(0, cli.get_int("trace-capacity", 256)));
@@ -657,6 +671,7 @@ int cmd_serve(const Cli& cli) {
     }
   }
   opt.control.cancel = g_cancel;  // SIGINT/SIGTERM -> graceful drain
+  opt.waker = signal_waker();
   util::MetricRegistry::global().enable(true);  // feeds the scrape endpoint
 
   server::Server server(opt);
