@@ -336,61 +336,13 @@ void BM_StudentTCritical(benchmark::State& state) {
   }
 }
 
-// Coordinator control-plane overhead per job: drive the lease state machine
-// through a full request -> grant -> done-result cycle for every job of an
-// n-job campaign (message encode/decode and the sealed ledger append
-// included, sockets excluded). This is the scheduling tax a distributed
-// campaign pays on top of the jobs themselves; per-item time must stay
-// negligible against even a millisecond-scale job.
-void BM_CampaignScheduling(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<maxpower::CampaignJob> jobs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    jobs[i].name = "job-" + std::to_string(i);
-    jobs[i].circuit = "c432";
-    jobs[i].seed = i + 1;
-  }
-  const std::string dir = "bench_campaign_sched";
-  for (auto _ : state) {
-    state.PauseTiming();
-    std::filesystem::remove_all(dir);
-    state.ResumeTiming();
-    dist::CoordinatorConfig config;
-    config.jobs = jobs;
-    config.state_dir = dir;
-    dist::CoordinatorCore core(std::move(config));
-    const auto now = dist::CoordinatorCore::Clock::now();
-    dist::Message request;
-    request.kind = dist::MessageKind::kRequest;
-    request.worker = "w0";
-    for (std::size_t i = 0; i < n; ++i) {
-      const dist::Message lease =
-          dist::decode_message(core.handle(request, now));
-      dist::Message result;
-      result.kind = dist::MessageKind::kResult;
-      result.worker = "w0";
-      result.job = lease.job;
-      result.outcome.name = lease.job;
-      result.outcome.status = maxpower::JobStatus::kDone;
-      result.outcome.attempts = 1;
-      result.outcome.result.estimate = 1.0;
-      result.outcome.result.hyper_samples = 10;
-      result.outcome.result.units_used = 2500;
-      result.outcome.result.converged = true;
-      benchmark::DoNotOptimize(core.handle(result, now));
-    }
-    benchmark::DoNotOptimize(core.finished());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n * state.iterations()));
-}
-
-// Shard-lease control-plane overhead per job: the v2 analogue of
-// BM_CampaignScheduling — request -> shard grant -> shard partial result
-// (sample payload decode, coverage validation, sealed shard append) ->
-// assembly replay -> sealed job record, for every job of an n-job
-// campaign. This is the extra tax of running a campaign sharded instead of
-// whole-job; per-item time must stay negligible against a real shard's
-// compute.
+// Coordinator control-plane overhead per job: drive the shard-lease state
+// machine through request -> shard grant -> shard result (sample payload
+// decode, coverage validation, sealed shard append) -> assembly replay ->
+// sealed job record, for every job of an n-job campaign (message
+// encode/decode included, sockets excluded). This is the scheduling tax a
+// distributed campaign pays on top of the shards themselves; per-item time
+// must stay negligible against a real shard's compute.
 void BM_ShardScheduling(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<maxpower::CampaignJob> jobs(n);
@@ -424,7 +376,6 @@ void BM_ShardScheduling(benchmark::State& state) {
     dist::Message request;
     request.kind = dist::MessageKind::kRequest;
     request.worker = "w0";
-    request.proto = dist::kProtocolVersion;
     for (std::size_t i = 0; i < n; ++i) {
       const dist::Message lease =
           dist::decode_message(core.handle(request, now));
@@ -507,7 +458,6 @@ BENCHMARK(BM_PwmFit)->Arg(10)->Arg(50)->Arg(500);
 BENCHMARK(BM_HyperSample);
 BENCHMARK(BM_StudentTCritical);
 BENCHMARK(BM_NormalQuantile);
-BENCHMARK(BM_CampaignScheduling)->Arg(64)->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ShardScheduling)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 BENCHMARK_MAIN();

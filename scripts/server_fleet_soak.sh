@@ -13,8 +13,8 @@
 #   * the fleet actually computed shards (the fleet ledger under
 #     <state-dir>/fleet/ holds shard records — execution did not silently
 #     degrade to local);
-#   * the adaptive shard sizer published its metric series (scrape shows
-#     mpe_coord_shard_latency_ms / mpe_coord_shard_size);
+#   * the coordinator published its shard latency series (scrape shows
+#     mpe_coord_shard_latency_ms);
 #   * SIGTERM drains gracefully: "(drained)" in the log, exit code 0, and
 #     surviving workers go home on the drain reply.
 #
@@ -93,7 +93,7 @@ n=$(grep -c ' done ' "$WORK/local.out" || true)
 FLEET_LOG="$WORK/fleet.log"
 "$CLI" serve --tcp-port 0 --worker-port 0 --state-dir "$WORK/fleet_state" \
   --trace-capacity 0 --max-active 2 --max-queue 256 --queue-per-client 256 --lease-ms 1000 --max-assign 25 \
-  --shard-size auto --shard-floor 4 --shard-ceiling 64 --shard-target-ms 500 \
+  --shard-size 4 \
   --drain-grace-ms 60000 > "$FLEET_LOG" 2>&1 &
 SERVER=$!
 trap 'kill -9 "$SERVER" $W_PIDS 2> /dev/null || true' EXIT
@@ -138,12 +138,10 @@ wait "$CLIENT" || fail "fleet submit client exited non-zero: $(cat "$WORK/fleet.
 n=$(grep -c ' done ' "$WORK/fleet.out" || true)
 [ "$n" -eq "$JOBS" ] || fail "fleet run: $n done lines, want $JOBS"
 
-# --- 4. Observability: the adaptive sizer published its series -------------
+# --- 4. Observability: the shard latency series was published -------------
 "$CLI" submit --port "$CLIENT_PORT" --scrape > "$WORK/scrape.txt"
 grep -q '^mpe_coord_shard_latency_ms_count' "$WORK/scrape.txt" || \
   fail "scrape missing shard latency histogram"
-grep -q '^mpe_coord_shard_size' "$WORK/scrape.txt" || \
-  fail "scrape missing adaptive shard size gauge"
 
 # --- 5. Graceful drain: server AND surviving workers go home ---------------
 kill -TERM "$SERVER"

@@ -35,20 +35,21 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
     throw Error(ErrorCode::kPrecondition,
                 "CoordinatorConfig::state_dir must be set");
   }
+  if (config_.shard_size == 0) {
+    throw Error(ErrorCode::kPrecondition,
+                "CoordinatorConfig::shard_size must be at least 1");
+  }
   if (config_.max_assignments == 0) config_.max_assignments = 1;
   ensure_directory(config_.state_dir);
   report_path_ = config_.report_path.empty()
                      ? config_.state_dir + "/campaign.jsonl"
                      : config_.report_path;
 
-  // One substrate, two policies: a whole-job claim is an exclusive lease, a
-  // shard claim allows a second speculative holder (straggler re-issue,
+  // A shard claim allows a second speculative holder (straggler re-issue,
   // first valid result wins).
-  whole_policy_.lease = config_.lease;
-  whole_policy_.max_assignments = config_.max_assignments;
-  whole_policy_.reassign = config_.reassign;
-  whole_policy_.max_holders = 1;
-  shard_policy_ = whole_policy_;
+  shard_policy_.lease = config_.lease;
+  shard_policy_.max_assignments = config_.max_assignments;
+  shard_policy_.reassign = config_.reassign;
   shard_policy_.max_holders = 2;
   shard_policy_.straggler_after = config_.straggler_after;
 
@@ -72,7 +73,7 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
 
   // The ledger is the only durable coordinator state: a restarted
   // coordinator rediscovers completed work here, and in-flight work through
-  // lease adoption (see handle/kHeartbeat).
+  // shard-lease adoption (see handle/kHeartbeat).
   const maxpower::LedgerReadResult ledger_read =
       maxpower::read_ledger_file(report_path_);
   quarantined_ = ledger_read.corrupt.size();
@@ -80,20 +81,19 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
   for (const auto& [name, status] : ledger_read.final_status()) {
     if (status != "done") continue;  // failed/stopped jobs re-run
     if (auto* state = find(name)) {
-      sched::complete(state->lease);
+      state->terminal = true;
       state->skipped = true;
       state->outcome.status = JobStatus::kSkipped;
     }
   }
   // Done-shard records carry their sample payload inline, so partial
-  // progress of in-flight sharded jobs also survives a coordinator restart:
+  // progress of in-flight jobs also survives a coordinator restart:
   // rebuild it here, then fold any prefix that already reached its job's
   // stopping point.
   for (const auto& rec : ledger_read.records) {
     if (!rec.is_shard || rec.status != "done") continue;
     JobState* state = find(rec.job);
-    if (state == nullptr || state->phase() != JobPhase::kPending) continue;
-    if (state->mode != JobMode::kSharded ||
+    if (state == nullptr || state->phase() != JobPhase::kPending ||
         rec.shard >= state->shards.size()) {
       continue;
     }
@@ -120,30 +120,7 @@ CoordinatorCore::CoordinatorCore(CoordinatorConfig config)
     shard.samples = std::move(samples);
     ++shards_done_;
   }
-  for (auto& state : jobs_) {
-    if (state.phase() == JobPhase::kPending &&
-        state.mode == JobMode::kSharded) {
-      try_assemble(state);
-    }
-  }
-}
-
-std::size_t CoordinatorCore::shard_size_now() const {
-  if (!config_.shard_auto) return config_.shard_size;
-  const std::size_t floor = std::max<std::size_t>(1, config_.shard_size_floor);
-  const std::size_t ceiling = std::max(floor, config_.shard_size_ceiling);
-  if (ewma_ms_per_attempt_ <= 0.0) {
-    // No observation yet: the configured size, or the floor — small first
-    // shards make the latency estimate converge fast.
-    return std::clamp(config_.shard_size == 0 ? floor : config_.shard_size,
-                      floor, ceiling);
-  }
-  const double target =
-      static_cast<double>(config_.shard_target_latency.count()) /
-      ewma_ms_per_attempt_;
-  if (target >= static_cast<double>(ceiling)) return ceiling;
-  if (target <= static_cast<double>(floor)) return floor;
-  return static_cast<std::size_t>(target);
+  for (auto& state : jobs_) try_assemble(state);
 }
 
 CoordinatorCore::JobState CoordinatorCore::make_state(
@@ -151,9 +128,7 @@ CoordinatorCore::JobState CoordinatorCore::make_state(
   JobState state;
   state.outcome.name = job.name;
   state.job = std::move(job);
-  if (!sharded_mode()) return state;
-  state.mode = JobMode::kSharded;
-  const std::size_t size = shard_size_now();
+  const std::size_t size = config_.shard_size;
   const std::uint64_t attempts = maxpower::job_attempt_budget(state.job);
   const std::size_t n = maxpower::shard_count(attempts, size);
   state.shards.resize(n);
@@ -174,29 +149,12 @@ void CoordinatorCore::publish_live_jobs() {
 
 void CoordinatorCore::observe_shard_latency(const ShardState& shard,
                                             Clock::time_point now) {
+  if (config_.metrics == nullptr) return;
   const auto latency = std::chrono::duration_cast<std::chrono::milliseconds>(
       now - shard.lease.leased_since);
-  if (config_.metrics != nullptr) {
-    config_.metrics->histogram("mpe_coord_shard_latency_ms")
-        .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
-            0, static_cast<std::int64_t>(latency.count()))));
-  }
-  if (!config_.shard_auto) return;
-  const std::uint64_t attempts = shard.hi - shard.lo;
-  if (attempts == 0 || latency.count() < 0) return;
-  const double per_attempt = static_cast<double>(latency.count()) /
-                             static_cast<double>(attempts);
-  const double alpha = std::clamp(config_.shard_latency_alpha, 0.01, 1.0);
-  ewma_ms_per_attempt_ = ewma_ms_per_attempt_ <= 0.0
-                             ? per_attempt
-                             : alpha * per_attempt +
-                                   (1.0 - alpha) * ewma_ms_per_attempt_;
-  if (config_.metrics != nullptr) {
-    const auto level = static_cast<std::int64_t>(shard_size_now());
-    config_.metrics->gauge("mpe_coord_shard_size")
-        .add(level - shard_size_metric_);
-    shard_size_metric_ = level;
-  }
+  config_.metrics->histogram("mpe_coord_shard_latency_ms")
+      .observe(static_cast<std::uint64_t>(std::max<std::int64_t>(
+          0, static_cast<std::int64_t>(latency.count()))));
 }
 
 void CoordinatorCore::add_job(maxpower::CampaignJob job) {
@@ -214,15 +172,12 @@ void CoordinatorCore::add_job(maxpower::CampaignJob job) {
 
 bool CoordinatorCore::abandon(const std::string& job) {
   JobState* state = find(job);
-  if (state == nullptr || state->phase() == JobPhase::kDone ||
-      state->phase() == JobPhase::kFailed) {
-    return false;
-  }
+  if (state == nullptr || state->phase() != JobPhase::kPending) return false;
+  // attempts stays 0: the job's shards, not the job, count lease grants.
   CampaignJobOutcome outcome;
   outcome.name = state->job.name;
   outcome.status = JobStatus::kStopped;
   outcome.error = ErrorCode::kCancelled;
-  outcome.attempts = state->lease.assignments;
   record(*state, outcome);
   return true;
 }
@@ -252,21 +207,11 @@ CoordinatorCore::JobState* CoordinatorCore::find(const std::string& job) {
   return it == by_name_.end() ? nullptr : &jobs_[it->second];
 }
 
-std::string CoordinatorCore::grant(JobState& state, const std::string& worker,
-                                   Clock::time_point now) {
-  sched::grant(state.lease, whole_policy_, worker, now);
-  ++leases_granted_;
-  return encode_lease(
-      state.job.name, maxpower::campaign_job_to_json(state.job),
-      static_cast<std::uint64_t>(config_.lease.count()),
-      static_cast<std::uint64_t>(config_.job_deadline.count()));
-}
-
 void CoordinatorCore::record(JobState& state,
                              const CampaignJobOutcome& outcome) {
   state.outcome = outcome;
+  state.terminal = true;
   state.failed = outcome.status != JobStatus::kDone;
-  sched::complete(state.lease);
   maxpower::append_ledger_line(report_path_,
                                maxpower::campaign_record_line(outcome));
   completions_.push_back(state.outcome);
@@ -280,16 +225,6 @@ void CoordinatorCore::fail_exhausted(JobState& state, std::size_t attempts,
   outcome.attempts = attempts;
   outcome.error = error;
   record(state, outcome);
-}
-
-bool CoordinatorCore::shard_pristine(const JobState& state) {
-  for (const auto& shard : state.shards) {
-    if (shard.lease.phase != sched::LeasePhase::kPending ||
-        shard.lease.assignments > 0) {
-      return false;
-    }
-  }
-  return true;
 }
 
 std::string CoordinatorCore::grant_shard(JobState& state, std::size_t k,
@@ -324,20 +259,12 @@ void CoordinatorCore::try_assemble(JobState& state) {
 
 void CoordinatorCore::tick(Clock::time_point now) {
   for (auto& state : jobs_) {
-    if (state.lease.phase == sched::LeasePhase::kLeased) {
-      // Whole-job claim in flight: expire it through the substrate. A job
-      // that burned its whole lease budget (workers keep dying under it, or
-      // it stalls past every lease) is recorded failed so the campaign can
-      // terminate.
-      if (sched::expire(state.lease, whole_policy_, now, jitter_rng_) ==
-          sched::ExpiryVerdict::kExhausted) {
-        fail_exhausted(state, state.lease.assignments, ErrorCode::kDeadline);
-      }
-      continue;
-    }
     if (state.phase() != JobPhase::kPending) continue;
     for (auto& shard : state.shards) {
       if (shard.lease.phase != sched::LeasePhase::kLeased) continue;
+      // A shard that burned its whole lease budget (workers keep dying
+      // under it, or it stalls past every lease) fails its job so the
+      // campaign can terminate.
       if (sched::expire(shard.lease, shard_policy_, now, jitter_rng_) ==
           sched::ExpiryVerdict::kExhausted) {
         fail_exhausted(state, shard.lease.assignments, ErrorCode::kDeadline);
@@ -351,71 +278,51 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
   tick(now);
   switch (msg.kind) {
     case MessageKind::kHello:
-      if (msg.proto < kMinProtocolVersion || msg.proto > kProtocolVersion) {
+      // The single version gate: requests carry no capability bits.
+      if (msg.proto != kProtocolVersion) {
         return encode_error("protocol version mismatch");
       }
       return encode_ack();
 
     case MessageKind::kRequest: {
       if (draining_) return encode_drain();
-      const bool v2 = msg.proto >= 2;
+      // Manifest order across jobs, ascending shards within one.
       Clock::time_point soonest = Clock::time_point::max();
       for (auto& state : jobs_) {
         if (state.phase() != JobPhase::kPending) continue;
-        if (state.mode == JobMode::kSharded) {
-          if (!v2) {
-            // A v1 worker cannot run shard leases. Hand it the whole job —
-            // but only while no shard has made any progress, so one index
-            // is never claimed under two different structures at once (and
-            // never when the config forbids whole-job results outright).
-            if (config_.whole_job_fallback && shard_pristine(state) &&
-                sched::grantable(state.lease, now)) {
-              state.mode = JobMode::kWhole;
-              return grant(state, msg.worker, now);
-            }
+        for (std::size_t k = 0; k < state.shards.size(); ++k) {
+          ShardState& shard = state.shards[k];
+          if (shard.lease.phase != sched::LeasePhase::kPending) continue;
+          if (sched::grantable(shard.lease, now)) {
+            return grant_shard(state, k, msg.worker, now);
+          }
+          soonest = std::min(soonest, shard.lease.earliest_grant);
+        }
+      }
+      // Nothing fresh to hand out: hunt for a straggler. The oldest
+      // in-flight shard that has been leased longer than straggler_after
+      // gets a second, speculative holder; the first valid result wins and
+      // the ledger dedups the loser.
+      JobState* spec_state = nullptr;
+      std::size_t spec_k = 0;
+      Clock::time_point oldest = Clock::time_point::max();
+      for (auto& state : jobs_) {
+        if (state.phase() != JobPhase::kPending) continue;
+        for (std::size_t k = 0; k < state.shards.size(); ++k) {
+          ShardState& shard = state.shards[k];
+          if (!sched::straggler_eligible(shard.lease, shard_policy_,
+                                         msg.worker, now)) {
             continue;
           }
-          for (std::size_t k = 0; k < state.shards.size(); ++k) {
-            ShardState& shard = state.shards[k];
-            if (shard.lease.phase != sched::LeasePhase::kPending) continue;
-            if (sched::grantable(shard.lease, now)) {
-              return grant_shard(state, k, msg.worker, now);
-            }
-            soonest = std::min(soonest, shard.lease.earliest_grant);
+          if (shard.lease.leased_since < oldest) {
+            oldest = shard.lease.leased_since;
+            spec_state = &state;
+            spec_k = k;
           }
-          continue;
         }
-        if (sched::grantable(state.lease, now)) {
-          return grant(state, msg.worker, now);  // manifest order
-        }
-        soonest = std::min(soonest, state.lease.earliest_grant);
       }
-      if (v2) {
-        // Nothing fresh to hand out: hunt for a straggler. The oldest
-        // in-flight shard that has been leased longer than straggler_after
-        // gets a second, speculative holder; the first valid result wins
-        // and the ledger dedups the loser.
-        JobState* spec_state = nullptr;
-        std::size_t spec_k = 0;
-        Clock::time_point oldest = Clock::time_point::max();
-        for (auto& state : jobs_) {
-          if (state.phase() != JobPhase::kPending) continue;
-          for (std::size_t k = 0; k < state.shards.size(); ++k) {
-            ShardState& shard = state.shards[k];
-            if (!sched::straggler_eligible(shard.lease, shard_policy_,
-                                           msg.worker, now)) {
-              continue;
-            }
-            if (shard.lease.leased_since < oldest) {
-              oldest = shard.lease.leased_since;
-              spec_state = &state;
-              spec_k = k;
-            }
-          }
-        }
-        if (spec_state != nullptr) {
-          return grant_shard(*spec_state, spec_k, msg.worker, now);
-        }
+      if (spec_state != nullptr) {
+        return grant_shard(*spec_state, spec_k, msg.worker, now);
       }
       // A persistent (estimation-as-a-service) coordinator never declares
       // the campaign over on its own: the job set is dynamic, so an empty
@@ -435,51 +342,23 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
 
     case MessageKind::kHeartbeat: {
       JobState* state = find(msg.job);
-      if (state == nullptr) return encode_revoke(msg.job);
-      if (msg.has_shard) {
-        if (state->phase() == JobPhase::kDone ||
-            state->phase() == JobPhase::kFailed ||
-            msg.shard >= state->shards.size()) {
-          return encode_revoke(msg.job);
-        }
-        // The substrate settles the rest: renewal for a live holder,
-        // adoption for an in-flight claim this coordinator does not know
-        // (it restarted, or the claim expired before a re-grant), revoke
-        // when the shard is done or both holder slots are taken.
-        switch (sched::heartbeat(state->shards[msg.shard].lease,
-                                 shard_policy_, msg.worker, now)) {
-          case sched::HeartbeatVerdict::kAdopted:
-            ++leases_granted_;
-            [[fallthrough]];
-          case sched::HeartbeatVerdict::kRenewed:
-            return encode_ack();
-          case sched::HeartbeatVerdict::kRejected:
-            return encode_revoke(msg.job);
-        }
+      if (state == nullptr || state->phase() != JobPhase::kPending ||
+          msg.shard >= state->shards.size()) {
         return encode_revoke(msg.job);
       }
-      if (state->mode == JobMode::kSharded &&
-          state->phase() == JobPhase::kPending &&
-          (!config_.whole_job_fallback || !shard_pristine(*state))) {
-        // Whole-job claim (a v1 worker from before this coordinator went
-        // sharded) on a job whose shards are already in flight — or on a
-        // coordinator that forbids whole-job results: adopting it would
-        // double-claim those indices (or yield a result frame the server
-        // cannot use). Cut the stale holder loose.
-        return encode_revoke(msg.job);
-      }
-      switch (sched::heartbeat(state->lease, whole_policy_, msg.worker, now)) {
+      // The substrate settles the rest: renewal for a live holder, adoption
+      // for an in-flight claim this coordinator does not know (it
+      // restarted, or the claim expired before a re-grant), revoke when the
+      // shard is done or both holder slots are taken.
+      switch (sched::heartbeat(state->shards[msg.shard].lease, shard_policy_,
+                               msg.worker, now)) {
         case sched::HeartbeatVerdict::kAdopted:
-          // A worker is actively running a job we think nobody holds: the
-          // substrate adopted the in-flight claim instead of re-granting —
-          // the work in flight is exactly the work we want done.
-          state->mode = JobMode::kWhole;
           ++leases_granted_;
           [[fallthrough]];
         case sched::HeartbeatVerdict::kRenewed:
           return encode_ack();
         case sched::HeartbeatVerdict::kRejected:
-          break;  // done/failed, or leased to someone else: stale holder
+          break;
       }
       return encode_revoke(msg.job);
     }
@@ -562,48 +441,6 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
       return encode_ack();
     }
 
-    case MessageKind::kResult: {
-      JobState* state = find(msg.job);
-      if (state == nullptr) return encode_error("result for unknown job");
-      const CampaignJobOutcome& outcome = msg.outcome;
-      switch (outcome.status) {
-        case JobStatus::kDone:
-          if (state->phase() == JobPhase::kDone) {
-            // At-least-once delivery meets state dedup: re-sent (or stale-
-            // holder) done reports are acked without a second ledger append.
-            return encode_ack();
-          }
-          record(*state, outcome);
-          return encode_ack();
-        case JobStatus::kFailed:
-          if (state->phase() == JobPhase::kDone ||
-              state->phase() == JobPhase::kFailed) {
-            return encode_ack();  // already terminal
-          }
-          if (state->phase() == JobPhase::kLeased &&
-              !sched::holds(state->lease, msg.worker)) {
-            // A stale holder's failure must not kill a job the current
-            // holder may yet finish.
-            return encode_ack();
-          }
-          record(*state, outcome);
-          return encode_ack();
-        case JobStatus::kStopped:
-          // Graceful hand-back (worker drain / revoked lease): the job goes
-          // straight back to the pool, checkpoint intact.
-          if (state->phase() == JobPhase::kLeased &&
-              sched::holds(state->lease, msg.worker)) {
-            sched::release(state->lease, whole_policy_, now,
-                           /*count_backoff=*/false, jitter_rng_);
-          }
-          return encode_ack();
-        case JobStatus::kSkipped:
-          return encode_ack();
-      }
-      return encode_ack();
-    }
-
-    case MessageKind::kLease:
     case MessageKind::kShardLease:
     case MessageKind::kWait:
     case MessageKind::kDrain:
@@ -618,23 +455,20 @@ std::string CoordinatorCore::handle(const Message& msg, Clock::time_point now) {
 CoordinatorCore::Clock::time_point CoordinatorCore::next_expiry() const {
   // Exactly the holders tick() would expire.
   Clock::time_point soonest = Clock::time_point::max();
-  const auto scan = [&](const sched::Lease& lease) {
-    if (lease.phase != sched::LeasePhase::kLeased) return;
-    for (const auto& holder : lease.holders) {
-      soonest = std::min(soonest, holder.expiry);
-    }
-  };
   for (const auto& state : jobs_) {
-    scan(state.lease);
     if (state.phase() != JobPhase::kPending) continue;
-    for (const auto& shard : state.shards) scan(shard.lease);
+    for (const auto& shard : state.shards) {
+      if (shard.lease.phase != sched::LeasePhase::kLeased) continue;
+      for (const auto& holder : shard.lease.holders) {
+        soonest = std::min(soonest, holder.expiry);
+      }
+    }
   }
   return soonest;
 }
 
 bool CoordinatorCore::any_leased() const {
   return std::any_of(jobs_.begin(), jobs_.end(), [](const JobState& s) {
-    if (s.phase() == JobPhase::kLeased) return true;
     if (s.phase() != JobPhase::kPending) return false;
     return std::any_of(s.shards.begin(), s.shards.end(),
                        [](const ShardState& shard) {

@@ -1,49 +1,45 @@
-// Campaign coordinator: partitions a campaign manifest into job leases and
-// serves them to workers over the dist protocol, surviving the death of any
-// participant — including itself.
+// Campaign coordinator: partitions every job of a campaign manifest into
+// shard leases and serves them to workers over the dist protocol,
+// surviving the death of any participant — including itself.
 //
 // Fault model and the exactly-once argument (docs/ROBUSTNESS.md,
 // "Distributed campaigns"):
-//   * A lease is a time-bounded claim on one job. Workers renew it by
+//   * The one unit of leased work is a shard: a contiguous wave-index range
+//     [lo, hi) of one job (maxpower/shard). A job whose attempt budget fits
+//     in one shard_size is a one-shard partition — a whole job.
+//   * A lease is a time-bounded claim on one shard. Workers renew it by
 //     heartbeating; a worker that dies (kill -9, network gone) simply stops
-//     renewing, the lease expires, and the job returns to the pending pool
-//     after a jittered backoff (util/retry's policy — same taxonomy as
-//     job-level retries). Reassignment is bounded: a job that burns
-//     max_assignments leases is recorded failed, so a worker-killing job
-//     cannot grind the fleet forever.
+//     renewing, the lease expires, and the shard returns to the pending
+//     pool after a jittered backoff (util/retry's policy — same taxonomy as
+//     job-level retries). Reassignment is bounded: a shard that burns
+//     max_assignments leases fails its job, so a worker-killing job cannot
+//     grind the fleet forever. A straggling shard gets one speculative
+//     second holder; the first valid result wins.
 //   * All durable state is the append-only sealed ledger (maxpower/ledger)
-//     plus the per-job checkpoints workers write through the engine. The
-//     coordinator itself is stateless across restarts: a restarted
-//     coordinator re-reads the ledger, treats recorded-done jobs as
-//     skipped, and *adopts* leases from workers that heartbeat for a job it
-//     does not think is leased — so in-flight work survives a coordinator
-//     kill -9 without re-execution.
-//   * "done" results are accepted from stale lease holders too (the engine
-//     is deterministic, so a late result is byte-identical to the one the
-//     current holder would produce), deduplicated against job state, and
-//     appended to the ledger exactly once. Workers re-send results until
-//     acked; at-least-once delivery + state dedup = exactly-once ledger.
-//   * Under shard_size > 0 the same machinery runs at shard granularity
-//     (docs/ROBUSTNESS.md, "Sharded jobs"): each job is split into
-//     contiguous wave-index ranges [lo, hi) leased independently to
-//     protocol-v2 workers. Heartbeat renewal, expiry, bounded re-dispatch,
-//     straggler speculation (second holder, first valid result wins), and
-//     restart adoption all key on job:shard; done-shard payloads are
-//     appended to the ledger inline so a restarted coordinator rebuilds
-//     in-flight jobs from the ledger alone, and the contiguous done prefix
-//     is folded through Engine::replay into a final record byte-identical
-//     to a single-process run.
+//     plus the per-shard checkpoints workers write. Done-shard payloads are
+//     appended to the ledger inline, so a restarted coordinator rebuilds
+//     in-flight jobs from the ledger alone, treats recorded-done jobs as
+//     skipped, and *adopts* shard claims from workers that heartbeat for a
+//     shard it does not think is leased — in-flight work survives a
+//     coordinator kill -9 without re-execution.
+//   * "done" shard results are accepted from stale lease holders too (the
+//     engine is deterministic, so a late result is byte-identical to the
+//     one the current holder would produce), deduplicated against shard
+//     state, and appended to the ledger exactly once. Workers re-send
+//     results until acked; at-least-once delivery + state dedup =
+//     exactly-once ledger. The contiguous done prefix is folded through
+//     Engine::replay into a final record byte-identical to a
+//     single-process run.
 //
 // The lease mechanics themselves — grant/heartbeat/expiry/backoff-gated
 // reassignment/adoption/straggler eligibility — live in the shared
-// scheduling substrate (sched/lease.hpp); a whole-job claim is a lease with
-// max_holders 1, a shard claim one with max_holders 2. CoordinatorCore is
-// the campaign policy on top: what to encode, when a job is terminal, what
-// the ledger records. It stays a pure state machine over injected time —
-// every transition takes an explicit `now` — so lease expiry, backoff
-// gating, and drain are unit-testable without sockets or sleeps.
-// serve_campaign() wraps it in the poll loop that owns real connections and
-// the wall clock.
+// scheduling substrate (sched/lease.hpp); a shard claim is a lease with
+// max_holders 2. CoordinatorCore is the campaign policy on top: what to
+// encode, when a job is terminal, what the ledger records. It stays a pure
+// state machine over injected time — every transition takes an explicit
+// `now` — so lease expiry, backoff gating, and drain are unit-testable
+// without sockets or sleeps. serve_campaign() wraps it in the poll loop
+// that owns real connections and the wall clock.
 #pragma once
 
 #include <chrono>
@@ -79,55 +75,36 @@ struct CoordinatorConfig {
   std::chrono::milliseconds lease{5000};
   /// Per-job wall-clock budget shipped inside each lease (0 = none).
   std::chrono::milliseconds job_deadline{0};
-  /// A job's total lease grants (first assignment included) before the
-  /// coordinator gives up and records it failed.
+  /// A shard's total lease grants (first assignment included) before the
+  /// coordinator gives up and records its job failed.
   std::size_t max_assignments = 5;
-  /// Backoff between reassignments of one job (expiry storms should not
+  /// Backoff between reassignments of one shard (expiry storms should not
   /// thrash); initial_backoff/multiplier/max_backoff/jitter are used.
   util::RetryPolicy reassign;
   std::uint64_t jitter_seed = 0x9e3779b97f4a7c15ull;
-  /// Intra-job wave sharding: when > 0, each job is split into contiguous
-  /// wave-index ranges of this many attempts and leased shard-by-shard to
-  /// protocol-v2 workers (maxpower/shard). 0 = whole-job leases only.
-  /// Protocol-v1 workers in a mixed fleet still get whole jobs: a sharded
-  /// job with no shard progress yet is flipped to whole-job mode on demand.
-  std::size_t shard_size = 0;
+  /// Attempts per shard: each job is split into contiguous wave-index
+  /// ranges of this many attempts (maxpower/shard), the last one possibly
+  /// short. A size at or above a job's attempt budget leases it as one
+  /// shard. Must be >= 1.
+  std::size_t shard_size = maxpower::kDefaultShardSize;
   /// A leased shard older than this with idle capacity elsewhere is a
   /// straggler: it is speculatively re-issued to a second worker and the
   /// first valid result wins (0 = twice the lease duration).
   std::chrono::milliseconds straggler_after{0};
-  /// Adaptive shard sizing (`--shard-size auto`): partition each job at the
-  /// size that aims one shard at shard_target_latency, from an EWMA of
-  /// observed per-attempt shard latency, clamped to
-  /// [shard_size_floor, shard_size_ceiling]. Implies sharded mode even when
-  /// shard_size is 0; before the first observation the partition uses
-  /// shard_size (or the floor when shard_size is 0) — small first shards
-  /// make the estimate converge quickly. Jobs keep the partition they were
-  /// created with; only later-created jobs see the updated size.
-  bool shard_auto = false;
-  std::size_t shard_size_floor = 16;
-  std::size_t shard_size_ceiling = 4096;
-  std::chrono::milliseconds shard_target_latency{2000};
-  double shard_latency_alpha = 0.2;  ///< EWMA smoothing factor in (0, 1]
-  /// When false, protocol-v1 workers are never handed whole jobs and
-  /// whole-job claims are never adopted onto sharded jobs. The estimation
-  /// server's fleet executor needs this: only assembled shard results carry
-  /// the full EstimationResult (CI bounds, diagnostics) a server result
-  /// line is made of — the dist whole-job result frame does not.
-  bool whole_job_fallback = true;
   /// Estimation-as-a-service mode: the job set is dynamic (add_job), so a
   /// worker request finding nothing pending is answered `wait`, never
   /// `drain` (begin_drain() still wins once called). Jobs are retired once
   /// take_completions() hands them out, so state scales with live jobs.
   bool persistent = false;
-  /// Optional metric sink: shard latency observations, the adaptive
-  /// shard-size level and the live-job count (mpe_coord_* series). Null =
-  /// no metrics.
+  /// Optional metric sink: shard latency observations and the live-job
+  /// count (mpe_coord_* series). Null = no metrics.
   util::MetricRegistry* metrics = nullptr;
 };
 
 /// Where one job stands inside the coordinator.
-enum class JobPhase : std::uint8_t { kPending, kLeased, kDone, kFailed };
+/// A job is never leased itself — its shards are — so it is pending until
+/// it turns terminal.
+enum class JobPhase : std::uint8_t { kPending, kDone, kFailed };
 
 /// The deterministic heart of the coordinator. Not thread-safe; one owner.
 class CoordinatorCore {
@@ -135,7 +112,8 @@ class CoordinatorCore {
   using Clock = sched::Clock;
 
   /// Reads the ledger (quarantining corrupt records), marks recorded-done
-  /// jobs, and creates the state directory. Throws on unusable config.
+  /// jobs, and creates the state directory. Throws on unusable config
+  /// (kPrecondition for a missing state_dir or a zero shard_size).
   explicit CoordinatorCore(CoordinatorConfig config);
 
   /// Handles one decoded worker message at time `now`; returns the encoded
@@ -143,8 +121,8 @@ class CoordinatorCore {
   std::string handle(const Message& msg, Clock::time_point now);
 
   /// Dynamically registers one more job (estimation-as-a-service mode;
-  /// usually combined with `persistent`). The job is partitioned with the
-  /// shard size in effect right now and becomes grantable immediately.
+  /// usually combined with `persistent`). The job is partitioned into
+  /// shards and becomes grantable immediately.
   /// Throws Error(kBadData) on an invalid or duplicate name.
   void add_job(maxpower::CampaignJob job);
 
@@ -164,10 +142,6 @@ class CoordinatorCore {
   /// reusable.
   std::vector<maxpower::CampaignJobOutcome> take_completions();
 
-  /// The shard size a job created right now would be partitioned with
-  /// (fixed shard_size, or the EWMA-driven adaptive size under shard_auto).
-  std::size_t shard_size_now() const;
-
   /// Expires overdue leases; records jobs that exhausted their assignment
   /// budget as failed. Call once per loop iteration.
   void tick(Clock::time_point now);
@@ -186,7 +160,8 @@ class CoordinatorCore {
   /// ledger-skipped ones).
   bool finished() const;
 
-  /// Jobs granted since construction (monotonic; includes re-grants).
+  /// Shard leases granted since construction (monotonic; includes
+  /// re-grants, speculative copies and adoptions).
   std::size_t leases_granted() const { return leases_granted_; }
 
   /// Invocation summary in run_campaign's shape: skipped = done per the
@@ -203,12 +178,7 @@ class CoordinatorCore {
   std::size_t live_jobs() const { return jobs_.size(); }
 
  private:
-  /// Whether a job hands out whole-job or shard leases. Sharded is the
-  /// default under shard_size > 0 but a job with no shard progress can be
-  /// flipped to whole-job mode to serve a protocol-v1 worker.
-  enum class JobMode : std::uint8_t { kWhole, kSharded };
-
-  /// One wave-index range of a sharded job: the shard payload around its
+  /// One wave-index range of a job: the shard payload around its
   /// sched::Lease (max_holders 2: primary + one straggler re-issue).
   struct ShardState {
     std::uint64_t lo = 0;
@@ -219,48 +189,31 @@ class CoordinatorCore {
 
   struct JobState {
     maxpower::CampaignJob job;
-    JobMode mode = JobMode::kWhole;
     bool skipped = false;   ///< done per the ledger before this run
-    /// Terminal flavor once `lease` is done: failed vs done.
-    bool failed = false;
-    /// The whole-job claim (max_holders 1). For a sharded job it stays
-    /// pending while shards carry the claims; record() completes it either
-    /// way, so lease.phase == kDone means the job is terminal.
-    sched::Lease lease;
+    bool terminal = false;  ///< outcome recorded, or skipped
+    bool failed = false;    ///< terminal flavor: failed/stopped vs done
     maxpower::CampaignJobOutcome outcome;
-    std::vector<ShardState> shards;  ///< mode == kSharded only
+    std::vector<ShardState> shards;
 
     JobPhase phase() const {
-      if (lease.phase == sched::LeasePhase::kDone) {
-        return failed ? JobPhase::kFailed : JobPhase::kDone;
-      }
-      return lease.phase == sched::LeasePhase::kLeased ? JobPhase::kLeased
-                                                       : JobPhase::kPending;
+      if (!terminal) return JobPhase::kPending;
+      return failed ? JobPhase::kFailed : JobPhase::kDone;
     }
   };
 
-  /// Sharding is on when a fixed size is set or the adaptive sizer runs.
-  bool sharded_mode() const {
-    return config_.shard_size > 0 || config_.shard_auto;
-  }
-  /// A fresh JobState for `job`, partitioned when sharded (ctor and add_job
+  /// A fresh JobState for `job`, partitioned into shards (ctor and add_job
   /// share it).
   JobState make_state(maxpower::CampaignJob job);
   /// Pushes the live-job count to the mpe_coord_live_jobs gauge (delta).
   void publish_live_jobs();
-  /// Folds one finished shard's latency into the adaptive-size EWMA and the
-  /// metric series.
+  /// Records one finished shard's latency in the mpe_coord_shard_latency_ms
+  /// histogram.
   void observe_shard_latency(const ShardState& shard, Clock::time_point now);
 
   JobState* find(const std::string& job);
-  std::string grant(JobState& state, const std::string& worker,
-                    Clock::time_point now);
   void record(JobState& state, const maxpower::CampaignJobOutcome& outcome);
   void fail_exhausted(JobState& state, std::size_t attempts, ErrorCode error);
 
-  /// True while no shard of `state` has been leased or completed — the only
-  /// window in which the job may flip to whole-job mode for a v1 worker.
-  static bool shard_pristine(const JobState& state);
   std::string grant_shard(JobState& state, std::size_t k,
                           const std::string& worker, Clock::time_point now);
   /// Folds the contiguous done-shard prefix through the engine; records the
@@ -270,9 +223,8 @@ class CoordinatorCore {
 
   /// config_.jobs is moved into jobs_ at construction and stays empty.
   CoordinatorConfig config_;
-  /// Lease policies over the shared substrate: whole jobs are exclusive
-  /// claims, shards allow one speculative straggler re-issue.
-  sched::LeasePolicy whole_policy_;
+  /// Shard leases over the shared substrate: one speculative straggler
+  /// re-issue allowed.
   sched::LeasePolicy shard_policy_;
   std::string report_path_;
   std::vector<JobState> jobs_;
@@ -282,10 +234,6 @@ class CoordinatorCore {
   std::size_t quarantined_ = 0;
   std::size_t leases_granted_ = 0;
   std::size_t shards_done_ = 0;
-  /// EWMA of per-attempt shard wall latency in ms (0 = no observation yet).
-  double ewma_ms_per_attempt_ = 0.0;
-  /// Level last pushed to the mpe_coord_shard_size gauge (delta tracking).
-  std::int64_t shard_size_metric_ = 0;
   /// Level last pushed to the mpe_coord_live_jobs gauge (delta tracking).
   std::int64_t live_jobs_metric_ = 0;
   /// Outcomes recorded since the last take_completions().

@@ -30,9 +30,7 @@ std::string_view to_string(MessageKind kind) {
     case MessageKind::kHello: return "hello";
     case MessageKind::kRequest: return "request";
     case MessageKind::kHeartbeat: return "heartbeat";
-    case MessageKind::kResult: return "result";
     case MessageKind::kShardResult: return "shard-result";
-    case MessageKind::kLease: return "lease";
     case MessageKind::kShardLease: return "shard-lease";
     case MessageKind::kWait: return "wait";
     case MessageKind::kDrain: return "drain";
@@ -53,46 +51,17 @@ std::string encode_hello(std::string_view worker) {
 std::string encode_request(std::string_view worker) {
   auto f = header(MessageKind::kRequest);
   f.add("worker", worker);
-  // The coordinator core is stateless across messages, so the request
-  // itself carries the capability bit: proto >= 2 peers accept shard
-  // leases. v1 coordinators ignore the extra field.
+  // Informative only: hello is the version gate.
   f.add("proto", kProtocolVersion);
   return f.object();
 }
 
-std::string encode_heartbeat(std::string_view worker, std::string_view job) {
-  auto f = header(MessageKind::kHeartbeat);
-  f.add("worker", worker);
-  f.add("job", job);
-  return f.object();
-}
-
-std::string encode_shard_heartbeat(std::string_view worker,
-                                   std::string_view job, std::uint64_t shard) {
+std::string encode_heartbeat(std::string_view worker, std::string_view job,
+                             std::uint64_t shard) {
   auto f = header(MessageKind::kHeartbeat);
   f.add("worker", worker);
   f.add("job", job);
   f.add("shard", shard);
-  return f.object();
-}
-
-std::string encode_result(std::string_view worker,
-                          const maxpower::CampaignJobOutcome& outcome) {
-  auto f = header(MessageKind::kResult);
-  f.add("worker", worker);
-  f.add("job", outcome.name);
-  f.add("status", maxpower::to_string(outcome.status));
-  f.add("attempts", static_cast<std::uint64_t>(outcome.attempts));
-  if (outcome.error != ErrorCode::kOk) {
-    f.add("error", mpe::to_string(outcome.error));
-  }
-  if (outcome.status == maxpower::JobStatus::kDone) {
-    f.add("estimate", outcome.result.estimate);
-    f.add("hyper_samples",
-          static_cast<std::uint64_t>(outcome.result.hyper_samples));
-    f.add("units", static_cast<std::uint64_t>(outcome.result.units_used));
-    f.add("converged", outcome.result.converged);
-  }
   return f.object();
 }
 
@@ -112,17 +81,6 @@ std::string encode_shard_result(std::string_view worker, std::string_view job,
   if (status == maxpower::JobStatus::kDone) {
     f.add("samples", samples_json);  // a JSON array shipped as a string
   }
-  return f.object();
-}
-
-std::string encode_lease(std::string_view job, std::string_view spec_json,
-                         std::uint64_t lease_ms,
-                         std::uint64_t job_deadline_ms) {
-  auto f = header(MessageKind::kLease);
-  f.add("job", job);
-  f.add("spec", spec_json);  // shipped as a string; parsed by the worker
-  f.add("lease_ms", lease_ms);
-  if (job_deadline_ms > 0) f.add("job_deadline_ms", job_deadline_ms);
   return f.object();
 }
 
@@ -182,21 +140,16 @@ Message decode_message(std::string_view line) {
       break;
     case MessageKind::kRequest:
       msg.worker = wire::required_string(v, "worker");
-      msg.proto = wire::number_or(v, "proto", 1);  // v1 workers never send it
       break;
     case MessageKind::kHeartbeat:
       msg.worker = wire::required_string(v, "worker");
       msg.job = wire::required_string(v, "job");
-      if (v.find("shard") != nullptr) {
-        msg.shard = wire::required_number(v, "shard");
-        msg.has_shard = true;
-      }
+      msg.shard = wire::required_number(v, "shard");
       break;
     case MessageKind::kShardResult:
       msg.worker = wire::required_string(v, "worker");
       msg.job = wire::required_string(v, "job");
       msg.shard = wire::required_number(v, "shard");
-      msg.has_shard = true;
       msg.lo = wire::required_number(v, "lo");
       msg.hi = wire::required_number(v, "hi");
       msg.shard_status = required_status(v);
@@ -210,48 +163,10 @@ Message decode_message(std::string_view line) {
         throw Error(ErrorCode::kBadData, "shard-result range is inverted");
       }
       break;
-    case MessageKind::kResult: {
-      msg.worker = wire::required_string(v, "worker");
-      msg.job = wire::required_string(v, "job");
-      msg.outcome.name = msg.job;
-      msg.outcome.worker = msg.worker;
-      msg.outcome.status = required_status(v);
-      msg.outcome.attempts =
-          static_cast<std::size_t>(wire::number_or(v, "attempts", 0));
-      if (const auto* e = v.find("error"); e != nullptr && e->is_string()) {
-        msg.outcome.error = error_code_from_string(e->as_string());
-      }
-      if (msg.outcome.status == maxpower::JobStatus::kDone) {
-        const util::JsonValue* est = v.find("estimate");
-        if (est == nullptr || !est->is_number()) {
-          throw Error(ErrorCode::kBadData, "done result without estimate");
-        }
-        msg.outcome.result.estimate = est->as_number();
-        msg.outcome.result.hyper_samples =
-            static_cast<std::size_t>(wire::number_or(v, "hyper_samples", 0));
-        msg.outcome.result.units_used =
-            static_cast<std::size_t>(wire::number_or(v, "units", 0));
-        if (const auto* c = v.find("converged");
-            c != nullptr && c->is_bool()) {
-          msg.outcome.result.converged = c->as_bool();
-        }
-      }
-      break;
-    }
-    case MessageKind::kLease:
-      msg.job = wire::required_string(v, "job");
-      msg.spec = wire::required_string(v, "spec");
-      msg.ms = wire::number_or(v, "lease_ms", 0);
-      msg.job_deadline_ms = wire::number_or(v, "job_deadline_ms", 0);
-      if (msg.ms == 0) {
-        throw Error(ErrorCode::kBadData, "lease without lease_ms");
-      }
-      break;
     case MessageKind::kShardLease:
       msg.job = wire::required_string(v, "job");
       msg.spec = wire::required_string(v, "spec");
       msg.shard = wire::required_number(v, "shard");
-      msg.has_shard = true;
       msg.lo = wire::required_number(v, "lo");
       msg.hi = wire::required_number(v, "hi");
       msg.ms = wire::number_or(v, "lease_ms", 0);

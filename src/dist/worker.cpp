@@ -23,7 +23,6 @@ namespace mpe::dist {
 namespace {
 
 using maxpower::CampaignJob;
-using maxpower::CampaignJobOutcome;
 using maxpower::JobStatus;
 
 constexpr auto kReplyTimeout = std::chrono::milliseconds{5000};
@@ -65,7 +64,17 @@ struct WorkerLoop {
     return cfg.control.should_stop() != util::StopCause::kNone;
   }
 
-  /// One dial + hello handshake. Leaves `ch` valid on success.
+  /// True once the coordinator answered with a protocol error: no redial
+  /// or resend can change its answer.
+  bool refused() const { return sum.exit_error == ErrorCode::kBadData; }
+
+  void refuse(const Message& error) {
+    sum.exit_error = ErrorCode::kBadData;
+    sum.error_detail = error.detail;
+  }
+
+  /// One dial + hello handshake. Leaves `ch` valid on success; an `error`
+  /// reply to hello marks the run refused().
   bool dial_once() {
     ch = cfg.tcp_port > 0 ? connect_tcp(cfg.tcp_host, cfg.tcp_port)
                           : connect_unix(cfg.socket_path);
@@ -82,19 +91,22 @@ struct WorkerLoop {
     try {
       const Message reply = decode_message(line);
       if (reply.kind == MessageKind::kAck) return true;
+      if (reply.kind == MessageKind::kError) refuse(reply);
     } catch (const Error&) {
     }
     ch.reset();
-    return false;  // version mismatch or garbage: treat as unreachable
+    return false;  // garbage is treated as unreachable
   }
 
-  /// Dials under the connect_retry policy until connected, cancelled, or
-  /// out of attempts.
+  /// Dials under the connect_retry policy until connected, cancelled,
+  /// refused, or out of attempts.
   bool connect_with_backoff() {
     for (std::size_t failures = 0;; ++failures) {
-      if (cancelled()) return false;
+      if (cancelled() || refused()) return false;
       if (dial_once()) return true;
-      if (failures + 1 >= cfg.connect_retry.max_attempts) return false;
+      if (refused() || failures + 1 >= cfg.connect_retry.max_attempts) {
+        return false;
+      }
       if (util::interruptible_sleep(
               util::backoff_delay(cfg.connect_retry, failures + 1, rng),
               cfg.control) != util::StopCause::kNone) {
@@ -143,10 +155,6 @@ struct WorkerLoop {
     return false;
   }
 
-  bool report_until_acked(const CampaignJobOutcome& outcome) {
-    return deliver_until_acked(encode_result(cfg.worker_id, outcome));
-  }
-
   /// Runs `work` on a helper thread while this thread keeps the lease
   /// alive: it sleeps on the runner's completion and wakes only for the
   /// next heartbeat. `beat` sends one heartbeat and returns true when the
@@ -169,12 +177,12 @@ struct WorkerLoop {
     bool revoked = false;
     std::unique_lock<std::mutex> lock(mu);
     while (!finished) {
-      if (cancelled()) cancel.request_stop();
+      if (cancelled() || refused()) cancel.request_stop();
       lock.unlock();
-      // A dead channel is not fatal mid-job: the engine keeps computing
+      // A dead channel is not fatal mid-shard: the runner keeps computing
       // while we redial once per beat; on success the heartbeat re-adopts
       // the lease from a restarted coordinator.
-      if (!ch && !cancelled()) dial_once();
+      if (!ch && !cancelled() && !refused()) dial_once();
       if (ch && beat()) {
         revoked = true;
         cancel.request_stop();
@@ -185,69 +193,6 @@ struct WorkerLoop {
     lock.unlock();
     runner.join();
     return revoked;
-  }
-
-  /// Runs one leased job on a helper thread while this thread keeps the
-  /// lease alive (run_beating), then reports the outcome.
-  void execute_lease(const Message& lease) {
-    ++sum.leases;
-    CampaignJob job;
-    try {
-      job = maxpower::parse_campaign_job_line(lease.spec);
-    } catch (const Error& e) {
-      CampaignJobOutcome bad;
-      bad.name = lease.job;
-      bad.status = JobStatus::kFailed;
-      bad.error = e.code();
-      bad.worker = cfg.worker_id;
-      ++sum.failed;
-      report_until_acked(bad);
-      return;
-    }
-
-    // The job gets its own cancellation token so a revoked lease (or worker
-    // drain) can stop just this run; worker-level deadline still applies.
-    const util::CancellationToken job_cancel = util::CancellationToken::create();
-    maxpower::JobRunOptions options;
-    options.state_dir = cfg.state_dir;
-    options.retry = cfg.job_retry;
-    options.control.cancel = job_cancel;
-    options.control.deadline = cfg.control.deadline;
-    if (lease.job_deadline_ms > 0) {
-      options.job_deadline = util::Deadline::after(
-          std::chrono::milliseconds(lease.job_deadline_ms));
-    }
-    options.threads = cfg.threads;
-    options.checkpoint_every_k = cfg.checkpoint_every_k;
-
-    Rng job_rng(rng());  // independent stream; main thread keeps using rng
-    CampaignJobOutcome outcome;
-    const bool revoked = run_beating(
-        [&] {
-          outcome = maxpower::run_campaign_job(job, options, job_rng);
-          outcome.worker = cfg.worker_id;
-        },
-        job_cancel,
-        [&] {
-          const auto reply =
-              transact(encode_heartbeat(cfg.worker_id, lease.job));
-          return reply && reply->kind == MessageKind::kRevoke;
-        });
-
-    if (revoked && outcome.status != JobStatus::kDone) {
-      // Someone else owns the job now; our partial run is irrelevant (the
-      // checkpoint already captured it). A *completed* run is still worth
-      // reporting: done results are deterministic and accepted from stale
-      // holders.
-      ++sum.stopped;
-      return;
-    }
-    switch (outcome.status) {
-      case JobStatus::kDone: ++sum.done; break;
-      case JobStatus::kFailed: ++sum.failed; break;
-      default: ++sum.stopped; break;
-    }
-    report_until_acked(outcome);
   }
 
   /// Runs one shard lease: computes hyper-samples [lo, hi) of the job on a
@@ -292,7 +237,7 @@ struct WorkerLoop {
         shard_cancel,
         [&] {
           const auto reply = transact(
-              encode_shard_heartbeat(cfg.worker_id, lease.job, lease.shard));
+              encode_heartbeat(cfg.worker_id, lease.job, lease.shard));
           return reply && reply->kind == MessageKind::kRevoke;
         });
 
@@ -322,16 +267,15 @@ struct WorkerLoop {
         return sum;
       }
       if (!ch && !connect_with_backoff()) {
-        sum.exit_error =
-            cancelled() ? ErrorCode::kCancelled : ErrorCode::kIo;
+        if (!refused()) {
+          sum.exit_error =
+              cancelled() ? ErrorCode::kCancelled : ErrorCode::kIo;
+        }
         return sum;
       }
       const auto reply = transact(encode_request(cfg.worker_id));
       if (!reply) continue;  // channel dropped: redial on the next pass
       switch (reply->kind) {
-        case MessageKind::kLease:
-          execute_lease(*reply);
-          break;
         case MessageKind::kShardLease:
           execute_shard_lease(*reply);
           break;
@@ -343,7 +287,7 @@ struct WorkerLoop {
           sum.drained = true;
           return sum;
         case MessageKind::kError:
-          sum.exit_error = ErrorCode::kBadData;
+          refuse(*reply);
           return sum;
         default:
           break;  // unexpected but harmless; ask again

@@ -73,6 +73,11 @@ struct ShardRange {
   std::uint64_t hi = 0;
 };
 
+/// Attempts per shard wherever a shard size is not given: the
+/// distributed coordinator (`campaign-coordinator`) and the server's fleet
+/// mode (`serve --fleet`) share it.
+inline constexpr std::size_t kDefaultShardSize = 16;
+
 /// Number of shards covering `attempts` indices at `shard_size` per shard
 /// (last one may be short). shard_size == 0 means whole-job (one shard).
 std::size_t shard_count(std::uint64_t attempts, std::uint64_t shard_size);

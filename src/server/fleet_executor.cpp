@@ -19,19 +19,8 @@ dist::CoordinatorConfig fleet_core_config(const std::string& state_dir,
   cfg.lease = options.lease;
   cfg.max_assignments = options.max_assignments;
   cfg.straggler_after = options.straggler_after;
-  // Shard leases are the only currency of fleet mode: a whole-job result
-  // frame has no CI bounds or diagnostics, so only assembled shard prefixes
-  // can back a server result line.
-  cfg.whole_job_fallback = false;
   cfg.persistent = true;
-  if (options.shard_size > 0) {
-    cfg.shard_size = options.shard_size;
-  } else {
-    cfg.shard_auto = true;
-  }
-  cfg.shard_size_floor = options.shard_size_floor;
-  cfg.shard_size_ceiling = options.shard_size_ceiling;
-  cfg.shard_target_latency = options.shard_target_latency;
+  cfg.shard_size = options.shard_size;
   cfg.metrics = &util::MetricRegistry::global();
   return cfg;
 }

@@ -34,6 +34,7 @@
 #include <cstdint>
 #include <string>
 
+#include "maxpower/shard.hpp"
 #include "server/circuit_cache.hpp"
 #include "server/server_core.hpp"
 #include "util/deadline.hpp"
@@ -62,11 +63,8 @@ struct FleetOptions {
   std::chrono::milliseconds lease{5000};
   /// Lease grants per shard before the job is recorded failed.
   std::size_t max_assignments = 5;
-  /// Fixed shard size; 0 = adaptive (per-shard-latency EWMA, the default).
-  std::size_t shard_size = 0;
-  std::size_t shard_size_floor = 16;
-  std::size_t shard_size_ceiling = 4096;
-  std::chrono::milliseconds shard_target_latency{2000};
+  /// Attempts per shard (>= 1).
+  std::size_t shard_size = maxpower::kDefaultShardSize;
   std::chrono::milliseconds straggler_after{0};  ///< 0 = twice the lease
 };
 

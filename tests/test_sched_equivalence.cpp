@@ -96,7 +96,6 @@ md::Message dmsg(const std::string& line) { return md::decode_message(line); }
 const char* phase_name(md::JobPhase p) {
   switch (p) {
     case md::JobPhase::kPending: return "pending";
-    case md::JobPhase::kLeased: return "leased";
     case md::JobPhase::kDone: return "done";
     case md::JobPhase::kFailed: return "failed";
   }
@@ -134,84 +133,6 @@ void summarize(std::ostringstream& t, md::CoordinatorCore& core,
   t << "-- ledger:\n" << read_file(ledger_path);
 }
 
-std::string whole_job_result_line(const std::string& worker,
-                                  const std::string& job, double estimate) {
-  mp::CampaignJobOutcome outcome;
-  outcome.name = job;
-  outcome.status = mp::JobStatus::kDone;
-  outcome.attempts = 1;
-  outcome.result.estimate = estimate;
-  outcome.result.hyper_samples = 12;
-  outcome.result.units_used = 768;
-  outcome.result.converged = true;
-  return md::encode_result(worker, outcome);
-}
-
-std::string status_result_line(const std::string& worker,
-                               const std::string& job, mp::JobStatus status,
-                               mpe::ErrorCode error) {
-  mp::CampaignJobOutcome outcome;
-  outcome.name = job;
-  outcome.status = status;
-  outcome.attempts = 1;
-  outcome.error = error;
-  return md::encode_result(worker, outcome);
-}
-
-TEST(SchedEquivalence, CoordinatorWholeJobScenario) {
-  const std::string dir = fresh_dir("sched_equiv_coord_whole");
-  md::CoordinatorConfig config;
-  config.jobs = {tiny_job("j1", 3, 40), tiny_job("j2", 4, 40)};
-  config.state_dir = dir;
-  config.lease = 1000ms;
-  config.max_assignments = 2;
-  config.reassign.initial_backoff = 100ms;
-  config.reassign.multiplier = 2.0;
-  config.reassign.max_backoff = 400ms;
-  config.jitter_seed = 42;
-  md::CoordinatorCore core(config);
-
-  std::ostringstream t;
-  // Grants follow manifest order; a drained pool answers wait.
-  play(t, core, md::encode_hello("w1"), kD0);
-  play(t, core, md::encode_request("w1"), kD0);
-  play(t, core, md::encode_request("w2"), kD0 + 10ms);
-  play(t, core, md::encode_request("w3"), kD0 + 20ms);
-  probe(t, core, {"j1", "j2"}, kD0 + 20ms);
-  // Heartbeat renews w1's lease; w2 never renews.
-  play(t, core, md::encode_heartbeat("w1", "j1"), kD0 + 500ms);
-  // Both leases expire (j1 at 1500, j2 at 1010): released under jittered
-  // backoff, so this request sees nothing grantable and the wait duration
-  // captures the two backoff draws in order.
-  play(t, core, md::encode_request("w3"), kD0 + 1600ms);
-  probe(t, core, {"j1", "j2"}, kD0 + 1600ms);
-  // Past the backoff window both jobs re-grant (second assignment each).
-  play(t, core, md::encode_request("w1"), kD0 + 4000ms);
-  play(t, core, md::encode_request("w2"), kD0 + 4010ms);
-  probe(t, core, {"j1", "j2"}, kD0 + 4010ms);
-  // A done result is accepted even from a stale holder, recorded exactly
-  // once; the duplicate is acked without a second ledger append.
-  play(t, core, whole_job_result_line("w9", "j1", 1.25), kD0 + 4100ms);
-  play(t, core, whole_job_result_line("w9", "j1", 1.25), kD0 + 4150ms);
-  // A stale holder's failure must not kill the current holder's job...
-  play(t, core, status_result_line("w9", "j2", mp::JobStatus::kFailed,
-                                   mpe::ErrorCode::kInternal),
-       kD0 + 4200ms);
-  // ...but the holder's graceful stop releases it for an immediate re-grant.
-  play(t, core, status_result_line("w2", "j2", mp::JobStatus::kStopped,
-                                   mpe::ErrorCode::kOk),
-       kD0 + 4300ms);
-  probe(t, core, {"j1", "j2"}, kD0 + 4300ms);
-  play(t, core, md::encode_request("w3"), kD0 + 4400ms);
-  // Third expiry burns j2's assignment budget: recorded failed (deadline).
-  core.tick(kD0 + 6000ms);
-  probe(t, core, {"j1", "j2"}, kD0 + 6000ms);
-  play(t, core, md::encode_request("w1"), kD0 + 6100ms);
-  summarize(t, core, dir + "/campaign.jsonl");
-
-  check_golden("coordinator_whole_job.txt", t.str());
-}
-
 std::string shard_done_line(const std::string& worker, const std::string& job,
                             std::uint64_t shard, std::uint64_t lo,
                             std::uint64_t hi) {
@@ -228,6 +149,72 @@ std::string shard_done_line(const std::string& worker, const std::string& job,
   return md::encode_shard_result(worker, job, shard, lo, hi,
                                  mp::JobStatus::kDone, mpe::ErrorCode::kOk,
                                  mp::encode_shard_samples(samples));
+}
+
+/// A sample-less report (failed/stopped) on shard 0 = [0, hi).
+std::string shard_status_line(const std::string& worker,
+                              const std::string& job, std::uint64_t hi,
+                              mp::JobStatus status, mpe::ErrorCode error) {
+  return md::encode_shard_result(worker, job, 0, 0, hi, status, error, "");
+}
+
+TEST(SchedEquivalence, CoordinatorOneShardScenario) {
+  const std::string dir = fresh_dir("sched_equiv_coord_one_shard");
+  md::CoordinatorConfig config;
+  config.jobs = {tiny_job("j1", 3, 40), tiny_job("j2", 4, 40)};
+  config.state_dir = dir;
+  config.lease = 1000ms;
+  config.max_assignments = 2;
+  config.reassign.initial_backoff = 100ms;
+  config.reassign.multiplier = 2.0;
+  config.reassign.max_backoff = 400ms;
+  config.jitter_seed = 42;
+  // The shard covers a job's whole attempt budget: every lease is a job.
+  const std::uint64_t budget = mp::job_attempt_budget(config.jobs[0]);
+  config.shard_size = budget;
+  md::CoordinatorCore core(config);
+
+  std::ostringstream t;
+  t << "-- budget=" << budget
+    << " shards=" << mp::shard_count(budget, config.shard_size) << "\n";
+  // Grants follow manifest order; a drained pool answers wait.
+  play(t, core, md::encode_hello("w1"), kD0);
+  play(t, core, md::encode_request("w1"), kD0);
+  play(t, core, md::encode_request("w2"), kD0 + 10ms);
+  play(t, core, md::encode_request("w3"), kD0 + 20ms);
+  probe(t, core, {"j1", "j2"}, kD0 + 20ms);
+  // Heartbeat renews w1's lease; w2 never renews.
+  play(t, core, md::encode_heartbeat("w1", "j1", 0), kD0 + 500ms);
+  // Both leases expire (j1 at 1500, j2 at 1010): released under jittered
+  // backoff, so this request sees nothing grantable and the wait duration
+  // captures the two backoff draws in order.
+  play(t, core, md::encode_request("w3"), kD0 + 1600ms);
+  probe(t, core, {"j1", "j2"}, kD0 + 1600ms);
+  // Past the backoff window both jobs re-grant (second assignment each).
+  play(t, core, md::encode_request("w1"), kD0 + 4000ms);
+  play(t, core, md::encode_request("w2"), kD0 + 4010ms);
+  probe(t, core, {"j1", "j2"}, kD0 + 4010ms);
+  // A done result is accepted even from a stale holder, recorded exactly
+  // once; the duplicate is acked without a second ledger append.
+  play(t, core, shard_done_line("w9", "j1", 0, 0, budget), kD0 + 4100ms);
+  play(t, core, shard_done_line("w9", "j1", 0, 0, budget), kD0 + 4150ms);
+  // A stale holder's failure must not kill the current holder's job...
+  play(t, core, shard_status_line("w9", "j2", budget, mp::JobStatus::kFailed,
+                                  mpe::ErrorCode::kInternal),
+       kD0 + 4200ms);
+  // ...but the holder's graceful stop releases it for an immediate re-grant.
+  play(t, core, shard_status_line("w2", "j2", budget, mp::JobStatus::kStopped,
+                                  mpe::ErrorCode::kOk),
+       kD0 + 4300ms);
+  probe(t, core, {"j1", "j2"}, kD0 + 4300ms);
+  play(t, core, md::encode_request("w3"), kD0 + 4400ms);
+  // Third expiry burns j2's assignment budget: recorded failed (deadline).
+  core.tick(kD0 + 6000ms);
+  probe(t, core, {"j1", "j2"}, kD0 + 6000ms);
+  play(t, core, md::encode_request("w1"), kD0 + 6100ms);
+  summarize(t, core, dir + "/campaign.jsonl");
+
+  check_golden("coordinator_one_shard.txt", t.str());
 }
 
 TEST(SchedEquivalence, CoordinatorShardedScenario) {
@@ -250,24 +237,16 @@ TEST(SchedEquivalence, CoordinatorShardedScenario) {
   std::ostringstream t;
   t << "-- budget=" << budget << " shards=" << shards << "\n";
 
-  // v2 workers get shard leases in ascending order across jobs.
+  // Workers get shard leases in ascending order across jobs.
   play(t, core, md::encode_request("w1"), kD0);
   play(t, core, md::encode_request("w2"), kD0 + 10ms);
-  // A v1 worker (no proto field) can only run whole jobs: s1 has shard
-  // progress, so the pristine s2 flips to whole-job mode for it.
-  {
-    const std::string v1 =
-        "{\"schema\":\"mpe.dist\",\"v\":1,\"type\":\"request\","
-        "\"worker\":\"v1w\"}";
-    play(t, core, v1, kD0 + 20ms);
-  }
   probe(t, core, {"s1", "s2"}, kD0 + 20ms);
   // Shard heartbeat renews; an unknown claim below the holder cap is
   // adopted (coordinator-restart posture), and a duplicate adoption is
   // idempotent.
-  play(t, core, md::encode_shard_heartbeat("w1", "s1", 0), kD0 + 400ms);
-  play(t, core, md::encode_shard_heartbeat("w7", "s1", 1), kD0 + 450ms);
-  play(t, core, md::encode_shard_heartbeat("w7", "s1", 1), kD0 + 460ms);
+  play(t, core, md::encode_heartbeat("w1", "s1", 0), kD0 + 400ms);
+  play(t, core, md::encode_heartbeat("w7", "s1", 1), kD0 + 450ms);
+  play(t, core, md::encode_heartbeat("w7", "s1", 1), kD0 + 460ms);
   probe(t, core, {"s1", "s2"}, kD0 + 460ms);
   // Straggler speculation: past straggler_after, an idle v2 worker gets a
   // second holder slot on the oldest in-flight shard (not its own claim).
@@ -285,9 +264,11 @@ TEST(SchedEquivalence, CoordinatorShardedScenario) {
          kD0 + 2000ms + std::chrono::milliseconds(10 * k));
   }
   probe(t, core, {"s1", "s2"}, kD0 + 3000ms);
-  // The v1 whole-job holder reports s2 done.
-  play(t, core, whole_job_result_line("v1w", "s2", 0.75), kD0 + 3100ms);
-  probe(t, core, {"s1", "s2"}, kD0 + 3100ms);
+  // s2's first shard converges it on its own.
+  play(t, core, md::encode_request("w1"), kD0 + 3100ms);
+  play(t, core, shard_done_line("w1", "s2", 0, 0, config.shard_size),
+       kD0 + 3150ms);
+  probe(t, core, {"s1", "s2"}, kD0 + 3150ms);
   play(t, core, md::encode_request("w1"), kD0 + 3200ms);
   summarize(t, core, dir + "/campaign.jsonl");
 

@@ -14,7 +14,7 @@
 //   mpe_cli campaign-coordinator --manifest jobs.jsonl --state-dir dir
 //                                --socket /path/sock [--lease-ms N] ...
 //   mpe_cli campaign-worker      --socket /path/sock --state-dir dir
-//                                --worker-id w0 [--threads N] ...
+//                                --worker-id w0 [--heartbeat-ms N] ...
 //   mpe_cli ledger-audit         --report campaign.jsonl [--merged-out F|-]
 //
 // Circuits come from the built-in presets (--circuit), an ISCAS-85 .bench
@@ -100,13 +100,12 @@ void install_signal_handlers() {
       "  campaign-coordinator: --manifest <jobs.jsonl> --state-dir <dir>\n"
       "            --socket <path> | --tcp-port N [--host H]\n"
       "            [--report F] [--lease-ms N] [--job-deadline-ms N]\n"
-      "            [--max-assign N] [--shard-size K|auto] [--straggler-ms N]\n"
-      "            [--shard-floor N] [--shard-ceiling N] "
-      "[--shard-target-ms N]\n"
+      "            [--max-assign N] [--shard-size K] [--straggler-ms N]\n"
       "  campaign-worker: --socket <path> | --tcp HOST:PORT\n"
       "            --state-dir <dir> --worker-id ID\n"
-      "            [--threads N] [--retries N] [--heartbeat-ms N]\n"
-      "            [--checkpoint-every K]\n"
+      "            [--heartbeat-ms N] [--checkpoint-every K]\n"
+      "            (--threads N is accepted and has no effect: a shard\n"
+      "            computes on one thread)\n"
       "  ledger-audit: --report <campaign.jsonl> [--merged-out FILE|-]\n"
       "            [--strict]\n"
       "  serve   : --socket <path> and/or --tcp-port N [--host H]\n"
@@ -117,13 +116,13 @@ void install_signal_handlers() {
       "            fleet mode (jobs run on campaign workers):\n"
       "            --fleet --worker-socket <path> | --worker-port N\n"
       "            [--worker-host H] [--lease-ms N] [--max-assign N]\n"
-      "            [--shard-size K|auto] [--shard-floor N] "
-      "[--shard-ceiling N]\n"
-      "            [--shard-target-ms N] [--straggler-ms N]\n"
+      "            [--shard-size K] [--straggler-ms N]\n"
       "  submit  : --socket <path> | --port N [--host H]\n"
       "            --job ID + estimate-style job flags, or --manifest F\n"
       "            [--deadline-ms N] [--report-dir DIR] [--timeout-ms N]\n"
       "            [--events] | --stats | --scrape\n"
+      "  --shard-size K (campaign-coordinator, serve --fleet): attempts\n"
+      "            per shard lease, K >= 1 (default 16)\n"
       "exit codes: 0 ok, 1 non-convergence, 2 usage, 3 parse, 4 io,\n"
       "            5 bad data, 6 precondition, 7 deadline, 8 cancelled,\n"
       "            9 injected fault, 10 internal, 11 corrupt data,\n"
@@ -414,36 +413,24 @@ int cmd_campaign(const Cli& cli) {
   return 0;
 }
 
-/// Parses --shard-size K|auto (plus --shard-floor / --shard-ceiling /
-/// --shard-target-ms) into the coordinator-style sizing knobs. Shared by
-/// campaign-coordinator and serve --fleet.
-void parse_shard_sizing(const Cli& cli, std::size_t& shard_size,
-                        bool& shard_auto, std::size_t& floor,
-                        std::size_t& ceiling,
-                        std::chrono::milliseconds& target) {
-  if (cli.get("shard-size", "") == "auto") {
-    shard_auto = true;
-    shard_size = 0;
-  } else if (cli.has("shard-size")) {
-    shard_auto = false;
-    shard_size = static_cast<std::size_t>(
-        std::max<long long>(0, cli.get_int("shard-size", 0)));
+/// Parses --shard-size K, shared by campaign-coordinator and serve --fleet.
+/// Anything but a positive integer is a usage error.
+std::size_t parse_shard_size(const Cli& cli) {
+  const std::int64_t size = cli.get_int(
+      "shard-size", static_cast<std::int64_t>(maxpower::kDefaultShardSize));
+  if (size < 1) {
+    throw Error(ErrorCode::kUsage, "--shard-size must be a positive integer",
+                ErrorContext{}.kv("value", size).str());
   }
-  floor = static_cast<std::size_t>(std::max<long long>(
-      1, cli.get_int("shard-floor", static_cast<std::int64_t>(floor))));
-  ceiling = static_cast<std::size_t>(std::max<long long>(
-      static_cast<long long>(floor),
-      cli.get_int("shard-ceiling", static_cast<std::int64_t>(ceiling))));
-  const auto target_ms = cli.get_int("shard-target-ms", 0);
-  if (target_ms > 0) target = std::chrono::milliseconds(target_ms);
+  return static_cast<std::size_t>(size);
 }
 
 int cmd_campaign_coordinator(const Cli& cli) {
   cli.check_known({"manifest", "state-dir", "socket", "tcp-port", "host",
                    "report", "lease-ms", "job-deadline-ms", "max-assign",
-                   "shard-size", "shard-floor", "shard-ceiling",
-                   "shard-target-ms", "straggler-ms", "drain-grace-ms"});
+                   "shard-size", "straggler-ms", "drain-grace-ms"});
   dist::CoordinatorConfig config;
+  config.shard_size = parse_shard_size(cli);
   const std::string manifest = cli.get("manifest", "");
   config.state_dir = cli.get("state-dir", "");
   const std::string socket_path = cli.get("socket", "");
@@ -461,9 +448,6 @@ int cmd_campaign_coordinator(const Cli& cli) {
   }
   config.max_assignments = static_cast<std::size_t>(
       std::max<long long>(1, cli.get_int("max-assign", 5)));
-  parse_shard_sizing(cli, config.shard_size, config.shard_auto,
-                     config.shard_size_floor, config.shard_size_ceiling,
-                     config.shard_target_latency);
   const auto straggler_ms = cli.get_int("straggler-ms", 0);
   if (straggler_ms > 0) {
     config.straggler_after = std::chrono::milliseconds(straggler_ms);
@@ -509,9 +493,10 @@ int cmd_campaign_coordinator(const Cli& cli) {
 }
 
 int cmd_campaign_worker(const Cli& cli) {
+  // --threads stays accepted for existing scripts; a shard computes on one
+  // thread whatever it says.
   cli.check_known({"socket", "tcp", "state-dir", "worker-id", "threads",
-                   "retries", "heartbeat-ms", "checkpoint-every",
-                   "deadline-ms"});
+                   "heartbeat-ms", "checkpoint-every", "deadline-ms"});
   dist::WorkerConfig config;
   config.socket_path = cli.get("socket", "");
   const std::string tcp = cli.get("tcp", "");
@@ -532,10 +517,6 @@ int cmd_campaign_worker(const Cli& cli) {
       config.state_dir.empty() || config.worker_id.empty()) {
     usage();
   }
-  config.threads = static_cast<unsigned>(
-      std::max<long long>(0, cli.get_int("threads", 1)));
-  config.job_retry.max_attempts = static_cast<std::size_t>(
-      std::max<long long>(1, cli.get_int("retries", 3)));
   config.heartbeat = std::chrono::milliseconds(
       std::max<long long>(50, cli.get_int("heartbeat-ms", 1000)));
   if (cli.has("checkpoint-every")) {
@@ -550,11 +531,14 @@ int cmd_campaign_worker(const Cli& cli) {
   config.control.cancel = g_cancel;
 
   const auto summary = dist::run_worker(config);
-  std::printf(
-      "worker %s: %zu leases, %zu shards, %zu done, %zu failed, "
-      "%zu stopped%s\n",
-      config.worker_id.c_str(), summary.leases, summary.shards, summary.done,
-      summary.failed, summary.stopped, summary.drained ? " (drained)" : "");
+  std::printf("worker %s: %zu leases, %zu shards, %zu failed, %zu stopped%s\n",
+              config.worker_id.c_str(), summary.leases, summary.shards,
+              summary.failed, summary.stopped,
+              summary.drained ? " (drained)" : "");
+  if (!summary.error_detail.empty()) {
+    std::fprintf(stderr, "worker %s: coordinator error: %s\n",
+                 config.worker_id.c_str(), summary.error_detail.c_str());
+  }
   if (summary.exit_error != ErrorCode::kOk) {
     return exit_code(summary.exit_error);
   }
@@ -601,9 +585,9 @@ int cmd_serve(const Cli& cli) {
                    "job-deadline-ms", "max-deadline-ms", "drain-grace-ms",
                    "trace-capacity", "fleet", "worker-socket",
                    "worker-port", "worker-host", "lease-ms", "max-assign",
-                   "shard-size", "shard-floor", "shard-ceiling",
-                   "shard-target-ms", "straggler-ms"});
+                   "shard-size", "straggler-ms"});
   server::ServerOptions opt;
+  opt.fleet.shard_size = parse_shard_size(cli);
   opt.unix_socket = cli.get("socket", "");
   if (cli.has("tcp-port")) {
     opt.tcp = true;
@@ -659,12 +643,6 @@ int cmd_serve(const Cli& cli) {
         std::max<long long>(100, cli.get_int("lease-ms", 5000)));
     opt.fleet.max_assignments = static_cast<std::size_t>(
         std::max<long long>(1, cli.get_int("max-assign", 5)));
-    // FleetOptions encodes "auto" as shard_size == 0 (the default).
-    bool shard_auto = opt.fleet.shard_size == 0;
-    parse_shard_sizing(cli, opt.fleet.shard_size, shard_auto,
-                       opt.fleet.shard_size_floor, opt.fleet.shard_size_ceiling,
-                       opt.fleet.shard_target_latency);
-    if (shard_auto) opt.fleet.shard_size = 0;
     const auto straggler_ms = cli.get_int("straggler-ms", 0);
     if (straggler_ms > 0) {
       opt.fleet.straggler_after = std::chrono::milliseconds(straggler_ms);
