@@ -50,26 +50,10 @@ void BM_EventCycle(benchmark::State& state, const std::string& name,
   state.SetItemsProcessed(state.iterations());
 }
 
-void BM_BitParallelBatch(benchmark::State& state, const std::string& name) {
-  const auto& nl = preset(name);
-  sim::BitParallelSimulator sim(nl, sim::Technology{});
-  Rng rng(7);
-  std::vector<vec::VectorPair> pairs(64);
-  for (auto& p : pairs) {
-    p.first = vec::random_vector(nl.num_inputs(), rng);
-    p.second = vec::random_vector(nl.num_inputs(), rng);
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.evaluate_batch(pairs).front().power_mw);
-  }
-  state.SetItemsProcessed(state.iterations() * 64);  // pairs per pass
-}
-
 // Raw compiled-tape throughput: one full-width evaluate_batch per
-// iteration, per kernel variant. Compare against BM_BitParallelBatch to
-// read the translate-don't-interpret gain at equal (64) lanes, and the
-// scalar64 vs avx2x256 vs avx512x512 rows for the widening gain. Kernels
-// the host cannot run are skipped, not failed.
+// iteration, per kernel variant. Compare the scalar64 vs avx2x256 vs
+// avx512x512 rows for the widening gain; these rows are the per-kernel cost
+// record. Kernels the host cannot run are skipped, not failed.
 void BM_CompiledBatch(benchmark::State& state, const std::string& name,
                       sim::SimdKernel kernel) {
   if (!sim::kernel_available(kernel)) {
@@ -94,22 +78,20 @@ void BM_CompiledBatch(benchmark::State& state, const std::string& name,
       static_cast<std::int64_t>(state.iterations() * pairs.size()));
 }
 
-// Streaming-population draw throughput: scalar (one netlist traversal per
-// unit) vs the 64-lane bit-parallel backend (1/64th of a traversal per
-// unit). Both paths produce identical value streams for the same seed.
-void BM_StreamingDrawBatch(benchmark::State& state, const std::string& name,
-                           bool bit_parallel) {
+// Scalar reference draws: draw() one unit at a time on a zero-delay
+// population, one full netlist traversal per unit. Same value stream as
+// BM_CompiledDrawBatch's draw_batch for the same seed.
+void BM_ScalarDraw(benchmark::State& state, const std::string& name) {
   const auto& nl = preset(name);
   sim::PowerEvalOptions eval_opt;
   eval_opt.delay_model = sim::DelayModel::kZero;
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  if (bit_parallel) pop.enable_bit_parallel();
   Rng rng(7);
   std::vector<double> batch(256);
   for (auto _ : state) {
-    pop.draw_batch(batch, rng);
+    for (double& v : batch) v = pop.draw(rng);
     benchmark::DoNotOptimize(batch.front());
   }
   state.SetItemsProcessed(
@@ -150,28 +132,18 @@ void BM_PairGen(benchmark::State& state, const std::string& kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
-// End-to-end draw throughput of the compiled backend (generation +
-// simulation), directly comparable to BM_StreamingDrawBatch: the issue's
-// acceptance bar is >= 2x units/s over the bit-parallel interpreter on
-// c7552 with AVX2 or wider. The `c7552_tprob` row draws with the
-// production default generator on the dispatched kernel.
+// End-to-end draw throughput of a zero-delay population (generation +
+// compiled-tape simulation on the dispatched kernel), directly comparable to
+// BM_ScalarDraw. The `c7552_tprob` row draws with the production
+// default generator.
 void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
-                          sim::SimdKernel kernel,
-                          const std::string& generator = "uniform") {
-  if (!sim::kernel_available(kernel)) {
-    state.SkipWithError("kernel unavailable on this host");
-    return;
-  }
+                          const std::string& generator) {
   const auto& nl = preset(name);
   sim::PowerEvalOptions eval_opt;
   eval_opt.delay_model = sim::DelayModel::kZero;
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const auto gen = make_generator(generator, nl.num_inputs());
   vec::StreamingPopulation pop(*gen, eval);
-  if (!pop.enable_compiled(kernel)) {
-    state.SkipWithError("compiled backend rejected");
-    return;
-  }
   Rng rng(7);
   std::vector<double> batch(1024);
   for (auto _ : state) {
@@ -182,11 +154,10 @@ void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
       static_cast<std::int64_t>(state.iterations() * batch.size()));
 }
 
-// Full pipelined estimator over a compiled-backend streaming population (the
-// production configuration: `--sim-backend auto` picks the compiled tape for
-// zero-delay circuits, and every unit is freshly simulated): thread-count
-// scaling of the speculative hyper-sample waves. Items = simulated units
-// consumed by the stopping rule.
+// Full pipelined estimator over a zero-delay streaming population (the
+// production configuration: the compiled tape evaluates every draw, and
+// every unit is freshly simulated): thread-count scaling of the speculative
+// hyper-sample waves. Items = simulated units consumed by the stopping rule.
 void BM_EstimatorPipeline(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   const auto& nl = preset("c7552");
@@ -195,10 +166,6 @@ void BM_EstimatorPipeline(benchmark::State& state) {
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  if (!pop.enable_compiled()) {
-    state.SkipWithError("compiled backend rejected");
-    return;
-  }
   maxpower::EstimatorOptions opt;
   std::unique_ptr<util::ThreadPool> pool;
   maxpower::ParallelOptions par;
@@ -230,10 +197,6 @@ void BM_EstimatorPipelineInstrumented(benchmark::State& state) {
   sim::CyclePowerEvaluator eval(nl, eval_opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  if (!pop.enable_compiled()) {
-    state.SkipWithError("compiled backend rejected");
-    return;
-  }
   auto& reg = util::MetricRegistry::global();
   const bool was_enabled = reg.enabled();
   reg.enable(true);
@@ -414,26 +377,17 @@ BENCHMARK_CAPTURE(BM_EventCycle, c3540_inertial, std::string("c3540"), true);
 BENCHMARK_CAPTURE(BM_EventCycle, c3540_transport, std::string("c3540"),
                   false);
 BENCHMARK_CAPTURE(BM_EventCycle, c7552_inertial, std::string("c7552"), true);
-BENCHMARK_CAPTURE(BM_BitParallelBatch, c3540, std::string("c3540"));
-BENCHMARK_CAPTURE(BM_BitParallelBatch, c7552, std::string("c7552"));
 BENCHMARK_CAPTURE(BM_CompiledBatch, c7552_scalar64, std::string("c7552"),
                   sim::SimdKernel::kScalar64);
 BENCHMARK_CAPTURE(BM_CompiledBatch, c7552_avx2x256, std::string("c7552"),
                   sim::SimdKernel::kAvx2x256);
 BENCHMARK_CAPTURE(BM_CompiledBatch, c7552_avx512x512, std::string("c7552"),
                   sim::SimdKernel::kAvx512x512);
-BENCHMARK_CAPTURE(BM_StreamingDrawBatch, c7552_scalar, std::string("c7552"),
-                  false);
-BENCHMARK_CAPTURE(BM_StreamingDrawBatch, c7552_bitparallel,
-                  std::string("c7552"), true);
-BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_scalar64, std::string("c7552"),
-                  sim::SimdKernel::kScalar64);
-BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_avx2x256, std::string("c7552"),
-                  sim::SimdKernel::kAvx2x256);
-BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_avx512x512,
-                  std::string("c7552"), sim::SimdKernel::kAvx512x512);
+BENCHMARK_CAPTURE(BM_ScalarDraw, c7552, std::string("c7552"));
+BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552, std::string("c7552"),
+                  std::string("uniform"));
 BENCHMARK_CAPTURE(BM_CompiledDrawBatch, c7552_tprob, std::string("c7552"),
-                  sim::best_kernel(), std::string("tprob"));
+                  std::string("tprob"));
 BENCHMARK_CAPTURE(BM_PairGen, uniform, std::string("uniform"));
 BENCHMARK_CAPTURE(BM_PairGen, tprob, std::string("tprob"));
 BENCHMARK_CAPTURE(BM_PairGen, highact, std::string("highact"));

@@ -100,12 +100,6 @@ JobRuntime build_runtime(const CampaignJob& job) {
   }
   rt.streaming =
       std::make_unique<vec::StreamingPopulation>(*rt.pairs, *rt.evaluator);
-  // Zero-delay jobs take the fastest batched backend available; backends
-  // are result-invariant for a seed, so this never perturbs a golden.
-  if (eval_opt.delay_model == sim::DelayModel::kZero &&
-      !rt.streaming->enable_compiled()) {
-    rt.streaming->enable_bit_parallel();
-  }
   rt.population = rt.streaming.get();
   return rt;
 }

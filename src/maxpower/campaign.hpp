@@ -56,11 +56,9 @@ struct CampaignJob {
   std::string fitter;
   std::string stop;
   /// Simulation delay model: "zero" | "unit" | "loaded"; empty selects
-  /// loaded (the historical campaign default). Zero-delay jobs are routed
-  /// through the fastest batched backend available (compiled gate tape,
-  /// falling back to the 64-lane interpreter) — all backends produce
-  /// bit-identical value streams for a seed, so this is a speed knob, not a
-  /// semantics knob, within one delay model.
+  /// loaded (the historical campaign default). Zero-delay populations draw
+  /// their batches on the compiled gate tape, bit-identical to the scalar
+  /// zero-delay stream for a seed.
   std::string delay;
   /// Test hook: when non-null the campaign estimates against this
   /// population instead of building one from the circuit fields. Non-owning;

@@ -74,7 +74,7 @@ HyperSampleResult draw_hyper_sample(UnitSource& source,
   HyperSampleResult out;
   // One batched pull for all n*m units: fill() consumes the RNG in scalar
   // order, so the maxima are identical to per-unit draws, but batch-capable
-  // sources (bit-parallel streaming, finite index sampling) amortize their
+  // sources (compiled-tape streaming, finite index sampling) amortize their
   // per-unit cost.
   std::vector<double> units(options.n * options.m);
   source.fill(units, rng);

@@ -73,7 +73,6 @@
 #include "sim/technology.hpp"
 #include "sim/timing.hpp"
 #include "sim/vcd.hpp"
-#include "sim/bit_parallel_sim.hpp"
 #include "sim/cpu_dispatch.hpp"
 #include "sim/gate_program.hpp"
 #include "sim/simd_sim.hpp"
@@ -90,7 +89,6 @@
 
 #include "maxpower/bounds.hpp"
 #include "maxpower/campaign.hpp"
-#include "maxpower/compiled_unit_source.hpp"
 #include "maxpower/checkpoint.hpp"
 #include "maxpower/engine.hpp"
 #include "maxpower/estimator.hpp"

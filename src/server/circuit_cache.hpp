@@ -17,8 +17,8 @@
 // Entries are immutable and shared by shared_ptr: an eviction never
 // invalidates a running job, it only drops the cache's own reference. The
 // compiled gate tape is lazy — first zero-delay job on an entry pays the
-// compile, later ones adopt the shared program (the
-// StreamingPopulation::enable_compiled_with seam).
+// compile, later ones adopt the shared program (passed to the
+// StreamingPopulation constructor, which then compiles nothing).
 //
 // Thread-safe: lookups may race from every executor thread. Builds happen
 // under the lock (serializing two concurrent misses for the same circuit

@@ -7,40 +7,44 @@
 #include "maxpower/run_report.hpp"
 #include "maxpower/stopping.hpp"
 #include "maxpower/tail_fitter.hpp"
-#include "sim/cpu_dispatch.hpp"
 
 namespace mpe::server {
+
+namespace {
+
+sim::DelayModel delay_model_for(const maxpower::CampaignJob& job) {
+  if (job.delay == "zero") return sim::DelayModel::kZero;
+  if (job.delay == "unit") return sim::DelayModel::kUnit;
+  return sim::PowerEvalOptions{}.delay_model;
+}
+
+std::unique_ptr<vec::PairGenerator> make_pairs(
+    const maxpower::CampaignJob& job, std::size_t inputs) {
+  if (job.activity >= 0.0) {
+    return std::make_unique<vec::HighActivityPairGenerator>(inputs,
+                                                            job.activity);
+  }
+  return std::make_unique<vec::TransitionProbPairGenerator>(inputs,
+                                                            job.tprob);
+}
+
+}  // namespace
 
 JobExec build_exec(const maxpower::CampaignJob& job, CircuitCache& cache) {
   JobExec e;
   e.circuit = cache.lookup(job);
   sim::PowerEvalOptions eval_opt;
-  if (job.delay == "zero") {
-    eval_opt.delay_model = sim::DelayModel::kZero;
-  } else if (job.delay == "unit") {
-    eval_opt.delay_model = sim::DelayModel::kUnit;
-  }
+  eval_opt.delay_model = delay_model_for(job);
   e.evaluator = std::make_unique<sim::CyclePowerEvaluator>(
       e.circuit->netlist(), eval_opt);
-  if (job.activity >= 0.0) {
-    e.pairs = std::make_unique<vec::HighActivityPairGenerator>(
-        e.circuit->netlist().num_inputs(), job.activity);
-  } else {
-    e.pairs = std::make_unique<vec::TransitionProbPairGenerator>(
-        e.circuit->netlist().num_inputs(), job.tprob);
-  }
-  e.streaming =
-      std::make_unique<vec::StreamingPopulation>(*e.pairs, *e.evaluator);
-  if (eval_opt.delay_model == sim::DelayModel::kZero) {
-    // Adopt the cache's shared tape when a wide kernel exists (compiling it
-    // lazily, once per cached circuit); otherwise the 64-lane interpreter.
-    bool compiled = false;
-    if (sim::kernel_available(sim::best_kernel())) {
-      compiled =
-          e.streaming->enable_compiled_with(e.circuit->program(eval_opt.tech));
-    }
-    if (!compiled) e.streaming->enable_bit_parallel();
-  }
+  e.pairs = make_pairs(job, e.circuit->netlist().num_inputs());
+  // Zero-delay jobs adopt the cache's shared tape (compiled lazily, once per
+  // cached circuit), so no job compiles its own.
+  e.streaming = std::make_unique<vec::StreamingPopulation>(
+      *e.pairs, *e.evaluator,
+      eval_opt.delay_model == sim::DelayModel::kZero
+          ? e.circuit->program(eval_opt.tech)
+          : nullptr);
   return e;
 }
 
@@ -166,11 +170,13 @@ std::string render_job_report(const maxpower::CampaignJob& job,
                               const maxpower::EstimationResult& result,
                               CircuitCache& cache) {
   try {
-    // The cache makes this cheap after the first job per circuit; the
-    // streaming stack is built only for its description string, exactly the
-    // one execute_job would have reported.
-    const JobExec exec = build_exec(job, cache);
-    const std::string population = exec.streaming->description();
+    // The same description execute_job's population reports, built from
+    // the job's fields; the cache lookup is a hit after the first job per
+    // circuit.
+    const auto circuit = cache.lookup(job);
+    const auto pairs = make_pairs(job, circuit->netlist().num_inputs());
+    const std::string population = vec::streaming_description(
+        circuit->netlist().name(), *pairs, delay_model_for(job));
     std::ostringstream report;
     maxpower::RunReportOptions ro;
     ro.population = population;

@@ -56,8 +56,8 @@ ExecJobResult execute_job(const ServerCore::Started& started,
 
 /// Renders the JSONL run report for an already-computed result (the fleet
 /// path: the numbers came from Engine::replay over shard samples, the
-/// population description from the cache). Returns "" when rendering fails
-/// — a broken report never fails the job itself.
+/// population description from the job's fields and the cached netlist).
+/// Returns "" when rendering fails — a broken report never fails the job.
 std::string render_job_report(const maxpower::CampaignJob& job,
                               const maxpower::EstimationResult& result,
                               CircuitCache& cache);

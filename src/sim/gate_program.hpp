@@ -85,7 +85,7 @@ class GateProgram {
   /// vec::InputVector).
   const std::vector<std::uint32_t>& input_node() const { return input_node_; }
   /// Per-node energy of one toggle [pJ], indexed by node id. Identical
-  /// doubles to what ZeroDelaySimulator/BitParallelSimulator compute.
+  /// doubles to what the ZeroDelaySimulator oracle computes.
   const std::vector<double>& energy_per_toggle() const {
     return energy_per_toggle_;
   }

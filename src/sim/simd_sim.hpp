@@ -5,9 +5,10 @@
 // compiled tape is shared across instances and threads.
 //
 // Contract: for any batch, lane k's CycleResult is bit-identical to
-// ZeroDelaySimulator::evaluate(pairs[k]) and to BitParallelSimulator — same
-// toggle counts, same IEEE-exact energies (per-lane energy accumulates over
-// nodes in ascending node-id order in every kernel). Zero-delay only.
+// ZeroDelaySimulator::evaluate(pairs[k]), the reference oracle — same toggle
+// counts, same IEEE-exact energies (per-lane energy accumulates over nodes
+// in ascending node-id order in every kernel). Zero-delay only; a
+// zero-delay vec::StreamingPopulation binds one per concurrent draw.
 #pragma once
 
 #include <cstdint>

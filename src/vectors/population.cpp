@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/bit_parallel_sim.hpp"
 #include "sim/gate_program.hpp"
 #include "sim/simd_sim.hpp"
 #include "util/contracts.hpp"
@@ -20,7 +19,6 @@ struct PopulationMetrics {
   util::Counter finite_batches;
   util::Counter streaming_units;
   util::Counter streaming_batches;
-  util::Counter bit_parallel_passes;
 
   PopulationMetrics() {
     auto& reg = util::MetricRegistry::global();
@@ -31,8 +29,6 @@ struct PopulationMetrics {
         reg.counter("mpe_population_units_total", "kind=streaming");
     streaming_batches =
         reg.counter("mpe_population_batches_total", "kind=streaming");
-    bit_parallel_passes =
-        reg.counter("mpe_population_bit_parallel_passes_total");
   }
 };
 
@@ -73,12 +69,30 @@ double FinitePopulation::qualified_fraction(double epsilon) const {
   return static_cast<double>(qualified) / static_cast<double>(values_.size());
 }
 
-StreamingPopulation::StreamingPopulation(const PairGenerator& generator,
-                                         sim::CyclePowerEvaluator& evaluator)
+StreamingPopulation::StreamingPopulation(
+    const PairGenerator& generator, sim::CyclePowerEvaluator& evaluator,
+    std::shared_ptr<const sim::GateProgram> program)
     : generator_(generator), evaluator_(evaluator) {
   MPE_EXPECTS_MSG(
       generator.width() == evaluator.netlist().num_inputs(),
       "generator width must match the netlist primary input count");
+  if (evaluator_.options().delay_model != sim::DelayModel::kZero) {
+    // Event timing does not vectorize: the gate tape is a zero-delay
+    // construct.
+    MPE_EXPECTS_MSG(program == nullptr,
+                    "a compiled tape requires the zero-delay model");
+    return;
+  }
+  // Compile once per population unless a cached tape was handed in; slots
+  // share the immutable tape.
+  if (program == nullptr) {
+    program = sim::GateProgram::compile(evaluator_.netlist(),
+                                        evaluator_.options().tech);
+  }
+  tape_ = Tape{std::move(program), sim::best_kernel()};
+  // Construct the first slot eagerly so a bad netlist fails here, not
+  // inside a worker thread.
+  release_slot(make_slot());
 }
 
 StreamingPopulation::~StreamingPopulation() = default;
@@ -94,36 +108,16 @@ double StreamingPopulation::draw(Rng& rng) {
 /// plus the pair/result scratch vectors, so steady-state draw_batch passes
 /// make no heap allocations at all.
 struct StreamingPopulation::Slot {
-  std::unique_ptr<sim::BitParallelSimulator> bit_sim;
-  std::unique_ptr<sim::CompiledSimulator> compiled_sim;
+  Slot(std::shared_ptr<const sim::GateProgram> program, sim::SimdKernel k)
+      : sim(std::move(program), k) {}
+  sim::CompiledSimulator sim;
   std::vector<VectorPair> pairs;
   std::vector<sim::CycleResult> results;
-
-  std::size_t lanes() const {
-    return compiled_sim ? compiled_sim->lanes()
-                        : sim::BitParallelSimulator::kLanes;
-  }
-
-  void evaluate(std::span<const VectorPair> batch) {
-    if (compiled_sim) {
-      compiled_sim->evaluate_batch(batch, results);
-    } else {
-      bit_sim->evaluate_batch(batch, results);
-    }
-  }
 };
 
 std::unique_ptr<StreamingPopulation::Slot>
 StreamingPopulation::make_slot() const {
-  auto slot = std::make_unique<Slot>();
-  if (backend_ == Backend::kCompiled) {
-    slot->compiled_sim =
-        std::make_unique<sim::CompiledSimulator>(program_, kernel_);
-  } else {
-    slot->bit_sim = std::make_unique<sim::BitParallelSimulator>(
-        evaluator_.netlist(), evaluator_.options().tech);
-  }
-  return slot;
+  return std::make_unique<Slot>(tape_->program, tape_->kernel);
 }
 
 std::unique_ptr<StreamingPopulation::Slot>
@@ -146,7 +140,7 @@ void StreamingPopulation::release_slot(std::unique_ptr<Slot> slot) {
 
 void StreamingPopulation::draw_batch(std::span<double> out, Rng& rng) {
   pm().streaming_batches.inc();
-  if (backend_ == Backend::kScalar) {
+  if (!tape_) {
     for (double& v : out) v = draw(rng);
     return;
   }
@@ -157,89 +151,34 @@ void StreamingPopulation::draw_batch(std::span<double> out, Rng& rng) {
   // buffers persist across passes and batches — the steady-state loop is
   // allocation-free.
   auto slot = acquire_slot();
-  const std::size_t max_lanes = slot->lanes();
+  const std::size_t max_lanes = slot->sim.lanes();
   std::size_t done = 0;
   while (done < out.size()) {
     const std::size_t lanes =
         std::min<std::size_t>(max_lanes, out.size() - done);
     slot->pairs.resize(lanes);
     for (auto& p : slot->pairs) generator_.generate_into(rng, p);
-    slot->evaluate(std::span<const VectorPair>(slot->pairs));
+    slot->sim.evaluate_batch(slot->pairs, slot->results);
     for (std::size_t k = 0; k < lanes; ++k) {
       out[done + k] = slot->results[k].power_mw;
     }
     done += lanes;
-    pm().bit_parallel_passes.inc();
   }
   draws_.fetch_add(out.size(), std::memory_order_relaxed);
   pm().streaming_units.inc(out.size());
   release_slot(std::move(slot));
 }
 
-bool StreamingPopulation::enable_bit_parallel() {
-  if (backend_ == Backend::kBitParallel) return true;
-  if (evaluator_.options().delay_model != sim::DelayModel::kZero) {
-    return false;  // event timing does not vectorize
-  }
-  backend_ = Backend::kBitParallel;
-  program_.reset();
-  {
-    std::lock_guard<std::mutex> lock(sim_mutex_);
-    idle_slots_.clear();
-  }
-  // Construct the first slot eagerly so a bad netlist fails here, not
-  // inside a worker thread.
-  release_slot(make_slot());
-  return true;
-}
-
-bool StreamingPopulation::enable_compiled(
-    std::optional<sim::SimdKernel> kernel) {
-  return enable_compiled_with(nullptr, kernel);
-}
-
-bool StreamingPopulation::enable_compiled_with(
-    std::shared_ptr<const sim::GateProgram> program,
-    std::optional<sim::SimdKernel> kernel) {
-  if (evaluator_.options().delay_model != sim::DelayModel::kZero) {
-    return false;  // the gate tape is a zero-delay construct
-  }
-  const sim::SimdKernel k = kernel.value_or(sim::best_kernel());
-  if (!sim::kernel_available(k)) return false;
-  if (program != nullptr) program_ = std::move(program);
-  if (backend_ == Backend::kCompiled && kernel_ == k) return true;
-  // Compile once per circuit; slots share the immutable tape (which may
-  // have been adopted from a cache rather than compiled here).
-  if (!program_) {
-    program_ = sim::GateProgram::compile(evaluator_.netlist(),
-                                         evaluator_.options().tech);
-  }
-  backend_ = Backend::kCompiled;
-  kernel_ = k;
-  {
-    std::lock_guard<std::mutex> lock(sim_mutex_);
-    idle_slots_.clear();
-  }
-  release_slot(make_slot());
-  return true;
-}
-
 std::string StreamingPopulation::description() const {
-  std::string desc = "streaming population over " +
-                     evaluator_.netlist().name() + " (" +
-                     generator_.description() + ")";
-  switch (backend_) {
-    case Backend::kScalar:
-      break;
-    case Backend::kBitParallel:
-      desc += " [bit-parallel x64]";
-      break;
-    case Backend::kCompiled:
-      desc += " [compiled tape, " + std::string(sim::to_string(kernel_)) +
-              " x" + std::to_string(sim::kernel_lanes(kernel_)) + "]";
-      break;
-  }
-  return desc;
+  return streaming_description(evaluator_.netlist().name(), generator_,
+                               evaluator_.options().delay_model);
+}
+
+std::string streaming_description(const std::string& circuit,
+                                  const PairGenerator& generator,
+                                  sim::DelayModel delay) {
+  return "streaming population over " + circuit + " (" +
+         generator.description() + ") [" + sim::to_string(delay) + " delay]";
 }
 
 }  // namespace mpe::vec

@@ -12,10 +12,9 @@
 // Batched draws: the estimation hot path pulls units through draw_batch(),
 // which consumes the RNG in exactly the same order as the equivalent
 // sequence of scalar draw() calls — so batching is purely a performance
-// choice, never a statistical one. StreamingPopulation can route batches
-// through the 64-lane BitParallelSimulator or the compiled wide-SIMD
-// gate-tape backend (zero-delay evaluators only), turning one full netlist
-// traversal per unit into 1/64th..1/512th of one tape pass.
+// choice, never a statistical one. A zero-delay StreamingPopulation routes
+// batches through the compiled wide-SIMD gate tape, turning one full
+// netlist traversal per unit into 1/64th..1/512th of one tape pass.
 #pragma once
 
 #include <atomic>
@@ -32,7 +31,6 @@
 #include "vectors/generators.hpp"
 
 namespace mpe::sim {
-class BitParallelSimulator;
 class GateProgram;
 }
 
@@ -95,76 +93,42 @@ class FinitePopulation final : public Population {
 };
 
 /// Unbounded population: simulate a fresh random unit per draw.
+///
+/// The draw path follows from the evaluator's delay model. Under zero delay,
+/// draw_batch evaluates the compiled gate tape with sim::best_kernel(), up to
+/// 64/256/512 units per tape pass; any other delay model draws unit by unit
+/// through the scalar evaluator. draw() is always the scalar reference
+/// stream, and every draw_batch value equals it bit for bit.
 class StreamingPopulation final : public Population {
  public:
-  /// How draw_batch evaluates its units. All backends produce bit-identical
-  /// value streams for the same seed; they differ only in throughput.
-  enum class Backend {
-    kScalar,       ///< per-unit scalar draw() through the borrowed evaluator
-    kBitParallel,  ///< 64-lane word-per-node interpreter (BitParallelSimulator)
-    kCompiled,     ///< SoA gate tape + runtime-dispatched SIMD kernel
-  };
-
   /// Borrows the generator and evaluator; both must outlive this object.
+  /// Under zero delay the population adopts `program` — which must have been
+  /// compiled from this netlist and technology (the server's circuit cache
+  /// keys its tapes by circuit content to guarantee it) — or compiles the
+  /// tape itself when `program` is null. Any other delay model requires a
+  /// null `program`.
   StreamingPopulation(const PairGenerator& generator,
-                      sim::CyclePowerEvaluator& evaluator);
+                      sim::CyclePowerEvaluator& evaluator,
+                      std::shared_ptr<const sim::GateProgram> program =
+                          nullptr);
   ~StreamingPopulation() override;
 
   double draw(Rng& rng) override;
   void draw_batch(std::span<double> out, Rng& rng) override;
-  /// Batched backends are concurrent-safe: each call checks a simulation
-  /// slot (simulator + scratch buffers) out of an internal freelist, so
-  /// independent threads simulate on private state. The scalar path shares
-  /// the borrowed evaluator and stays single-threaded.
-  bool concurrent_draw_safe() const override {
-    return backend_ != Backend::kScalar;
-  }
+  /// Tape draws are concurrent-safe: each call checks a simulation slot
+  /// (simulator + scratch buffers) out of an internal freelist, so
+  /// independent threads simulate on private state. Scalar draws share the
+  /// borrowed evaluator and stay single-threaded.
+  bool concurrent_draw_safe() const override { return tape_.has_value(); }
   std::optional<std::size_t> size() const override { return std::nullopt; }
+  /// streaming_description() of this population's circuit, generator and
+  /// delay model.
   std::string description() const override;
 
-  /// Routes draw_batch through the 64-lane zero-delay backend: generate up
-  /// to 64 vector pairs, then evaluate them in one levelized pass. Requires
-  /// the evaluator to use DelayModel::kZero (bit-parallel simulation cannot
-  /// model event timing); returns false and keeps the scalar path otherwise.
-  /// Batched values stay bit-identical to scalar draws because the packed
-  /// per-lane energy accumulation visits nodes in the same order as the
-  /// scalar zero-delay simulator.
-  bool enable_bit_parallel();
-
-  /// Routes draw_batch through the compiled gate tape: the netlist is
-  /// lowered once into an SoA program and each batch is evaluated
-  /// 64/256/512 lanes at a time by the widest kernel the host supports
-  /// (or the explicitly requested one). Same zero-delay requirement and
-  /// same bit-identity guarantee as enable_bit_parallel(); returns false
-  /// and leaves the current backend untouched when the delay model is not
-  /// kZero or the requested kernel is unavailable on this host.
-  bool enable_compiled(
-      std::optional<sim::SimdKernel> kernel = std::nullopt);
-
-  /// Like enable_compiled(), but adopts an already-compiled tape instead of
-  /// lowering the netlist again — the parse-once/serve-thousands seam used
-  /// by the server's circuit cache. `program` must have been compiled from
-  /// this population's netlist and technology (callers key their caches by
-  /// circuit content to guarantee it). A null program behaves exactly like
-  /// enable_compiled().
-  bool enable_compiled_with(
-      std::shared_ptr<const sim::GateProgram> program,
-      std::optional<sim::SimdKernel> kernel = std::nullopt);
-
-  /// The immutable compiled tape (null until a compiled backend is
-  /// enabled). Shareable across populations of the same circuit.
-  std::shared_ptr<const sim::GateProgram> compiled_program() const {
-    return program_;
+  /// Kernel evaluating tape batches; nullopt when draws are scalar.
+  std::optional<sim::SimdKernel> kernel() const {
+    return tape_ ? std::optional(tape_->kernel) : std::nullopt;
   }
-
-  /// The active draw_batch backend.
-  Backend backend() const { return backend_; }
-
-  /// Whether a batched (bit-parallel or compiled) backend is active.
-  bool bit_parallel() const { return backend_ != Backend::kScalar; }
-
-  /// Kernel evaluating compiled batches; meaningful only under kCompiled.
-  sim::SimdKernel compiled_kernel() const { return kernel_; }
 
   /// Units simulated so far.
   std::size_t draws() const {
@@ -179,15 +143,27 @@ class StreamingPopulation final : public Population {
 
   const PairGenerator& generator_;
   sim::CyclePowerEvaluator& evaluator_;
-  Backend backend_ = Backend::kScalar;
-  sim::SimdKernel kernel_ = sim::SimdKernel::kScalar64;
-  /// Shared immutable tape under kCompiled; compiled once per circuit.
-  std::shared_ptr<const sim::GateProgram> program_;
+  /// Shared immutable tape and the kernel captured at construction.
+  struct Tape {
+    std::shared_ptr<const sim::GateProgram> program;
+    sim::SimdKernel kernel;
+  };
+  /// Set exactly when draws run on the tape (zero delay).
+  std::optional<Tape> tape_;
   /// Idle simulation slots; one is checked out per concurrent draw_batch
   /// call, so the list grows to the peak thread count.
   std::mutex sim_mutex_;
   std::vector<std::unique_ptr<Slot>> idle_slots_;
   std::atomic<std::size_t> draws_{0};
 };
+
+/// The description of a streaming population: its circuit, its generator
+/// and its delay model — what decides its values — but never the evaluation
+/// path. Seeded values are the same on every kernel, so a checkpoint, whose
+/// fingerprint folds this string in, resumes across hosts, while a run under
+/// another delay model is refused.
+std::string streaming_description(const std::string& circuit,
+                                  const PairGenerator& generator,
+                                  sim::DelayModel delay);
 
 }  // namespace mpe::vec

@@ -5,16 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <string>
 
+#include "gen/presets.hpp"
 #include "maxpower/checkpoint.hpp"
 #include "maxpower/estimator.hpp"
+#include "sim/cpu_dispatch.hpp"
+#include "sim/power_eval.hpp"
 #include "stats/weibull.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
 #include "vectors/fault_injection.hpp"
+#include "vectors/generators.hpp"
 #include "vectors/population.hpp"
 
 namespace {
@@ -388,6 +394,74 @@ TEST(CheckpointResume, CheckpointEveryKStillResumesExactly) {
   std::remove(path.c_str());
 }
 
+/// Sets or clears MPE_FORCE_SCALAR for its lifetime, restoring the value it
+/// found (the scalar-kernel CI leg sets it for the whole suite).
+class ForceScalarEnv {
+ public:
+  ForceScalarEnv() {
+    if (const char* v = std::getenv(kName)) saved_ = v;
+  }
+  ~ForceScalarEnv() {
+    if (saved_) {
+      ::setenv(kName, saved_->c_str(), 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+  void force(bool on) {
+    if (on) {
+      ::setenv(kName, "1", 1);
+    } else {
+      ::unsetenv(kName);
+    }
+  }
+
+ private:
+  static constexpr const char* kName = "MPE_FORCE_SCALAR";
+  std::optional<std::string> saved_;
+};
+
+TEST(CheckpointResume, ZeroDelayResumeOnAnotherSimdKernelBitIdentical) {
+  // A zero-delay population draws on sim::best_kernel(): the widest kernel
+  // the host runs, or scalar64 under MPE_FORCE_SCALAR. Seeded values are
+  // bit-identical across kernels, so a checkpoint written on scalar64
+  // resumes on the widest kernel and matches an uninterrupted run.
+  const auto nl = mpe::gen::build_preset("c432", 3);
+  mpe::sim::PowerEvalOptions eval_opt;
+  eval_opt.delay_model = mpe::sim::DelayModel::kZero;
+  const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
+  mp::EstimatorOptions opt;
+  const std::uint64_t seed = 3;
+  ForceScalarEnv env;
+
+  env.force(false);
+  mpe::sim::CyclePowerEvaluator ref_eval(nl, eval_opt);
+  mpe::vec::StreamingPopulation ref_pop(gen, ref_eval);
+  const auto reference = mp::estimate_max_power(ref_pop, opt, seed);
+  ASSERT_GT(reference.hyper_samples, 5u);
+
+  const std::string path = temp_path("ckpt_cross_kernel.ckpt");
+  std::remove(path.c_str());
+  env.force(true);
+  mpe::sim::CyclePowerEvaluator scalar_eval(nl, eval_opt);
+  mpe::vec::StreamingPopulation scalar_pop(gen, scalar_eval);
+  EXPECT_EQ(scalar_pop.kernel(), mpe::sim::SimdKernel::kScalar64);
+  mp::EstimatorOptions capped = opt;
+  capped.checkpoint_path = path;
+  capped.max_hyper_samples = 5;
+  ASSERT_FALSE(mp::estimate_max_power(scalar_pop, capped, seed).converged);
+
+  env.force(false);
+  mpe::sim::CyclePowerEvaluator wide_eval(nl, eval_opt);
+  mpe::vec::StreamingPopulation wide_pop(gen, wide_eval);
+  EXPECT_EQ(wide_pop.kernel(), mpe::sim::available_kernels().front());
+  mp::EstimatorOptions full = opt;
+  full.checkpoint_path = path;
+  const auto resumed = mp::estimate_max_power(wide_pop, full, seed);
+  expect_identical(reference, resumed);
+  std::remove(path.c_str());
+}
+
 // --- Refusals ---------------------------------------------------------------
 
 TEST(CheckpointRefusal, FingerprintMismatchIsPrecondition) {
@@ -418,6 +492,42 @@ TEST(CheckpointRefusal, FingerprintMismatchIsPrecondition) {
     EXPECT_EQ(e.code(), mpe::ErrorCode::kPrecondition);
   }
   std::remove(path.c_str());
+}
+
+TEST(CheckpointRefusal, OtherDelayModelIsPrecondition) {
+  // Same circuit, generator and seed, but another delay model draws other
+  // values (glitches or none): each pair of models refuses the other's
+  // checkpoint.
+  const auto nl = mpe::gen::build_preset("c432", 3);
+  const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
+  const std::uint64_t seed = 3;
+  const mpe::sim::DelayModel writers[] = {mpe::sim::DelayModel::kZero,
+                                          mpe::sim::DelayModel::kUnit};
+  for (const auto written : writers) {
+    const std::string path = temp_path("ckpt_delay.ckpt");
+    std::remove(path.c_str());
+    mp::EstimatorOptions opt;
+    opt.checkpoint_path = path;
+    opt.max_hyper_samples = 3;
+    mpe::sim::PowerEvalOptions eval_opt;
+    eval_opt.delay_model = written;
+    mpe::sim::CyclePowerEvaluator write_eval(nl, eval_opt);
+    mpe::vec::StreamingPopulation write_pop(gen, write_eval);
+    (void)mp::estimate_max_power(write_pop, opt, seed);
+
+    eval_opt.delay_model = mpe::sim::DelayModel::kFanoutLoaded;
+    mpe::sim::CyclePowerEvaluator loaded_eval(nl, eval_opt);
+    mpe::vec::StreamingPopulation loaded_pop(gen, loaded_eval);
+    try {
+      (void)mp::estimate_max_power(loaded_pop, opt, seed);
+      FAIL() << mpe::sim::to_string(written)
+             << "-delay checkpoint resumed under loaded delay";
+    } catch (const mpe::Error& e) {
+      EXPECT_EQ(e.code(), mpe::ErrorCode::kPrecondition);
+      EXPECT_NE(e.context().find("expected_fingerprint"), std::string::npos);
+    }
+    std::remove(path.c_str());
+  }
 }
 
 TEST(CheckpointRefusal, SerialCheckpointRefusedByParallelPath) {

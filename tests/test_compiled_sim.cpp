@@ -1,10 +1,10 @@
 // Differential verification of the compiled gate-tape simulator: every
 // kernel variant available on the host must produce toggle counts and
-// energies bit-identical to the scalar zero-delay oracle and the 64-lane
-// bit-parallel interpreter, over random DAGs covering every gate type, all
-// circuit presets, partial batches, and the engine seam at several thread
-// counts. Equality is exact (EXPECT_EQ on doubles): the backends share one
-// accumulation order, so this is a bit-identity contract, not a tolerance.
+// energies bit-identical to the scalar zero-delay oracle, over random DAGs
+// covering every gate type, all circuit presets, partial batches, and the
+// zero-delay streaming population at several thread counts. Equality is
+// exact (EXPECT_EQ on doubles): the kernels share one accumulation order, so
+// this is a bit-identity contract, not a tolerance.
 #include "sim/simd_sim.hpp"
 
 #include <gtest/gtest.h>
@@ -12,10 +12,8 @@
 #include "gen/presets.hpp"
 #include "gen/random_dag.hpp"
 #include "gen/trees.hpp"
-#include "maxpower/compiled_unit_source.hpp"
 #include "maxpower/engine.hpp"
 #include "maxpower/estimator.hpp"
-#include "sim/bit_parallel_sim.hpp"
 #include "sim/cpu_dispatch.hpp"
 #include "sim/gate_program.hpp"
 #include "util/contracts.hpp"
@@ -41,14 +39,13 @@ std::vector<vec::VectorPair> random_pairs(std::size_t width, std::size_t n,
 }
 
 /// Asserts that every available kernel reproduces the scalar zero-delay
-/// oracle and the bit-parallel interpreter exactly on `n_pairs` random
-/// pairs (split into lane-sized batches per kernel).
+/// oracle exactly on `n_pairs` random pairs (split into lane-sized batches
+/// per kernel).
 void expect_all_kernels_match(const mpe::circuit::Netlist& nl,
                               std::size_t n_pairs, std::uint64_t seed) {
   const sim::Technology tech;
   const auto program = sim::GateProgram::compile(nl, tech);
   sim::ZeroDelaySimulator oracle(nl, tech);
-  sim::BitParallelSimulator interp(nl, tech);
   const auto pairs = random_pairs(nl.num_inputs(), n_pairs, seed);
 
   // Scalar oracle reference, one evaluate per pair.
@@ -76,22 +73,6 @@ void expect_all_kernels_match(const mpe::circuit::Netlist& nl,
       }
       done += lanes;
     }
-  }
-
-  // The interpreter agrees too (64 pairs at a time).
-  std::vector<sim::CycleResult> iresults;
-  for (std::size_t done = 0; done < pairs.size();) {
-    const std::size_t lanes =
-        std::min(sim::BitParallelSimulator::kLanes, pairs.size() - done);
-    interp.evaluate_batch(
-        std::span<const vec::VectorPair>(pairs).subspan(done, lanes),
-        iresults);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      EXPECT_EQ(iresults[k].toggles, expect[done + k].toggles) << done + k;
-      EXPECT_EQ(iresults[k].energy_pj, expect[done + k].energy_pj)
-          << done + k;
-    }
-    done += lanes;
   }
 }
 
@@ -214,38 +195,26 @@ TEST(CompiledSim, ContractChecks) {
 }
 
 TEST(StreamingCompiled, ValueStreamIdenticalAcrossBackends) {
-  // One StreamingPopulation per backend, same seed: the draw_batch value
-  // stream must be identical double-for-double (the backend is a speed
-  // knob, never a statistical one).
+  // A zero-delay population's draw_batch (compiled tape, dispatched kernel)
+  // must reproduce its scalar draw() stream double for double: the tape is
+  // a speed path, never a statistical one. Per-kernel identity is pinned at
+  // the CompiledSimulator level (AllPresetsAllKernels).
   const auto nl = mpe::gen::build_preset("c880", 1);
   sim::PowerEvalOptions eval_opt;
   eval_opt.delay_model = sim::DelayModel::kZero;
   const vec::TransitionProbPairGenerator gen(nl.num_inputs(), 0.4);
+  sim::CyclePowerEvaluator eval(nl, eval_opt);
+  vec::StreamingPopulation pop(gen, eval);
+  ASSERT_TRUE(pop.kernel().has_value());
+  EXPECT_TRUE(pop.concurrent_draw_safe());
 
-  const auto draw_values = [&](auto&& enable) {
-    sim::CyclePowerEvaluator eval(nl, eval_opt);
-    vec::StreamingPopulation pop(gen, eval);
-    enable(pop);
-    std::vector<double> values(700);
-    mpe::Rng rng(5);
-    pop.draw_batch(values, rng);
-    return values;
-  };
-
-  const auto scalar = draw_values([](vec::StreamingPopulation&) {});
-  const auto interp = draw_values([](vec::StreamingPopulation& p) {
-    ASSERT_TRUE(p.enable_bit_parallel());
-  });
-  EXPECT_EQ(scalar, interp);
-  for (const sim::SimdKernel k : sim::available_kernels()) {
-    SCOPED_TRACE(sim::to_string(k));
-    const auto compiled = draw_values([&](vec::StreamingPopulation& p) {
-      ASSERT_TRUE(p.enable_compiled(k));
-      EXPECT_EQ(p.backend(), vec::StreamingPopulation::Backend::kCompiled);
-      EXPECT_TRUE(p.concurrent_draw_safe());
-    });
-    EXPECT_EQ(scalar, compiled);
-  }
+  std::vector<double> scalar(700);
+  mpe::Rng scalar_rng(5);
+  for (double& v : scalar) v = pop.draw(scalar_rng);
+  std::vector<double> batch(700);
+  mpe::Rng batch_rng(5);
+  pop.draw_batch(batch, batch_rng);
+  EXPECT_EQ(scalar, batch);
 }
 
 TEST(StreamingCompiled, RequiresZeroDelay) {
@@ -253,44 +222,55 @@ TEST(StreamingCompiled, RequiresZeroDelay) {
   sim::CyclePowerEvaluator eval(nl);  // fanout-loaded: event timing
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  EXPECT_FALSE(pop.enable_compiled());
-  EXPECT_FALSE(pop.enable_bit_parallel());
-  EXPECT_EQ(pop.backend(), vec::StreamingPopulation::Backend::kScalar);
+  EXPECT_FALSE(pop.kernel().has_value());
+  // A tape handed to a non-zero-delay population is a caller error.
+  const auto program = sim::GateProgram::compile(nl, sim::Technology{});
+  EXPECT_THROW(vec::StreamingPopulation(gen, eval, program),
+               mpe::ContractViolation);
 }
 
-TEST(CompiledUnitSource, EngineBitIdenticalAcrossThreadCounts) {
-  // The engine seam: a CompiledUnitSource must reproduce the bit-parallel
-  // streaming population's estimate exactly, at every thread count.
+TEST(StreamingCompiled, EngineBitIdenticalAcrossThreadCounts) {
+  // The engine over a zero-delay population must give one estimate at every
+  // thread count (concurrent tape draws from pool threads), equal to the
+  // serial pipeline's — and a population that adopts a pre-compiled tape,
+  // as the server's circuit cache hands it in, must give the same again.
   const auto nl = mpe::gen::build_preset("c432", 1);
   const vec::UniformPairGenerator gen(nl.num_inputs());
-
   sim::PowerEvalOptions eval_opt;
   eval_opt.delay_model = sim::DelayModel::kZero;
-  sim::CyclePowerEvaluator eval(nl, eval_opt);
-  vec::StreamingPopulation pop(gen, eval);
-  ASSERT_TRUE(pop.enable_bit_parallel());
 
   mp::EstimatorOptions opt;
   opt.epsilon = 0.12;
   opt.max_hyper_samples = 40;
   const std::uint64_t seed = 9;
   const mp::Engine engine(mp::EngineConfig{.options = opt});
-  const auto base = engine.run(pop, seed, mp::ParallelOptions{});
-
-  mp::CompiledUnitSource source(nl, gen, sim::Technology{});
-  EXPECT_TRUE(source.concurrent_fill_safe());
-  for (unsigned threads : {1u, 2u, 8u}) {
-    SCOPED_TRACE(threads);
-    mp::ParallelOptions par;
-    par.threads = threads;
-    const auto r = engine.run(source, seed, par);
+  const auto expect_same = [](const mp::EstimationResult& r,
+                              const mp::EstimationResult& base) {
     EXPECT_EQ(r.estimate, base.estimate);
     EXPECT_EQ(r.ci.lower, base.ci.lower);
     EXPECT_EQ(r.ci.upper, base.ci.upper);
     EXPECT_EQ(r.units_used, base.units_used);
     EXPECT_EQ(r.hyper_samples, base.hyper_samples);
+  };
+
+  sim::CyclePowerEvaluator eval(nl, eval_opt);
+  vec::StreamingPopulation pop(gen, eval);
+  ASSERT_TRUE(pop.concurrent_draw_safe());
+  const auto base = engine.run(pop, seed, mp::ParallelOptions{});
+  for (unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    mp::ParallelOptions par;
+    par.threads = threads;
+    expect_same(engine.run(pop, seed, par), base);
   }
-  EXPECT_GT(source.draws(), 0u);
+
+  const auto program = sim::GateProgram::compile(nl, sim::Technology{});
+  sim::CyclePowerEvaluator adopted_eval(nl, eval_opt);
+  vec::StreamingPopulation adopted(gen, adopted_eval, program);
+  mp::ParallelOptions par;
+  par.threads = 2;
+  expect_same(engine.run(adopted, seed, par), base);
+  EXPECT_GT(adopted.draws(), 0u);
 }
 
 }  // namespace

@@ -134,16 +134,16 @@ TEST(ParallelEstimator, NonConvergedRunsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ParallelEstimator, StreamingBitParallelIdenticalAcrossThreadCounts) {
-  // Bit-parallel streaming draws are concurrent-safe (per-call simulator
-  // checkout), so the wave really runs in parallel — and must still be
-  // bit-identical to the single-threaded pipeline.
+  // Zero-delay streaming draws run bit-parallel on the compiled tape and are
+  // concurrent-safe (per-call simulator checkout), so the wave really runs
+  // in parallel — and must still be bit-identical to the single-threaded
+  // pipeline.
   auto nl = mpe::gen::parity_tree(16, 2);
   mpe::sim::PowerEvalOptions eval_opt;
   eval_opt.delay_model = mpe::sim::DelayModel::kZero;
   mpe::sim::CyclePowerEvaluator eval(nl, eval_opt);
   const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
   mpe::vec::StreamingPopulation pop(gen, eval);
-  ASSERT_TRUE(pop.enable_bit_parallel());
   ASSERT_TRUE(pop.concurrent_draw_safe());
   mp::EstimatorOptions opt;
   opt.epsilon = 0.10;

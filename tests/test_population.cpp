@@ -101,58 +101,56 @@ TEST(StreamingPopulation, ScalarBatchMatchesScalarDraws) {
 }
 
 TEST(StreamingPopulation, BitParallelBatchMatches64ScalarDraws) {
-  // The acceptance contract of the bit-parallel backend: same stream, same
-  // values, bit for bit — one levelized pass instead of 64.
+  // A zero-delay population evaluates draw_batch bit-parallel on the
+  // compiled tape: same stream, same values, bit for bit, as 64 scalar
+  // draw() calls — one tape pass instead of 64 netlist traversals.
   auto nl = mpe::gen::parity_tree(24, 2);
   mpe::sim::PowerEvalOptions opt;
   opt.delay_model = mpe::sim::DelayModel::kZero;
-  mpe::sim::CyclePowerEvaluator scalar_eval(nl, opt);
-  mpe::sim::CyclePowerEvaluator batch_eval(nl, opt);
+  mpe::sim::CyclePowerEvaluator eval(nl, opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
-  vec::StreamingPopulation scalar_pop(gen, scalar_eval);
-  vec::StreamingPopulation batch_pop(gen, batch_eval);
-  ASSERT_TRUE(batch_pop.enable_bit_parallel());
-  EXPECT_TRUE(batch_pop.bit_parallel());
-  EXPECT_TRUE(batch_pop.concurrent_draw_safe());
+  vec::StreamingPopulation pop(gen, eval);
+  EXPECT_EQ(pop.kernel(), mpe::sim::best_kernel());
+  EXPECT_TRUE(pop.concurrent_draw_safe());
 
   mpe::Rng scalar_rng(9), batch_rng(9);
   std::vector<double> expected(64);
-  for (auto& v : expected) v = scalar_pop.draw(scalar_rng);
+  for (auto& v : expected) v = pop.draw(scalar_rng);
   std::vector<double> batch(64);
-  batch_pop.draw_batch(batch, batch_rng);
+  pop.draw_batch(batch, batch_rng);
   EXPECT_EQ(batch, expected);
-  EXPECT_EQ(batch_pop.draws(), 64u);
+  EXPECT_EQ(pop.draws(), 128u);
 }
 
 TEST(StreamingPopulation, BitParallelHandlesPartialAndMultiWaveBatches) {
   auto nl = mpe::gen::parity_tree(16, 2);
   mpe::sim::PowerEvalOptions opt;
   opt.delay_model = mpe::sim::DelayModel::kZero;
-  mpe::sim::CyclePowerEvaluator scalar_eval(nl, opt);
-  mpe::sim::CyclePowerEvaluator batch_eval(nl, opt);
+  mpe::sim::CyclePowerEvaluator eval(nl, opt);
   const vec::UniformPairGenerator gen(nl.num_inputs());
-  vec::StreamingPopulation scalar_pop(gen, scalar_eval);
-  vec::StreamingPopulation batch_pop(gen, batch_eval);
-  ASSERT_TRUE(batch_pop.enable_bit_parallel());
+  vec::StreamingPopulation pop(gen, eval);
+  const std::size_t lanes = mpe::sim::kernel_lanes(*pop.kernel());
 
-  for (std::size_t size : {1u, 63u, 65u, 200u}) {
+  for (std::size_t size : {std::size_t{1}, lanes - 1, lanes + 1,
+                           3 * lanes + 7}) {
     mpe::Rng scalar_rng(size), batch_rng(size);
     std::vector<double> expected(size);
-    for (auto& v : expected) v = scalar_pop.draw(scalar_rng);
+    for (auto& v : expected) v = pop.draw(scalar_rng);
     std::vector<double> batch(size);
-    batch_pop.draw_batch(batch, batch_rng);
+    pop.draw_batch(batch, batch_rng);
     EXPECT_EQ(batch, expected) << "batch size " << size;
   }
 }
 
 TEST(StreamingPopulation, BitParallelRejectedForEventDrivenEvaluator) {
+  // Event timing does not vectorize: a loaded-delay population draws
+  // scalar through its one shared evaluator, so it is not concurrent-safe.
   auto nl = mpe::gen::parity_tree(12, 2);
   mpe::sim::CyclePowerEvaluator eval(nl);  // default: event-driven
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  EXPECT_FALSE(pop.enable_bit_parallel());
-  EXPECT_FALSE(pop.bit_parallel());
-  // Scalar batch still works.
+  EXPECT_FALSE(pop.kernel().has_value());
+  EXPECT_FALSE(pop.concurrent_draw_safe());
   mpe::Rng rng(2);
   std::vector<double> batch(10);
   pop.draw_batch(batch, rng);

@@ -24,6 +24,7 @@
 #include "dist/worker.hpp"
 #include "maxpower/campaign.hpp"
 #include "server/circuit_cache.hpp"
+#include "server/job_runtime.hpp"
 #include "server/server.hpp"
 #include "server/server_protocol.hpp"
 #include "sim/technology.hpp"
@@ -132,6 +133,24 @@ TEST(ServerCache, CompiledTapeIsLazyAndShared) {
   ASSERT_NE(program, nullptr);
   EXPECT_TRUE(entry->compiled());
   EXPECT_EQ(entry->program(tech).get(), program.get());  // compiled once
+}
+
+TEST(ServerCache, ZeroDelayJobAdoptsTheCachedTape) {
+  // A zero-delay job's population holds the cache's tape instead of
+  // compiling its own; a loaded-delay job never asks for one.
+  ms::CircuitCache cache(4);
+  const auto loaded = tiny_job("loaded", 5);
+  const ms::JobExec loaded_exec = ms::build_exec(loaded, cache);
+  EXPECT_FALSE(loaded_exec.circuit->compiled());
+  EXPECT_FALSE(loaded_exec.streaming->kernel().has_value());
+
+  auto zero = tiny_job("zero", 5);
+  zero.delay = "zero";
+  const auto program = cache.lookup(zero)->program(mpe::sim::Technology{});
+  const long refs = program.use_count();
+  const ms::JobExec zero_exec = ms::build_exec(zero, cache);
+  EXPECT_TRUE(zero_exec.streaming->kernel().has_value());
+  EXPECT_GT(program.use_count(), refs);  // the population shares this tape
 }
 
 TEST(ServerCache, EvictionNeverInvalidatesALiveEntry) {

@@ -315,7 +315,6 @@ Coverage run_circuit_corpus(const std::string& circuit, int count,
   mpe::sim::CyclePowerEvaluator eval(nl, eval_opt);
   const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
   mpe::vec::StreamingPopulation pop(gen, eval);
-  EXPECT_TRUE(pop.enable_compiled());
   const mp::HyperSampleOptions options;
   mpe::Rng rng(seed);
   std::vector<double> units(options.n * options.m);

@@ -88,8 +88,7 @@ void install_signal_handlers() {
       "            [--max-hyper K] [--metrics-out FILE|-] [--trace]\n"
       "            [--checkpoint FILE [--checkpoint-every K] "
       "[--threads N]]\n"
-      "            [--delay zero|unit|loaded] "
-      "[--sim-backend auto|scalar|interp|compiled]\n"
+      "            [--delay zero|unit|loaded]\n"
       "  convert : --in <file.bench|file.v> --out <file.bench|file.v>\n"
       "  timing  : --model zero|unit|loaded\n"
       "  vcd     : --out <file.vcd> [--cycles N]\n"
@@ -143,13 +142,14 @@ int cmd_estimate(const Cli& cli) {
                    "confidence", "tprob", "activity", "max-hyper",
                    "fit-policy", "fitter", "stop", "deadline-ms",
                    "metrics-out", "trace", "checkpoint", "checkpoint-every",
-                   "threads", "delay", "sim-backend"});
+                   "threads", "delay"});
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   auto netlist = load_circuit(cli, seed);
 
   // --delay picks the simulation delay model for the streaming population
-  // (default loaded, matching prior releases). Batched backends require
-  // zero delay: only a zero-delay cycle vectorizes across lanes.
+  // (default loaded, matching prior releases). A zero-delay population
+  // evaluates its batches on the compiled gate tape; any other delay model
+  // simulates unit by unit. Both yield the same value stream for a seed.
   sim::PowerEvalOptions eval_opt;
   const std::string delay_name = cli.get("delay", "loaded");
   if (delay_name == "zero") {
@@ -173,36 +173,6 @@ int cmd_estimate(const Cli& cli) {
     pairs = std::make_unique<vec::UniformPairGenerator>(netlist.num_inputs());
   }
   vec::StreamingPopulation population(*pairs, evaluator);
-
-  // --sim-backend picks how batches are evaluated. All backends produce
-  // bit-identical value streams for a seed; this is purely a speed knob.
-  //   auto     — compiled tape when the delay model is zero, else scalar
-  //   scalar   — per-unit scalar simulation (the reference path)
-  //   interp   — 64-lane bit-parallel interpreter (zero delay only)
-  //   compiled — SoA gate tape + widest SIMD kernel (zero delay only)
-  const std::string backend = cli.get("sim-backend", "auto");
-  if (backend == "auto") {
-    if (eval_opt.delay_model == sim::DelayModel::kZero &&
-        !population.enable_compiled()) {
-      population.enable_bit_parallel();
-    }
-  } else if (backend == "interp") {
-    if (!population.enable_bit_parallel()) {
-      throw Error(ErrorCode::kUsage,
-                  "--sim-backend interp requires --delay zero",
-                  ErrorContext{}.kv("delay", delay_name).str());
-    }
-  } else if (backend == "compiled") {
-    if (!population.enable_compiled()) {
-      throw Error(ErrorCode::kUsage,
-                  "--sim-backend compiled requires --delay zero",
-                  ErrorContext{}.kv("delay", delay_name).str());
-    }
-  } else if (backend != "scalar") {
-    throw Error(ErrorCode::kUsage,
-                "unknown --sim-backend (auto|scalar|interp|compiled)",
-                ErrorContext{}.kv("value", backend).str());
-  }
 
   maxpower::EstimatorOptions options;
   options.epsilon = cli.get_double("epsilon", 0.05);
@@ -313,13 +283,9 @@ int cmd_estimate(const Cli& cli) {
   std::printf("circuit           : %s (%zu gates)\n", netlist.name().c_str(),
               netlist.num_gates());
   std::printf("input model       : %s\n", pairs->description().c_str());
-  const char* backend_name =
-      population.backend() == vec::StreamingPopulation::Backend::kCompiled
-          ? sim::to_string(population.compiled_kernel())
-      : population.backend() == vec::StreamingPopulation::Backend::kBitParallel
-          ? "bit-parallel x64"
-          : "scalar";
-  std::printf("sim backend       : %s (%s delay)\n", backend_name,
+  const auto kernel = population.kernel();
+  std::printf("sim backend       : %s (%s delay)\n",
+              kernel ? sim::to_string(*kernel) : "scalar",
               sim::to_string(eval_opt.delay_model));
   std::printf("estimated max     : %.4f mW\n", r.estimate);
   std::printf("confidence interval: [%.4f, %.4f] mW @ %.0f%%\n", r.ci.lower,
