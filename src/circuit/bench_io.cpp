@@ -116,13 +116,16 @@ Netlist read_bench_file(const std::string& path) {
     throw Error(ErrorCode::kIo, "cannot open bench file",
                 ErrorContext{}.kv("path", path).str());
   }
-  // Use the basename (without extension) as the netlist name.
+  return read_bench(in, bench_file_netlist_name(path));
+}
+
+std::string bench_file_netlist_name(const std::string& path) {
   std::string name = path;
   const auto slash = name.find_last_of('/');
   if (slash != std::string::npos) name = name.substr(slash + 1);
   const auto dot = name.find_last_of('.');
   if (dot != std::string::npos) name = name.substr(0, dot);
-  return read_bench(in, name);
+  return name;
 }
 
 void write_bench(std::ostream& out, const Netlist& netlist) {

@@ -24,8 +24,13 @@ Netlist read_bench(std::istream& in, const std::string& name = "bench");
 Netlist read_bench_string(const std::string& text,
                           const std::string& name = "bench");
 
-/// Parses a .bench file from disk.
+/// Parses a .bench file from disk; the netlist is named
+/// bench_file_netlist_name(path).
 Netlist read_bench_file(const std::string& path);
+
+/// The name read_bench_file gives a file's netlist: the path's basename
+/// without its extension.
+std::string bench_file_netlist_name(const std::string& path);
 
 /// Writes the netlist in .bench format.
 void write_bench(std::ostream& out, const Netlist& netlist);

@@ -3,10 +3,11 @@
 #include <cctype>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
+
+#include "util/status.hpp"
 
 namespace mpe::circuit {
 
@@ -18,8 +19,10 @@ struct Token {
 };
 
 [[noreturn]] void verilog_error(std::size_t line, const std::string& what) {
-  throw std::runtime_error("verilog parse error at line " +
-                           std::to_string(line) + ": " + what);
+  throw Error(ErrorCode::kParse,
+              "verilog parse error at line " + std::to_string(line) + ": " +
+                  what,
+              ErrorContext{}.kv("line", line).str());
 }
 
 /// Tokenizes: identifiers, and the punctuation ( ) , ; as single tokens.
@@ -219,7 +222,10 @@ Netlist read_verilog_string(const std::string& text) {
 
 Netlist read_verilog_file(const std::string& path) {
   std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open verilog file: " + path);
+  if (!in) {
+    throw Error(ErrorCode::kIo, "cannot open verilog file",
+                ErrorContext{}.kv("path", path).str());
+  }
   return read_verilog(in);
 }
 

@@ -23,13 +23,14 @@
 namespace mpe::circuit {
 
 /// Parses a structural Verilog module from a stream. The returned netlist
-/// is finalized and named after the module.
+/// is finalized and named after the module. Throws mpe::Error(kParse) with
+/// a line number on malformed input.
 Netlist read_verilog(std::istream& in);
 
 /// Parses from a string.
 Netlist read_verilog_string(const std::string& text);
 
-/// Parses from a file.
+/// Parses from a file; throws mpe::Error(kIo) when it cannot be opened.
 Netlist read_verilog_file(const std::string& path);
 
 /// Writes the netlist as a structural Verilog module.

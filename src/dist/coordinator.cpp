@@ -254,7 +254,7 @@ void CoordinatorCore::try_assemble(JobState& state) {
   const maxpower::AssembledJob assembled =
       maxpower::assemble_job(job, prefix);
   if (!assembled.terminal) return;  // probe only: more shards needed
-  record(state, maxpower::assembled_outcome(job, assembled.result));
+  record(state, maxpower::finished_job_outcome(job, assembled.result));
 }
 
 void CoordinatorCore::tick(Clock::time_point now) {

@@ -15,6 +15,7 @@
 #include "dist/protocol.hpp"
 #include "dist/transport.hpp"
 #include "maxpower/campaign.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "maxpower/shard.hpp"
 #include "util/rng.hpp"
 
@@ -53,6 +54,9 @@ struct WorkerLoop {
   WorkerSummary sum;
   std::unique_ptr<LineChannel> ch;
   Rng rng;
+  /// Every shard of the worker's lifetime reads its circuit from here, so
+  /// a circuit is parsed and its tape compiled once per worker.
+  maxpower::CircuitCache cache{maxpower::kDefaultCircuitCacheCapacity};
 
   explicit WorkerLoop(const WorkerConfig& config)
       : cfg(config),
@@ -232,7 +236,7 @@ struct WorkerLoop {
     const bool revoked = run_beating(
         [&] {
           outcome = maxpower::run_campaign_shard(job, lease.shard, lease.lo,
-                                                 lease.hi, options);
+                                                 lease.hi, options, cache);
         },
         shard_cancel,
         [&] {

@@ -1,7 +1,7 @@
 // Campaign worker: dials the coordinator, computes leased shards — wave-index
 // ranges [lo, hi) of a job — through maxpower::run_campaign_shard, the same
-// per-index path a single-process campaign runs, and reports each shard's
-// samples until acked.
+// per-index path a single-process campaign runs, over one circuit cache
+// for the worker's lifetime, and reports each shard's samples until acked.
 //
 // Crash posture (docs/ROBUSTNESS.md, "Distributed campaigns"):
 //   * kill -9 at any point loses at most checkpoint_every_k hyper-samples

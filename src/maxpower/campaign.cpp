@@ -9,13 +9,12 @@
 #include <sstream>
 #include <utility>
 
-#include "circuit/bench_io.hpp"
-#include "circuit/verilog_io.hpp"
-#include "gen/presets.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "maxpower/engine.hpp"
 #include "maxpower/ledger.hpp"
 #include "maxpower/stopping.hpp"
 #include "maxpower/tail_fitter.hpp"
+#include "sim/delay.hpp"
 #include "sim/power_eval.hpp"
 #include "util/atomic_file.hpp"
 #include "util/jsonl.hpp"
@@ -57,49 +56,49 @@ std::string string_field(const util::JsonValue& obj, std::string_view key,
 
 /// Everything a built-in job's population stands on; kept alive for the
 /// whole job so retry attempts share one population (and its fault
-/// counters, when tests decorate it).
+/// counters, when tests decorate it). The cache entry is load-bearing: the
+/// evaluator references its netlist, which must outlive an eviction.
 struct JobRuntime {
-  std::unique_ptr<circuit::Netlist> netlist;
+  std::shared_ptr<const CachedCircuit> circuit;
   std::unique_ptr<sim::CyclePowerEvaluator> evaluator;
   std::unique_ptr<vec::PairGenerator> pairs;
   std::unique_ptr<vec::StreamingPopulation> streaming;
   vec::Population* population = nullptr;  ///< the one the estimator sees
 };
 
-JobRuntime build_runtime(const CampaignJob& job) {
+/// An empty delay name keeps the historical loaded default.
+sim::DelayModel job_delay_model(const CampaignJob& job) {
+  return sim::delay_model_from_name(job.delay).value_or(
+      sim::DelayModel::kFanoutLoaded);
+}
+
+std::unique_ptr<vec::PairGenerator> job_pairs(const CampaignJob& job,
+                                              std::size_t inputs) {
+  if (job.activity >= 0.0) {
+    return std::make_unique<vec::HighActivityPairGenerator>(inputs,
+                                                            job.activity);
+  }
+  return std::make_unique<vec::TransitionProbPairGenerator>(inputs,
+                                                            job.tprob);
+}
+
+JobRuntime build_runtime(const CampaignJob& job, CircuitCache& cache) {
   JobRuntime rt;
   if (job.population != nullptr) {
     rt.population = job.population;
     return rt;
   }
-  if (!job.bench.empty()) {
-    rt.netlist = std::make_unique<circuit::Netlist>(
-        circuit::read_bench_file(job.bench));
-  } else if (!job.verilog.empty()) {
-    rt.netlist = std::make_unique<circuit::Netlist>(
-        circuit::read_verilog_file(job.verilog));
-  } else {
-    rt.netlist = std::make_unique<circuit::Netlist>(
-        gen::build_preset(job.circuit.empty() ? "c432" : job.circuit,
-                          job.seed));
-  }
+  rt.circuit = cache.lookup(job);
   sim::PowerEvalOptions eval_opt;
-  if (job.delay == "zero") {
-    eval_opt.delay_model = sim::DelayModel::kZero;
-  } else if (job.delay == "unit") {
-    eval_opt.delay_model = sim::DelayModel::kUnit;
-  }  // empty / "loaded" keep the kFanoutLoaded default
-  rt.evaluator =
-      std::make_unique<sim::CyclePowerEvaluator>(*rt.netlist, eval_opt);
-  if (job.activity >= 0.0) {
-    rt.pairs = std::make_unique<vec::HighActivityPairGenerator>(
-        rt.netlist->num_inputs(), job.activity);
-  } else {
-    rt.pairs = std::make_unique<vec::TransitionProbPairGenerator>(
-        rt.netlist->num_inputs(), job.tprob);
-  }
-  rt.streaming =
-      std::make_unique<vec::StreamingPopulation>(*rt.pairs, *rt.evaluator);
+  eval_opt.delay_model = job_delay_model(job);
+  rt.evaluator = std::make_unique<sim::CyclePowerEvaluator>(
+      rt.circuit->netlist(), eval_opt);
+  rt.pairs = job_pairs(job, rt.circuit->netlist().num_inputs());
+  rt.streaming = std::make_unique<vec::StreamingPopulation>(
+      *rt.pairs, *rt.evaluator,
+      eval_opt.delay_model == sim::DelayModel::kZero
+          ? rt.circuit->program(eval_opt.tech)
+          : nullptr);
   rt.population = rt.streaming.get();
   return rt;
 }
@@ -155,8 +154,7 @@ CampaignJob parse_campaign_job_object(const util::JsonValue& v,
                     .kv("line", line_no).str());
   }
   job.delay = string_field(v, "delay", line_no);
-  if (!job.delay.empty() && job.delay != "zero" && job.delay != "unit" &&
-      job.delay != "loaded") {
+  if (!job.delay.empty() && !sim::delay_model_from_name(job.delay)) {
     throw Error(ErrorCode::kBadData,
                 "unknown delay model (want zero | unit | loaded)",
                 ErrorContext{}.kv("delay", job.delay)
@@ -165,8 +163,8 @@ CampaignJob parse_campaign_job_object(const util::JsonValue& v,
   return job;
 }
 
-}  // namespace
-
+/// Failure code of one finished run: kOk for converged, kDeadline /
+/// kCancelled for interrupted, kNonConvergence for a clean budget stop.
 /// kDataFault runs carry the underlying cause in the diagnostics records;
 /// surface the most recent coded record so the retry classifier can tell an
 /// injected transient (retryable) from genuinely bad data (fatal).
@@ -191,6 +189,27 @@ ErrorCode classify_run_result(const EstimationResult& r) {
   }
 }
 
+}  // namespace
+
+CampaignJobOutcome finished_job_outcome(const CampaignJob& job,
+                                        EstimationResult result) {
+  CampaignJobOutcome outcome;
+  outcome.name = job.name;
+  outcome.attempts = 1;
+  const ErrorCode code = classify_run_result(result);
+  if (code == ErrorCode::kOk) {
+    outcome.status = JobStatus::kDone;
+  } else {
+    outcome.status = code == ErrorCode::kCancelled ||
+                             code == ErrorCode::kDeadline
+                         ? JobStatus::kStopped
+                         : JobStatus::kFailed;
+    outcome.error = code;
+  }
+  outcome.result = std::move(result);
+  return outcome;
+}
+
 EngineConfig campaign_engine_config(const CampaignJob& job) {
   EngineConfig cfg;
   cfg.options.epsilon = job.epsilon;
@@ -210,12 +229,26 @@ EngineConfig campaign_engine_config(const CampaignJob& job) {
   return cfg;
 }
 
-CampaignJobRuntime build_campaign_runtime(const CampaignJob& job) {
-  auto rt = std::make_shared<JobRuntime>(build_runtime(job));
+CampaignJobRuntime build_campaign_runtime(const CampaignJob& job,
+                                          CircuitCache& cache) {
+  auto rt = std::make_shared<JobRuntime>(build_runtime(job, cache));
   CampaignJobRuntime out;
   out.population = rt->population;
   out.keepalive = std::move(rt);
   return out;
+}
+
+CampaignJobRuntime build_campaign_runtime(const CampaignJob& job) {
+  CircuitCache cache(1);
+  return build_campaign_runtime(job, cache);
+}
+
+std::string campaign_population_description(const CampaignJob& job,
+                                            CircuitCache& cache) {
+  const auto circuit = cache.lookup(job);
+  return vec::streaming_description(
+      circuit->netlist().name(),
+      *job_pairs(job, circuit->netlist().num_inputs()), job_delay_model(job));
 }
 
 bool valid_campaign_job_name(const std::string& name) {
@@ -330,7 +363,7 @@ std::string campaign_record_line(const CampaignJobOutcome& outcome) {
 
 CampaignJobOutcome run_campaign_job(CampaignJob& job,
                                     const JobRunOptions& options,
-                                    Rng& jitter_rng) {
+                                    Rng& jitter_rng, CircuitCache& cache) {
   CampaignJobOutcome outcome;
   outcome.name = job.name;
 
@@ -354,7 +387,7 @@ CampaignJobOutcome run_campaign_job(CampaignJob& job,
   // transient fault does not re-fire on the retry.
   JobRuntime runtime;
   try {
-    runtime = build_runtime(job);
+    runtime = build_runtime(job, cache);
   } catch (const Error& e) {
     outcome.status = JobStatus::kFailed;
     outcome.error = e.code();
@@ -419,6 +452,7 @@ CampaignResult run_campaign(std::vector<CampaignJob>& jobs,
   CampaignResult result;
   result.quarantined = ledger_read.corrupt.size();
   Rng jitter_rng(options.jitter_seed);
+  CircuitCache cache(kDefaultCircuitCacheCapacity);
 
   JobRunOptions job_options;
   job_options.state_dir = options.state_dir;
@@ -448,7 +482,8 @@ CampaignResult run_campaign(std::vector<CampaignJob>& jobs,
       break;
     }
 
-    CampaignJobOutcome outcome = run_campaign_job(job, job_options, jitter_rng);
+    CampaignJobOutcome outcome =
+        run_campaign_job(job, job_options, jitter_rng, cache);
     if (outcome.status == JobStatus::kDone) ++result.done;
     if (outcome.status == JobStatus::kFailed) ++result.failed;
     append_ledger_line(report_path, campaign_record_line(outcome));

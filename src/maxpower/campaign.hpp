@@ -16,6 +16,10 @@
 //     (parse errors, bad data, precondition violations) fail the job
 //     immediately. Cancellation or a deadline stops the campaign between
 //     attempts and between jobs, recording the in-flight job as stopped.
+//
+// It also owns what a job means: every executor builds a job's population
+// (build_campaign_runtime), engine (campaign_engine_config) and terminal
+// status (finished_job_outcome) here, so their results are byte-identical.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +36,8 @@
 #include "vectors/population.hpp"
 
 namespace mpe::maxpower {
+
+class CircuitCache;  // maxpower/circuit_cache.hpp
 
 /// One campaign job: which circuit, which input model, which estimator
 /// budget. Parsed from a manifest line (see load_campaign_manifest) or
@@ -158,24 +164,40 @@ std::string campaign_record_line(const CampaignJobOutcome& outcome);
 /// caller to fill in.
 EngineConfig campaign_engine_config(const CampaignJob& job);
 
-/// Failure code of one finished run: kOk for converged, kDeadline /
-/// kCancelled for interrupted, the most recent coded diagnostic for
-/// kDataFault, kNonConvergence for a clean budget stop.
-ErrorCode classify_run_result(const EstimationResult& r);
+/// Terminal outcome of one finished single-attempt run of `job` (a server
+/// job, or a fleet job assembled from its shards): kDone when it
+/// converged, kStopped (kCancelled / kDeadline) when interrupted, kFailed
+/// otherwise — with the most recent coded diagnostic for a data fault and
+/// kNonConvergence for a clean budget stop. The result is kept whatever the
+/// status.
+CampaignJobOutcome finished_job_outcome(const CampaignJob& job,
+                                        EstimationResult result);
 
 /// The population one job estimates against, plus whatever it stands on
-/// (netlist, evaluator, generator), type-erased so callers outside
-/// campaign.cpp can run job slices against the exact same value stream.
-/// The population pointer stays valid while `keepalive` is held.
+/// (cached netlist, evaluator, generator), type-erased so every executor
+/// runs the exact same value stream. The population pointer stays valid
+/// while `keepalive` is held.
 struct CampaignJobRuntime {
   std::shared_ptr<void> keepalive;
   vec::Population* population = nullptr;
 };
 
-/// Builds the job's population exactly as run_campaign_job would (test-hook
-/// population, .bench / Verilog / preset netlist, delay model, fastest
-/// backend). Throws mpe::Error on unreadable circuits.
+/// The one builder of a job's population, shared by every executor: the
+/// test-hook population when set, otherwise a streaming population over
+/// the netlist from `cache` (preset, .bench or Verilog), the job's input
+/// model and its delay model. A zero-delay population adopts the cache's
+/// compiled tape, so a circuit compiles once per cache. Throws mpe::Error
+/// on unreadable circuits.
+CampaignJobRuntime build_campaign_runtime(const CampaignJob& job,
+                                          CircuitCache& cache);
+
+/// The same over a private one-entry cache (callers that build one job).
 CampaignJobRuntime build_campaign_runtime(const CampaignJob& job);
+
+/// The description() of the population build_campaign_runtime builds for a
+/// circuit-backed job, without building it (the fleet's run reports).
+std::string campaign_population_description(const CampaignJob& job,
+                                            CircuitCache& cache);
 
 /// How one job is executed (the per-job slice of CampaignOptions). Shared
 /// by the single-process campaign loop and the distributed worker so a job
@@ -192,13 +214,15 @@ struct JobRunOptions {
 
 /// Runs one job to a terminal outcome (never throws; failures land in the
 /// outcome). Retries transient failures under options.retry using
-/// `jitter_rng` for backoff jitter. The job's checkpoint path is
-/// <state_dir>/<name>.ckpt; a pre-existing checkpoint is resumed.
+/// `jitter_rng` for backoff jitter. The circuit comes from `cache`. The
+/// job's checkpoint path is <state_dir>/<name>.ckpt; a pre-existing
+/// checkpoint is resumed.
 CampaignJobOutcome run_campaign_job(CampaignJob& job,
                                     const JobRunOptions& options,
-                                    Rng& jitter_rng);
+                                    Rng& jitter_rng, CircuitCache& cache);
 
-/// Runs every job not already recorded as done in the report ledger.
+/// Runs every job not already recorded as done in the report ledger,
+/// through one circuit cache, so jobs on one circuit parse it once.
 /// Appends one sealed JSONL line per job processed this invocation (schema
 /// "mpe.campaign" v1 + CRC seal; see docs/ROBUSTNESS.md). Corrupt ledger
 /// records are quarantined to <report>.quarantine and the affected jobs

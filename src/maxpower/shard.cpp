@@ -287,7 +287,8 @@ std::vector<ShardSample> load_shard_checkpoint(const std::string& path,
 
 ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
                                 std::uint64_t lo, std::uint64_t hi,
-                                const ShardRunOptions& options) {
+                                const ShardRunOptions& options,
+                                CircuitCache& cache) {
   ShardOutcome out;
   out.job = job.name;
   out.shard = shard;
@@ -305,7 +306,7 @@ ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
 
   CampaignJobRuntime runtime;
   try {
-    runtime = build_campaign_runtime(job);
+    runtime = build_campaign_runtime(job, cache);
   } catch (const Error& e) {
     out.status = JobStatus::kFailed;
     out.error = e.code();
@@ -407,22 +408,6 @@ AssembledJob assemble_job(const CampaignJob& job,
                  out.result.hyper_samples >= cfg.options.max_hyper_samples ||
                  prefix.size() >= job_attempt_budget(job);
   return out;
-}
-
-CampaignJobOutcome assembled_outcome(const CampaignJob& job,
-                                     const EstimationResult& result) {
-  CampaignJobOutcome outcome;
-  outcome.name = job.name;
-  outcome.attempts = 1;
-  const ErrorCode code = classify_run_result(result);
-  if (code == ErrorCode::kOk) {
-    outcome.status = JobStatus::kDone;
-    outcome.result = result;
-  } else {
-    outcome.status = JobStatus::kFailed;
-    outcome.error = code;
-  }
-  return outcome;
 }
 
 std::string shard_record_line(std::string_view job, std::uint64_t shard,

@@ -109,10 +109,12 @@ struct ShardOutcome {
 /// the outcome). There is no convergence rule inside a shard — whether the
 /// job stops early depends on the global prefix, which only the assembling
 /// coordinator sees — so a shard always computes its full range. Resumes
-/// from <state_dir>/<job>.shard<k>.ckpt when a valid one exists.
+/// from <state_dir>/<job>.shard<k>.ckpt when a valid one exists. The
+/// circuit comes from `cache`, so a worker parses and compiles it once.
 ShardOutcome run_campaign_shard(const CampaignJob& job, std::uint64_t shard,
                                 std::uint64_t lo, std::uint64_t hi,
-                                const ShardRunOptions& options);
+                                const ShardRunOptions& options,
+                                CircuitCache& cache);
 
 /// Result of folding a contiguous done-shard prefix through the engine.
 struct AssembledJob {
@@ -126,14 +128,10 @@ struct AssembledJob {
 /// Replays `prefix` (the concatenated samples of done shards 0..j, indices
 /// contiguous from 0) through the job's engine composition. Throws
 /// mpe::Error(kPrecondition) on a non-contiguous prefix, kBadData on an
-/// invalid job spec.
+/// invalid job spec. finished_job_outcome() maps a terminal result to the
+/// job's outcome.
 AssembledJob assemble_job(const CampaignJob& job,
                           const std::vector<ShardSample>& prefix);
-
-/// Terminal job outcome from an assembled terminal result: done when the
-/// run classifies clean, failed with the classifier's code otherwise.
-CampaignJobOutcome assembled_outcome(const CampaignJob& job,
-                                     const EstimationResult& result);
 
 /// Renders the sealed "mpe.campaign" ledger record for one done shard
 /// (status "done", samples payload inline so a restarted coordinator can

@@ -90,6 +90,7 @@
 #include "maxpower/bounds.hpp"
 #include "maxpower/campaign.hpp"
 #include "maxpower/checkpoint.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "maxpower/engine.hpp"
 #include "maxpower/estimator.hpp"
 #include "maxpower/hyper_sample.hpp"
@@ -113,7 +114,6 @@
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
 #include "dist/worker_hub.hpp"
-#include "server/circuit_cache.hpp"
 #include "server/server.hpp"
 #include "server/server_core.hpp"
 #include "server/server_protocol.hpp"

@@ -39,7 +39,8 @@ std::string random_salt() {
 
 }  // namespace
 
-FleetExecutor::FleetExecutor(CircuitCache& cache, const std::string& state_dir,
+FleetExecutor::FleetExecutor(maxpower::CircuitCache& cache,
+                             const std::string& state_dir,
                              const FleetOptions& options,
                              dist::Listener* unix_listener,
                              dist::Listener* tcp_listener)

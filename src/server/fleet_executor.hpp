@@ -37,7 +37,7 @@
 #include "dist/coordinator.hpp"
 #include "dist/transport.hpp"
 #include "dist/worker_hub.hpp"
-#include "server/circuit_cache.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "server/executor.hpp"
 #include "server/server.hpp"  // FleetOptions
 
@@ -48,7 +48,7 @@ class FleetExecutor final : public JobExecutor {
   /// `cache` and the listeners must outlive the executor (the Server owns
   /// both; listeners may be null individually, not both). `state_dir` must
   /// be non-empty — the fleet ledger lives under it.
-  FleetExecutor(CircuitCache& cache, const std::string& state_dir,
+  FleetExecutor(maxpower::CircuitCache& cache, const std::string& state_dir,
                 const FleetOptions& options, dist::Listener* unix_listener,
                 dist::Listener* tcp_listener);
   /// Answers parked requests `drain`, then lingers briefly answering drain
@@ -86,7 +86,7 @@ class FleetExecutor final : public JobExecutor {
   /// (the fleet analogue of the local engine's event stream).
   void shard_landed(const dist::Message& msg);
 
-  CircuitCache& cache_;
+  maxpower::CircuitCache& cache_;
   dist::CoordinatorCore core_;
   dist::WorkerHub hub_;
   std::map<std::string, Inflight> inflight_;  ///< salted name -> job

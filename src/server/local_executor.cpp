@@ -7,7 +7,8 @@
 
 namespace mpe::server {
 
-LocalExecutor::LocalExecutor(CircuitCache& cache, std::string state_dir,
+LocalExecutor::LocalExecutor(maxpower::CircuitCache& cache,
+                             std::string state_dir,
                              std::size_t trace_capacity, std::size_t slots,
                              const dist::Waker& waker)
     : cache_(cache),
@@ -26,7 +27,7 @@ void LocalExecutor::start(ServerCore::Started started) {
     job.tracer = std::make_shared<util::Tracer>(trace_capacity_);
   }
   auto tracer = job.tracer;
-  CircuitCache* cache = &cache_;
+  maxpower::CircuitCache* cache = &cache_;
   const dist::Waker* waker = &waker_;
   std::string state_dir = state_dir_;
   // The promise is fulfilled before the wake-up, so the woken loop always

@@ -29,7 +29,7 @@ class LocalExecutor final : public JobExecutor {
   /// `cache` and `waker` must outlive the executor. `slots` is the
   /// concurrent-job cap (ServerCore already enforces it; the pool just
   /// matches it). `waker` is written each time a job's result is ready.
-  LocalExecutor(CircuitCache& cache, std::string state_dir,
+  LocalExecutor(maxpower::CircuitCache& cache, std::string state_dir,
                 std::size_t trace_capacity, std::size_t slots,
                 const dist::Waker& waker);
 
@@ -49,7 +49,7 @@ class LocalExecutor final : public JobExecutor {
     std::future<ExecJobResult> result;
   };
 
-  CircuitCache& cache_;
+  maxpower::CircuitCache& cache_;
   std::string state_dir_;
   std::size_t trace_capacity_ = 0;
   const dist::Waker& waker_;

@@ -8,14 +8,14 @@
 // pure ServerCore state machine; this file owns only the impure shell:
 // sockets, the executor thread pool, wall clocks, and signal-driven drain.
 //
-// Job execution mirrors the campaign runner's engine construction exactly
-// (same EstimatorOptions, same fitter/stopping mapping, same pipelined
-// run), so a job submitted to the server returns byte-identical numbers to
-// `mpe_cli estimate`/`mpe_cli campaign` for the same (circuit, seed,
-// options) — the server adds reuse, not variance. The one divergence is
-// the circuit source: netlists (and, for zero-delay jobs, compiled tapes)
-// come from the shared bounded-LRU CircuitCache instead of being rebuilt
-// per job.
+// Job execution builds each job's population and engine with the campaign
+// runner's own functions (maxpower::build_campaign_runtime,
+// campaign_engine_config), so a job submitted to the server returns
+// byte-identical numbers to `mpe_cli campaign` for the same (circuit, seed,
+// options) — the server adds reuse, not variance. The server owns one
+// bounded-LRU maxpower::CircuitCache for its lifetime, so netlists (and,
+// for zero-delay jobs, compiled tapes) are built once per circuit, not per
+// job.
 //
 // The loop is readiness-driven: between iterations it blocks in one
 // poll(2) over the client listeners and channels, the fleet's worker
@@ -35,7 +35,7 @@
 #include <string>
 
 #include "maxpower/shard.hpp"
-#include "server/circuit_cache.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "server/server_core.hpp"
 #include "util/deadline.hpp"
 
@@ -80,7 +80,7 @@ struct ServerOptions {
   /// (the server stays stateless on disk).
   std::string state_dir;
   /// Resident entries in the shared circuit cache.
-  std::size_t cache_capacity = 16;
+  std::size_t cache_capacity = maxpower::kDefaultCircuitCacheCapacity;
   /// Admission / scheduling configuration. The cache and metrics pointers
   /// are overwritten by the server (it owns the cache).
   ServerConfig scheduler;
@@ -128,12 +128,10 @@ class Server {
   /// Runs the serving loop until the control trips and the drain finishes.
   ServerReport serve();
 
-  const CircuitCache& cache() const { return cache_; }
-
  private:
   struct Impl;
   ServerOptions options_;
-  CircuitCache cache_;
+  maxpower::CircuitCache cache_;
   Impl* impl_;  ///< listeners + loop state (socket headers stay out of here)
 };
 

@@ -288,7 +288,7 @@ ServerStats ServerCore::stats() const {
   }
   s.draining = draining_;
   if (config_.cache != nullptr) {
-    const CircuitCache::Stats cs = config_.cache->stats();
+    const maxpower::CircuitCache::Stats cs = config_.cache->stats();
     s.cache_hits = cs.hits;
     s.cache_misses = cs.misses;
     s.cache_evictions = cs.evictions;

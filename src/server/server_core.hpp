@@ -39,7 +39,7 @@
 
 #include "maxpower/campaign.hpp"
 #include "sched/admission.hpp"
-#include "server/circuit_cache.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "server/server_protocol.hpp"
 #include "util/deadline.hpp"
 #include "util/metrics.hpp"
@@ -60,7 +60,7 @@ struct ServerConfig {
   /// Pipelined-estimator threads per job (result-invariant).
   unsigned threads_per_job = 1;
   /// Stats/scrape sources; both optional (null = zeros / empty scrape).
-  const CircuitCache* cache = nullptr;
+  const maxpower::CircuitCache* cache = nullptr;
   const util::MetricRegistry* metrics = nullptr;
 };
 

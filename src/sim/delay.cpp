@@ -16,6 +16,13 @@ const char* to_string(DelayModel m) {
   return "?";
 }
 
+std::optional<DelayModel> delay_model_from_name(std::string_view name) {
+  if (name == "zero") return DelayModel::kZero;
+  if (name == "unit") return DelayModel::kUnit;
+  if (name == "loaded") return DelayModel::kFanoutLoaded;
+  return std::nullopt;
+}
+
 std::vector<double> gate_delays(const circuit::Netlist& netlist,
                                 const Technology& tech, DelayModel model,
                                 std::span<const double> node_caps) {

@@ -5,7 +5,9 @@
 // model under which glitch power appears.
 #pragma once
 
+#include <optional>
 #include <span>
+#include <string_view>
 #include <vector>
 
 #include "circuit/netlist.hpp"
@@ -22,6 +24,10 @@ enum class DelayModel {
 
 /// Human-readable model name.
 const char* to_string(DelayModel m);
+
+/// The model a command line or job manifest names: "zero" | "unit" |
+/// "loaded"; nullopt for anything else.
+std::optional<DelayModel> delay_model_from_name(std::string_view name);
 
 /// Computes the per-gate propagation delay [ns] under the chosen model.
 /// `node_caps` must come from node_capacitances() on the same netlist.

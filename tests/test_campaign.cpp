@@ -15,6 +15,7 @@
 #include "stats/weibull.hpp"
 #include "util/atomic_file.hpp"
 #include "util/jsonl.hpp"
+#include "util/metrics.hpp"
 #include "util/rng.hpp"
 #include "vectors/fault_injection.hpp"
 #include "vectors/population.hpp"
@@ -332,6 +333,43 @@ TEST(CampaignRun, LegacyCrclessLedgerStillSkipsDoneJobs) {
   const auto result = mp::run_campaign(jobs, fast_options(dir));
   EXPECT_EQ(result.skipped, 1u) << "legacy records must keep their meaning";
   EXPECT_EQ(result.quarantined, 0u);
+}
+
+TEST(CampaignRun, JobsOnOneCircuitParseItOnce) {
+  // One campaign reads its circuits through one cache: three jobs on one
+  // preset and seed build the netlist once.
+  const std::string dir = fresh_state_dir("campaign_one_parse");
+  std::vector<mp::CampaignJob> jobs(3);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    jobs[i].name = "c432-" + std::to_string(i);
+    jobs[i].circuit = "c432";
+    jobs[i].seed = 3;
+    jobs[i].epsilon = 0.3;
+    jobs[i].confidence = 0.8;
+    jobs[i].max_hyper_samples = 6;
+  }
+  auto& registry = mpe::util::MetricRegistry::global();
+  const bool was_enabled = registry.enabled();
+  registry.enable(true);
+  const double before =
+      registry.snapshot().value("mpe_server_cache_misses_total");
+  const auto result = mp::run_campaign(jobs, fast_options(dir));
+  const double after =
+      registry.snapshot().value("mpe_server_cache_misses_total");
+  registry.enable(was_enabled);
+  EXPECT_EQ(result.jobs.size(), 3u);
+  EXPECT_EQ(after - before, 1.0);
+}
+
+TEST(CampaignRun, MissingVerilogFileFailsAsIo) {
+  const std::string dir = fresh_state_dir("campaign_missing_v");
+  std::vector<mp::CampaignJob> jobs(1);
+  jobs[0].name = "gone";
+  jobs[0].verilog = dir + "/absent.v";
+  const auto result = mp::run_campaign(jobs, fast_options(dir));
+  ASSERT_EQ(result.jobs.size(), 1u);
+  EXPECT_EQ(result.jobs[0].status, mp::JobStatus::kFailed);
+  EXPECT_EQ(result.jobs[0].error, mpe::ErrorCode::kIo);
 }
 
 TEST(CampaignRun, MissingStateDirIsPrecondition) {

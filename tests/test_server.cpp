@@ -1,5 +1,6 @@
-// server/: the shared CircuitCache (content keying, LRU bounds, lazy
-// compiled tape, eviction safety) and the live Server daemon end to end —
+// The circuit cache every executor builds jobs through (content keying,
+// LRU bounds, lazy compiled tape, eviction safety, concurrent misses) and
+// the live Server daemon end to end —
 // a real listener, real clients, real executor threads. The load-bearing
 // claims: a server-run job returns byte-identical numbers to the same job
 // run directly; concurrent clients each get exactly one reply per request
@@ -23,12 +24,12 @@
 #include "dist/transport.hpp"
 #include "dist/worker.hpp"
 #include "maxpower/campaign.hpp"
-#include "server/circuit_cache.hpp"
-#include "server/job_runtime.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "server/server.hpp"
 #include "server/server_protocol.hpp"
 #include "sim/technology.hpp"
 #include "util/rng.hpp"
+#include "vectors/population.hpp"
 
 namespace {
 
@@ -69,39 +70,64 @@ mp::CampaignJob slow_job(const std::string& name) {
 // ---------------------------------------------------------------- cache
 
 TEST(ServerCache, PresetKeyIsNameAndSeed) {
-  const auto a = ms::CircuitCache::key_for(tiny_job("x", 3));
-  const auto b = ms::CircuitCache::key_for(tiny_job("y", 3));
-  const auto c = ms::CircuitCache::key_for(tiny_job("x", 4));
+  const auto a = mp::CircuitCache::key_for(tiny_job("x", 3));
+  const auto b = mp::CircuitCache::key_for(tiny_job("y", 3));
+  const auto c = mp::CircuitCache::key_for(tiny_job("x", 4));
   EXPECT_EQ(a, b);  // the job NAME is not part of the circuit identity
   EXPECT_NE(a, c);  // the generator seed is
   EXPECT_EQ(a.rfind("preset:", 0), 0u);
 }
 
 TEST(ServerCache, BenchKeyFollowsContentNotPath) {
+  // One file name in two directories: the same netlist, one entry. An
+  // edited copy is another circuit.
   const std::string dir = fresh_dir("server_cache_key");
   const std::string text = "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n";
-  std::ofstream(dir + "/one.bench") << text;
-  std::ofstream(dir + "/two.bench") << text;
-  std::ofstream(dir + "/three.bench") << text + "# trailing comment\n";
+  std::filesystem::create_directories(dir + "/x");
+  std::filesystem::create_directories(dir + "/y");
+  std::filesystem::create_directories(dir + "/z");
+  std::ofstream(dir + "/x/one.bench") << text;
+  std::ofstream(dir + "/y/one.bench") << text;
+  std::ofstream(dir + "/z/one.bench") << text + "# trailing comment\n";
 
-  mp::CampaignJob one;
-  one.name = "one";
-  one.bench = dir + "/one.bench";
-  mp::CampaignJob two = one;
-  two.bench = dir + "/two.bench";
-  mp::CampaignJob three = one;
-  three.bench = dir + "/three.bench";
+  mp::CampaignJob x;
+  x.name = "x";
+  x.bench = dir + "/x/one.bench";
+  mp::CampaignJob y = x;
+  y.bench = dir + "/y/one.bench";
+  mp::CampaignJob z = x;
+  z.bench = dir + "/z/one.bench";
 
-  EXPECT_EQ(ms::CircuitCache::key_for(one), ms::CircuitCache::key_for(two));
-  EXPECT_NE(ms::CircuitCache::key_for(one),
-            ms::CircuitCache::key_for(three));
-  mp::CampaignJob missing = one;
+  EXPECT_EQ(mp::CircuitCache::key_for(x), mp::CircuitCache::key_for(y));
+  EXPECT_NE(mp::CircuitCache::key_for(x), mp::CircuitCache::key_for(z));
+  mp::CampaignJob missing = x;
   missing.bench = dir + "/absent.bench";
-  EXPECT_THROW(ms::CircuitCache::key_for(missing), mpe::Error);
+  EXPECT_THROW(mp::CircuitCache::key_for(missing), mpe::Error);
+}
+
+TEST(ServerCache, SameContentUnderAnotherNameKeepsItsName) {
+  // read_bench_file names a netlist after the file's basename, and that
+  // name reaches the run report and the checkpoint fingerprint — so equal
+  // bytes under another name must not be served the first file's netlist.
+  const std::string dir = fresh_dir("server_cache_name");
+  const std::string text = "INPUT(a)\nOUTPUT(b)\nb = NOT(a)\n";
+  std::ofstream(dir + "/alpha.bench") << text;
+  std::ofstream(dir + "/beta.bench") << text;
+  mp::CampaignJob alpha;
+  alpha.name = "alpha";
+  alpha.bench = dir + "/alpha.bench";
+  mp::CampaignJob beta = alpha;
+  beta.name = "beta";
+  beta.bench = dir + "/beta.bench";
+
+  mp::CircuitCache cache(4);
+  EXPECT_EQ(cache.lookup(alpha)->netlist().name(), "alpha");
+  EXPECT_EQ(cache.lookup(beta)->netlist().name(), "beta");
+  EXPECT_EQ(cache.stats().misses, 2u);
 }
 
 TEST(ServerCache, LruEvictsTheColdestEntry) {
-  ms::CircuitCache cache(2);
+  mp::CircuitCache cache(2);
   cache.lookup(tiny_job("a", 1));  // miss
   cache.lookup(tiny_job("b", 2));  // miss
   cache.lookup(tiny_job("a", 1));  // hit; seed 1 is now most recent
@@ -118,14 +144,14 @@ TEST(ServerCache, LruEvictsTheColdestEntry) {
 }
 
 TEST(ServerCache, HitReturnsTheSameParsedNetlist) {
-  ms::CircuitCache cache(4);
+  mp::CircuitCache cache(4);
   const auto first = cache.lookup(tiny_job("a", 7));
   const auto second = cache.lookup(tiny_job("b", 7));
   EXPECT_EQ(first.get(), second.get());  // shared entry, parsed once
 }
 
 TEST(ServerCache, CompiledTapeIsLazyAndShared) {
-  ms::CircuitCache cache(4);
+  mp::CircuitCache cache(4);
   const auto entry = cache.lookup(tiny_job("a", 5));
   EXPECT_FALSE(entry->compiled());
   const mpe::sim::Technology tech;
@@ -138,23 +164,48 @@ TEST(ServerCache, CompiledTapeIsLazyAndShared) {
 TEST(ServerCache, ZeroDelayJobAdoptsTheCachedTape) {
   // A zero-delay job's population holds the cache's tape instead of
   // compiling its own; a loaded-delay job never asks for one.
-  ms::CircuitCache cache(4);
+  mp::CircuitCache cache(4);
   const auto loaded = tiny_job("loaded", 5);
-  const ms::JobExec loaded_exec = ms::build_exec(loaded, cache);
-  EXPECT_FALSE(loaded_exec.circuit->compiled());
-  EXPECT_FALSE(loaded_exec.streaming->kernel().has_value());
+  const auto loaded_rt = mp::build_campaign_runtime(loaded, cache);
+  EXPECT_FALSE(cache.lookup(loaded)->compiled());
+  const auto* loaded_pop =
+      dynamic_cast<const mpe::vec::StreamingPopulation*>(loaded_rt.population);
+  ASSERT_NE(loaded_pop, nullptr);
+  EXPECT_FALSE(loaded_pop->kernel().has_value());
 
   auto zero = tiny_job("zero", 5);
   zero.delay = "zero";
   const auto program = cache.lookup(zero)->program(mpe::sim::Technology{});
   const long refs = program.use_count();
-  const ms::JobExec zero_exec = ms::build_exec(zero, cache);
-  EXPECT_TRUE(zero_exec.streaming->kernel().has_value());
+  const auto zero_rt = mp::build_campaign_runtime(zero, cache);
+  const auto* zero_pop =
+      dynamic_cast<const mpe::vec::StreamingPopulation*>(zero_rt.population);
+  ASSERT_NE(zero_pop, nullptr);
+  EXPECT_TRUE(zero_pop->kernel().has_value());
   EXPECT_GT(program.use_count(), refs);  // the population shares this tape
 }
 
+TEST(ServerCache, ConcurrentMissesBuildOnce) {
+  // Eight executors asking for one uncached circuit at once: one parse,
+  // one shared entry, seven hits.
+  mp::CircuitCache cache(4);
+  constexpr int kThreads = 8;
+  std::vector<std::shared_ptr<const mp::CachedCircuit>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = cache.lookup(tiny_job("c" + std::to_string(t), 3));
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  const auto stats = cache.stats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, kThreads - 1u);
+  for (const auto& circuit : got) EXPECT_EQ(circuit.get(), got[0].get());
+}
+
 TEST(ServerCache, EvictionNeverInvalidatesALiveEntry) {
-  ms::CircuitCache cache(1);
+  mp::CircuitCache cache(1);
   const auto held = cache.lookup(tiny_job("a", 1));
   const std::size_t gates = held->netlist().num_gates();
   cache.lookup(tiny_job("b", 2));  // evicts seed 1 from the cache...
@@ -306,7 +357,8 @@ TEST(ServerLive, JobMatchesADirectRunBitExactly) {
   mp::JobRunOptions direct;
   direct.state_dir = fresh_dir("server_live_exact/direct");
   mpe::Rng jitter(1);
-  const auto reference = mp::run_campaign_job(job, direct, jitter);
+  mp::CircuitCache cache(1);
+  const auto reference = mp::run_campaign_job(job, direct, jitter, cache);
   ASSERT_EQ(reference.status, mp::JobStatus::kDone);
   EXPECT_EQ(result.estimate, reference.result.estimate);  // bit-exact
   EXPECT_EQ(result.ci_lower, reference.result.ci.lower);

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "maxpower/campaign.hpp"
+#include "maxpower/circuit_cache.hpp"
 #include "maxpower/ledger.hpp"
 #include "maxpower/shard.hpp"
+#include "sim/technology.hpp"
 #include "util/atomic_file.hpp"
 #include "util/rng.hpp"
 
@@ -51,11 +53,12 @@ std::vector<mp::ShardSample> compute_all_shards(const mp::CampaignJob& job,
   const std::uint64_t attempts = mp::job_attempt_budget(job);
   mp::ShardRunOptions options;
   options.state_dir = state_dir;
+  mp::CircuitCache cache(1);
   std::vector<mp::ShardSample> all;
   for (std::size_t k = 0; k < mp::shard_count(attempts, shard_size); ++k) {
     const mp::ShardRange range = mp::shard_range(attempts, shard_size, k);
     const mp::ShardOutcome out =
-        mp::run_campaign_shard(job, k, range.lo, range.hi, options);
+        mp::run_campaign_shard(job, k, range.lo, range.hi, options, cache);
     EXPECT_EQ(out.status, mp::JobStatus::kDone);
     all.insert(all.end(), out.samples.begin(), out.samples.end());
   }
@@ -128,8 +131,9 @@ TEST(ShardAssembly, EveryShardSizeReproducesTheSingleProcessRunExactly) {
     mp::JobRunOptions solo_options;
     solo_options.state_dir = fresh_dir("shard_solo");
     mpe::Rng jitter(1);
+    mp::CircuitCache cache(1);
     const mp::CampaignJobOutcome solo =
-        mp::run_campaign_job(job, solo_options, jitter);
+        mp::run_campaign_job(job, solo_options, jitter, cache);
     ASSERT_EQ(solo.status, mp::JobStatus::kDone);
 
     for (const std::uint64_t size : {1ull, 3ull, 8ull, 100ull}) {
@@ -145,7 +149,7 @@ TEST(ShardAssembly, EveryShardSizeReproducesTheSingleProcessRunExactly) {
       EXPECT_EQ(assembled.result.units_used, solo.result.units_used);
       EXPECT_EQ(assembled.result.converged, solo.result.converged);
       const mp::CampaignJobOutcome outcome =
-          mp::assembled_outcome(sharded_job, assembled.result);
+          mp::finished_job_outcome(sharded_job, assembled.result);
       EXPECT_EQ(outcome.status, mp::JobStatus::kDone);
     }
   }
@@ -188,7 +192,9 @@ TEST(ShardCheckpoint, TruncatedCheckpointResumesToTheSameSamples) {
   const std::string dir = fresh_dir("shard_ckpt");
   mp::ShardRunOptions options;
   options.state_dir = dir;
-  const mp::ShardOutcome first = mp::run_campaign_shard(job, 0, 0, 8, options);
+  mp::CircuitCache cache(1);
+  const mp::ShardOutcome first =
+      mp::run_campaign_shard(job, 0, 0, 8, options, cache);
   ASSERT_EQ(first.status, mp::JobStatus::kDone);
   ASSERT_EQ(first.samples.size(), 8u);
 
@@ -203,7 +209,8 @@ TEST(ShardCheckpoint, TruncatedCheckpointResumesToTheSameSamples) {
   }
   mpe::util::atomic_write_file(ckpt, text.substr(0, keep + 10));
 
-  const mp::ShardOutcome second = mp::run_campaign_shard(job, 0, 0, 8, options);
+  const mp::ShardOutcome second =
+      mp::run_campaign_shard(job, 0, 0, 8, options, cache);
   ASSERT_EQ(second.status, mp::JobStatus::kDone);
   EXPECT_EQ(second.samples, first.samples);
 }
@@ -213,19 +220,21 @@ TEST(ShardCheckpoint, ForeignSpecHeaderIsDiscardedNotResumed) {
   const std::string dir = fresh_dir("shard_spec");
   mp::ShardRunOptions options;
   options.state_dir = dir;
-  const mp::ShardOutcome first = mp::run_campaign_shard(job, 0, 0, 8, options);
+  mp::CircuitCache cache(1);
+  const mp::ShardOutcome first =
+      mp::run_campaign_shard(job, 0, 0, 8, options, cache);
   ASSERT_EQ(first.status, mp::JobStatus::kDone);
 
   // Same job name, different seed: the sealed header pins the spec, so the
   // stale checkpoint must be ignored (resuming it would corrupt results).
   mp::CampaignJob reseeded = tiny_job("spec", 6);
   const mp::ShardOutcome other =
-      mp::run_campaign_shard(reseeded, 0, 0, 8, options);
+      mp::run_campaign_shard(reseeded, 0, 0, 8, options, cache);
   ASSERT_EQ(other.status, mp::JobStatus::kDone);
   EXPECT_NE(other.samples[0].estimate, first.samples[0].estimate);
   // And rerunning the reseeded job now resumes its own rewritten file.
   const mp::ShardOutcome again =
-      mp::run_campaign_shard(reseeded, 0, 0, 8, options);
+      mp::run_campaign_shard(reseeded, 0, 0, 8, options, cache);
   EXPECT_EQ(again.samples, other.samples);
 }
 
@@ -234,19 +243,53 @@ TEST(ShardRun, RunControlStopKeepsPartialProgress) {
   const std::string dir = fresh_dir("shard_stop");
   mp::ShardRunOptions options;
   options.state_dir = dir;
+  mp::CircuitCache cache(1);
   const auto cancel = mpe::util::CancellationToken::create();
   options.control.cancel = cancel;
   cancel.request_stop();
   const mp::ShardOutcome stopped =
-      mp::run_campaign_shard(job, 0, 0, 8, options);
+      mp::run_campaign_shard(job, 0, 0, 8, options, cache);
   EXPECT_EQ(stopped.status, mp::JobStatus::kStopped);
   EXPECT_EQ(stopped.error, mpe::ErrorCode::kCancelled);
 
   mp::ShardRunOptions clean;
   clean.state_dir = dir;
-  const mp::ShardOutcome resumed = mp::run_campaign_shard(job, 0, 0, 8, clean);
+  const mp::ShardOutcome resumed =
+      mp::run_campaign_shard(job, 0, 0, 8, clean, cache);
   EXPECT_EQ(resumed.status, mp::JobStatus::kDone);
   EXPECT_EQ(resumed.samples.size(), 8u);
+}
+
+TEST(ShardRun, OneCacheParsesAndCompilesOncePerWorker) {
+  // A worker runs every shard through one cache: the second shard of a
+  // zero-delay job neither re-parses the circuit nor recompiles its tape,
+  // and its samples match shards run through fresh caches bit for bit.
+  mp::CampaignJob job = tiny_job("zd", 5);
+  job.delay = "zero";
+  mp::ShardRunOptions shared_options;
+  shared_options.state_dir = fresh_dir("shard_one_cache");
+  mp::CircuitCache cache(4);
+  const mp::ShardOutcome a =
+      mp::run_campaign_shard(job, 0, 0, 8, shared_options, cache);
+  const auto program =
+      cache.lookup(job)->program(mpe::sim::Technology{});
+  const mp::ShardOutcome b =
+      mp::run_campaign_shard(job, 1, 8, 16, shared_options, cache);
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.lookup(job)->program(mpe::sim::Technology{}), program);
+
+  mp::ShardRunOptions fresh_options;
+  fresh_options.state_dir = fresh_dir("shard_fresh_caches");
+  mp::CircuitCache fresh_a(1);
+  mp::CircuitCache fresh_b(1);
+  ASSERT_EQ(a.status, mp::JobStatus::kDone);
+  ASSERT_EQ(b.status, mp::JobStatus::kDone);
+  EXPECT_EQ(mp::run_campaign_shard(job, 0, 0, 8, fresh_options, fresh_a)
+                .samples,
+            a.samples);
+  EXPECT_EQ(mp::run_campaign_shard(job, 1, 8, 16, fresh_options, fresh_b)
+                .samples,
+            b.samples);
 }
 
 // ------------------------------------------------------------ ledger record
@@ -256,7 +299,9 @@ TEST(ShardRecord, RoundTripsThroughTheLedgerSealed) {
   const std::string dir = fresh_dir("shard_rec");
   mp::ShardRunOptions options;
   options.state_dir = dir;
-  const mp::ShardOutcome out = mp::run_campaign_shard(job, 1, 8, 16, options);
+  mp::CircuitCache cache(1);
+  const mp::ShardOutcome out =
+      mp::run_campaign_shard(job, 1, 8, 16, options, cache);
   ASSERT_EQ(out.status, mp::JobStatus::kDone);
 
   const std::string line =

@@ -9,6 +9,7 @@
 #include "circuit/analysis.hpp"
 #include "gen/arithmetic.hpp"
 #include "gen/presets.hpp"
+#include "util/status.hpp"
 
 namespace {
 
@@ -137,23 +138,38 @@ TEST(VerilogIo, ErrorsCarryLineNumbers) {
   }
 }
 
+/// The error code `read` throws; kOk when it does not throw.
+template <typename Read>
+mpe::ErrorCode thrown_code(Read read) {
+  try {
+    read();
+  } catch (const mpe::Error& e) {
+    return e.code();
+  }
+  return mpe::ErrorCode::kOk;
+}
+
 TEST(VerilogIo, RejectsUndeclaredSignals) {
-  EXPECT_THROW(ckt::read_verilog_string(
-                   "module m (a, y);\n  input a;\n  output y;\n"
-                   "  not (y, ghost);\nendmodule\n"),
-               std::runtime_error);
+  EXPECT_EQ(thrown_code([] {
+              ckt::read_verilog_string(
+                  "module m (a, y);\n  input a;\n  output y;\n"
+                  "  not (y, ghost);\nendmodule\n");
+            }),
+            mpe::ErrorCode::kParse);
 }
 
 TEST(VerilogIo, RejectsVectors) {
-  EXPECT_THROW(ckt::read_verilog_string(
-                   "module m (a, y);\n  input [3:0] a;\n  output y;\n"
-                   "endmodule\n"),
-               std::runtime_error);
+  EXPECT_EQ(thrown_code([] {
+              ckt::read_verilog_string(
+                  "module m (a, y);\n  input [3:0] a;\n  output y;\n"
+                  "endmodule\n");
+            }),
+            mpe::ErrorCode::kParse);
 }
 
 TEST(VerilogIo, RejectsMissingFile) {
-  EXPECT_THROW(ckt::read_verilog_file("/no/such/file.v"),
-               std::runtime_error);
+  EXPECT_EQ(thrown_code([] { ckt::read_verilog_file("/no/such/file.v"); }),
+            mpe::ErrorCode::kIo);
 }
 
 }  // namespace

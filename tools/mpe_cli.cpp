@@ -152,14 +152,12 @@ int cmd_estimate(const Cli& cli) {
   // simulates unit by unit. Both yield the same value stream for a seed.
   sim::PowerEvalOptions eval_opt;
   const std::string delay_name = cli.get("delay", "loaded");
-  if (delay_name == "zero") {
-    eval_opt.delay_model = sim::DelayModel::kZero;
-  } else if (delay_name == "unit") {
-    eval_opt.delay_model = sim::DelayModel::kUnit;
-  } else if (delay_name != "loaded") {
+  const auto delay = sim::delay_model_from_name(delay_name);
+  if (!delay) {
     throw Error(ErrorCode::kUsage, "unknown --delay (zero|unit|loaded)",
                 ErrorContext{}.kv("value", delay_name).str());
   }
+  eval_opt.delay_model = *delay;
   sim::CyclePowerEvaluator evaluator(netlist, eval_opt);
 
   std::unique_ptr<vec::PairGenerator> pairs;
@@ -568,8 +566,9 @@ int cmd_serve(const Cli& cli) {
     throw Error(ErrorCode::kIo, "cannot create server state directory",
                 ErrorContext{}.kv("path", opt.state_dir).str());
   }
-  opt.cache_capacity = static_cast<std::size_t>(
-      std::max<long long>(1, cli.get_int("cache-cap", 16)));
+  opt.cache_capacity = static_cast<std::size_t>(std::max<long long>(
+      1, cli.get_int("cache-cap",
+                     static_cast<std::int64_t>(opt.cache_capacity))));
   opt.scheduler.max_active = static_cast<std::size_t>(
       std::max<long long>(1, cli.get_int("max-active", 2)));
   opt.scheduler.max_queued_per_client = static_cast<std::size_t>(
@@ -910,15 +909,12 @@ int cmd_timing(const Cli& cli) {
   cli.check_known({"circuit", "bench", "verilog", "seed", "model"});
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
   auto netlist = load_circuit(cli, seed);
-  const std::string model = cli.get("model", "loaded");
-  sim::DelayModel dm = sim::DelayModel::kFanoutLoaded;
-  if (model == "zero") dm = sim::DelayModel::kZero;
-  else if (model == "unit") dm = sim::DelayModel::kUnit;
-  else if (model != "loaded") usage();
+  const auto dm = sim::delay_model_from_name(cli.get("model", "loaded"));
+  if (!dm) usage();
 
-  const auto t = sim::analyze_timing(netlist, sim::Technology{}, dm);
+  const auto t = sim::analyze_timing(netlist, sim::Technology{}, *dm);
   std::printf("critical delay (%s model): %.3f ns\n",
-              sim::to_string(dm), t.critical_delay);
+              sim::to_string(*dm), t.critical_delay);
   std::printf("critical path (%zu nodes):\n", t.critical_path.size());
   for (auto n : t.critical_path) {
     std::printf("  %-20s arrival %.3f ns\n",
