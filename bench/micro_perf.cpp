@@ -50,6 +50,33 @@ void BM_EventCycle(benchmark::State& state, const std::string& name,
   state.SetItemsProcessed(state.iterations());
 }
 
+// The 64-lane event simulator: one full evaluate_batch of fresh random
+// pairs per iteration (the pair distribution BM_EventCycle draws), so each
+// row compares per unit with the BM_EventCycle row of the same circuit and
+// semantics.
+void BM_EventBatch(benchmark::State& state, const std::string& name,
+                   bool inertial) {
+  const auto& nl = preset(name);
+  sim::EventSimOptions opt;
+  opt.inertial = inertial;
+  sim::BatchEventSimulator sim(nl, opt);
+  Rng rng(7);
+  std::vector<vec::VectorPair> pairs(sim.lanes());
+  std::vector<sim::CycleResult> results;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (auto& p : pairs) {
+      p.first = vec::random_vector(nl.num_inputs(), rng);
+      p.second = vec::random_vector(nl.num_inputs(), rng);
+    }
+    state.ResumeTiming();
+    sim.evaluate_batch(pairs, results);
+    benchmark::DoNotOptimize(results.front().power_mw);
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * pairs.size()));
+}
+
 // Raw compiled-tape throughput: one full-width evaluate_batch per
 // iteration, per kernel variant. Compare the scalar64 vs avx2x256 vs
 // avx512x512 rows for the widening gain; these rows are the per-kernel cost
@@ -377,6 +404,12 @@ BENCHMARK_CAPTURE(BM_EventCycle, c3540_inertial, std::string("c3540"), true);
 BENCHMARK_CAPTURE(BM_EventCycle, c3540_transport, std::string("c3540"),
                   false);
 BENCHMARK_CAPTURE(BM_EventCycle, c7552_inertial, std::string("c7552"), true);
+BENCHMARK_CAPTURE(BM_EventCycle, c1355_inertial, std::string("c1355"), true);
+BENCHMARK_CAPTURE(BM_EventCycle, c2670_inertial, std::string("c2670"), true);
+BENCHMARK_CAPTURE(BM_EventBatch, c1355_inertial, std::string("c1355"), true);
+BENCHMARK_CAPTURE(BM_EventBatch, c2670_inertial, std::string("c2670"), true);
+BENCHMARK_CAPTURE(BM_EventBatch, c3540_transport, std::string("c3540"),
+                  false);
 BENCHMARK_CAPTURE(BM_CompiledBatch, c7552_scalar64, std::string("c7552"),
                   sim::SimdKernel::kScalar64);
 BENCHMARK_CAPTURE(BM_CompiledBatch, c7552_avx2x256, std::string("c7552"),

@@ -54,7 +54,11 @@ Netlist read_bench(std::istream& in, const std::string& name) {
     if (line.rfind("INPUT", 0) == 0) {
       const std::string sig = paren_arg(line);
       if (sig.empty()) parse_error(line_no, "empty INPUT signal name");
-      nl.add_input(sig);
+      try {
+        nl.add_input(sig);
+      } catch (const std::exception& e) {
+        parse_error(line_no, e.what());
+      }
       continue;
     }
     if (line.rfind("OUTPUT", 0) == 0) {

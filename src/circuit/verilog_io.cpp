@@ -148,7 +148,11 @@ Netlist read_verilog(std::istream& in) {
         }
         declared.insert(name.text);
         if (head.text == "input") {
-          nl.add_input(name.text);
+          try {
+            nl.add_input(name.text);
+          } catch (const std::exception& e) {
+            verilog_error(name.line, e.what());
+          }
         } else if (head.text == "output") {
           output_names.push_back(name.text);
         } else {

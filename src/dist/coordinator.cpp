@@ -567,10 +567,12 @@ maxpower::CampaignResult serve_campaign(
                          ? options.control.should_stop()
                          : util::StopCause::kCancelled;
   }
-  // Linger briefly so connected workers learn the campaign is over from a
-  // drain reply instead of burning their whole redial budget against a
-  // vanished socket.
-  hub.linger(std::chrono::milliseconds{2000});
+  // Linger so workers learn the campaign is over from a drain reply
+  // instead of burning their whole redial budget against a vanished
+  // socket. Hold the full grace: a worker launched with the coordinator
+  // may still be backing off from a dial that came before the listener,
+  // and a short campaign can finish before its next try.
+  hub.linger(std::chrono::milliseconds{2000}, /*hold_full_grace=*/true);
   return result;
 }
 

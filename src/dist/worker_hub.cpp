@@ -181,7 +181,8 @@ WorkerHub::Clock::time_point WorkerHub::next_deadline() const {
   return soonest;
 }
 
-void WorkerHub::linger(std::chrono::milliseconds grace) {
+void WorkerHub::linger(std::chrono::milliseconds grace,
+                       bool hold_full_grace) {
   const auto deadline = Clock::now() + grace;
   for (auto& conn : conns_) {
     if (!conn->request) continue;
@@ -189,7 +190,7 @@ void WorkerHub::linger(std::chrono::milliseconds grace) {
     send(*conn, encode_drain());
   }
   drop_closed();
-  while (!conns_.empty() && Clock::now() < deadline) {
+  while ((hold_full_grace || !conns_.empty()) && Clock::now() < deadline) {
     PollSet set;
     watch(set);
     set.wait(deadline);

@@ -71,9 +71,12 @@ class WorkerHub {
 
   /// The campaign is over: answers parked requests `drain`, then keeps
   /// answering (hello: the core's ack, heartbeat: revoke, anything else:
-  /// drain) until every worker hung up or `grace` passed. Workers then
-  /// exit on a drain reply instead of redialing a closed socket.
-  void linger(std::chrono::milliseconds grace);
+  /// drain) until `grace` passed or, unless `hold_full_grace`, every worker
+  /// hung up. Workers then exit on a drain reply instead of redialing a
+  /// closed socket. Holding the full grace also reaches a worker that is
+  /// still between dials — one started with a campaign that finished
+  /// before it first connected.
+  void linger(std::chrono::milliseconds grace, bool hold_full_grace = false);
 
   std::size_t connections() const { return conns_.size(); }
   std::size_t parked() const { return parked_; }

@@ -67,6 +67,7 @@
 #include "gen/trees.hpp"
 
 #include "sim/delay.hpp"
+#include "sim/batch_event_sim.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/power_eval.hpp"
 #include "sim/power_profile.hpp"

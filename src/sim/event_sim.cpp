@@ -133,7 +133,9 @@ CycleResult EventSimulator::evaluate(std::span<const std::uint8_t> v1,
       }
     } while (!heap_.empty() && heap_.front().time == t_now);
     // Commit the timestamp: one toggle per node whose value actually
-    // changed across the whole timestamp.
+    // changed across the whole timestamp, in ascending node id (the energy
+    // order BatchEventSimulator reproduces lane by lane).
+    std::sort(changed_nodes_.begin(), changed_nodes_.end());
     for (circuit::NodeId n : changed_nodes_) {
       if (value_[n] != start_value_[n]) {
         ++r.toggles;

@@ -6,7 +6,14 @@
 // (pulses narrower than a gate's delay are swallowed).
 //
 // This simulator is the repo's PowerMill substitute: the estimation layers
-// consume only the per-cycle power values it produces.
+// consume only the per-cycle power values it produces. It is also the
+// reference oracle of the 64-lane BatchEventSimulator, which the population
+// builders and streaming draws run on.
+//
+// Energy order: a cycle's energy is the sum of one toggle energy per
+// committed toggle, added in time order and, within one timestamp, in
+// ascending node id. The batch simulator adds them in the same order lane by
+// lane, so both give the same doubles.
 #pragma once
 
 #include <cstdint>

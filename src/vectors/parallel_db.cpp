@@ -30,34 +30,36 @@ FinitePopulation build_power_database_parallel(
   threads =
       static_cast<unsigned>(std::min<std::size_t>(threads, num_chunks));
 
+  // One zero-delay tape shared by every slot; event timing needs none.
+  std::shared_ptr<const sim::GateProgram> program;
+  if (eval_options.delay_model == sim::DelayModel::kZero) {
+    program = sim::GateProgram::compile(netlist, eval_options.tech);
+  }
   std::vector<double> values(total);
-  auto simulate_chunk = [&](sim::CyclePowerEvaluator& evaluator,
-                            std::size_t c) {
+  auto simulate_chunk = [&](PowerBatcher& batcher, std::size_t c) {
     Rng rng(stream_seed(options.seed, c));
     const std::size_t begin = c * options.chunk;
     const std::size_t end = std::min(begin + options.chunk, total);
-    for (std::size_t i = begin; i < end; ++i) {
-      const VectorPair p = generator.generate(rng);
-      values[i] = evaluator.power_mw(p.first, p.second);
-    }
+    batcher.simulate(generator, rng,
+                     std::span(values).subspan(begin, end - begin));
   };
 
   if (threads <= 1) {
-    sim::CyclePowerEvaluator evaluator(netlist, eval_options);
-    for (std::size_t c = 0; c < num_chunks; ++c) simulate_chunk(evaluator, c);
+    PowerBatcher batcher(netlist, eval_options, program);
+    for (std::size_t c = 0; c < num_chunks; ++c) simulate_chunk(batcher, c);
   } else {
     // The pool caller participates, so `threads` total executors needs
-    // threads - 1 pool workers. Evaluators are per-slot: constructed lazily
+    // threads - 1 pool workers. Batchers are per-slot: constructed lazily
     // on a slot's first chunk, reused for all its later chunks.
     util::ThreadPool pool(threads - 1);
-    std::vector<std::optional<sim::CyclePowerEvaluator>> evaluators(
-        pool.participants());
+    std::vector<std::optional<PowerBatcher>> batchers(pool.participants());
     pool.parallel_for_slotted(0, num_chunks,
                               [&](unsigned slot, std::size_t c) {
-                                auto& evaluator = evaluators[slot];
-                                if (!evaluator)
-                                  evaluator.emplace(netlist, eval_options);
-                                simulate_chunk(*evaluator, c);
+                                auto& batcher = batchers[slot];
+                                if (!batcher)
+                                  batcher.emplace(netlist, eval_options,
+                                                  program);
+                                simulate_chunk(*batcher, c);
                               });
   }
 

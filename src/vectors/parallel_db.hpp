@@ -6,7 +6,9 @@
 // its own counter-derived RNG stream (stream_seed() in util/rng.hpp) — the
 // resulting population is bit-identical for any thread count (including 1),
 // and reproducible from the seed alone. Work is scheduled on a
-// util::ThreadPool; one simulator instance is kept per worker slot.
+// util::ThreadPool; one batch simulator (vec::PowerBatcher: the compiled
+// tape under zero delay, the 64-lane event simulator otherwise) is kept per
+// worker slot.
 #pragma once
 
 #include <cstdint>
@@ -29,8 +31,10 @@ struct ParallelPowerDbOptions {
 };
 
 /// Simulates the population on `threads` workers, each with its own
-/// simulator instance over the shared netlist. The generator must be
-/// stateless across generate() calls (all library generators are).
+/// simulator instance over the shared netlist. Every value equals
+/// CyclePowerEvaluator(netlist, eval_options).power_mw on the same pair. The
+/// generator must be stateless across generate() calls (all library
+/// generators are).
 FinitePopulation build_power_database_parallel(
     const circuit::Netlist& netlist, const PairGenerator& generator,
     const sim::PowerEvalOptions& eval_options,

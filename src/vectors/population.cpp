@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/gate_program.hpp"
-#include "sim/simd_sim.hpp"
 #include "util/contracts.hpp"
 #include "util/metrics.hpp"
 
@@ -69,6 +67,62 @@ double FinitePopulation::qualified_fraction(double epsilon) const {
   return static_cast<double>(qualified) / static_cast<double>(values_.size());
 }
 
+namespace {
+
+std::variant<sim::CompiledSimulator, sim::BatchEventSimulator>
+make_batch_simulator(const circuit::Netlist& netlist,
+                     const sim::PowerEvalOptions& options,
+                     std::shared_ptr<const sim::GateProgram> program) {
+  if (options.delay_model != sim::DelayModel::kZero) {
+    MPE_EXPECTS_MSG(program == nullptr,
+                    "a compiled tape requires the zero-delay model");
+    sim::EventSimOptions eo;
+    eo.tech = options.tech;
+    eo.delay_model = options.delay_model;
+    eo.inertial = options.inertial;
+    return sim::BatchEventSimulator(netlist, eo);
+  }
+  if (program == nullptr) {
+    program = sim::GateProgram::compile(netlist, options.tech);
+  }
+  return sim::CompiledSimulator(std::move(program), sim::best_kernel());
+}
+
+}  // namespace
+
+PowerBatcher::PowerBatcher(const circuit::Netlist& netlist,
+                           const sim::PowerEvalOptions& options,
+                           std::shared_ptr<const sim::GateProgram> program)
+    : sim_(make_batch_simulator(netlist, options, std::move(program))) {}
+
+void PowerBatcher::simulate(const PairGenerator& generator, Rng& rng,
+                            std::span<double> out) {
+  // Generate pairs in scalar order (identical RNG consumption), then
+  // evaluate up to `lanes` of them per pass.
+  std::visit(
+      [&](auto& sim) {
+        for (std::size_t done = 0; done < out.size();) {
+          const std::size_t lanes =
+              std::min(sim.lanes(), out.size() - done);
+          pairs_.resize(lanes);
+          for (auto& p : pairs_) generator.generate_into(rng, p);
+          sim.evaluate_batch(pairs_, results_);
+          for (std::size_t k = 0; k < lanes; ++k) {
+            out[done + k] = results_[k].power_mw;
+          }
+          done += lanes;
+        }
+      },
+      sim_);
+}
+
+std::optional<sim::SimdKernel> PowerBatcher::kernel() const {
+  if (const auto* compiled = std::get_if<sim::CompiledSimulator>(&sim_)) {
+    return compiled->kernel();
+  }
+  return std::nullopt;
+}
+
 StreamingPopulation::StreamingPopulation(
     const PairGenerator& generator, sim::CyclePowerEvaluator& evaluator,
     std::shared_ptr<const sim::GateProgram> program)
@@ -76,23 +130,17 @@ StreamingPopulation::StreamingPopulation(
   MPE_EXPECTS_MSG(
       generator.width() == evaluator.netlist().num_inputs(),
       "generator width must match the netlist primary input count");
-  if (evaluator_.options().delay_model != sim::DelayModel::kZero) {
-    // Event timing does not vectorize: the gate tape is a zero-delay
-    // construct.
-    MPE_EXPECTS_MSG(program == nullptr,
-                    "a compiled tape requires the zero-delay model");
-    return;
-  }
-  // Compile once per population unless a cached tape was handed in; slots
-  // share the immutable tape.
-  if (program == nullptr) {
+  // Compile the zero-delay tape once per population unless a cached one was
+  // handed in; slots share it.
+  if (evaluator_.options().delay_model == sim::DelayModel::kZero &&
+      program == nullptr) {
     program = sim::GateProgram::compile(evaluator_.netlist(),
                                         evaluator_.options().tech);
   }
-  tape_ = Tape{std::move(program), sim::best_kernel()};
-  // Construct the first slot eagerly so a bad netlist fails here, not
-  // inside a worker thread.
-  release_slot(make_slot());
+  program_ = std::move(program);
+  auto slot = make_slot();
+  kernel_ = slot->kernel();
+  release_slot(std::move(slot));
 }
 
 StreamingPopulation::~StreamingPopulation() = default;
@@ -104,24 +152,12 @@ double StreamingPopulation::draw(Rng& rng) {
   return evaluator_.power_mw(p.first, p.second);
 }
 
-/// One checked-out unit of batched simulation state: the simulator itself
-/// plus the pair/result scratch vectors, so steady-state draw_batch passes
-/// make no heap allocations at all.
-struct StreamingPopulation::Slot {
-  Slot(std::shared_ptr<const sim::GateProgram> program, sim::SimdKernel k)
-      : sim(std::move(program), k) {}
-  sim::CompiledSimulator sim;
-  std::vector<VectorPair> pairs;
-  std::vector<sim::CycleResult> results;
-};
-
-std::unique_ptr<StreamingPopulation::Slot>
-StreamingPopulation::make_slot() const {
-  return std::make_unique<Slot>(tape_->program, tape_->kernel);
+std::unique_ptr<PowerBatcher> StreamingPopulation::make_slot() const {
+  return std::make_unique<PowerBatcher>(evaluator_.netlist(),
+                                        evaluator_.options(), program_);
 }
 
-std::unique_ptr<StreamingPopulation::Slot>
-StreamingPopulation::acquire_slot() {
+std::unique_ptr<PowerBatcher> StreamingPopulation::acquire_slot() {
   {
     std::lock_guard<std::mutex> lock(sim_mutex_);
     if (!idle_slots_.empty()) {
@@ -133,37 +169,18 @@ StreamingPopulation::acquire_slot() {
   return make_slot();
 }
 
-void StreamingPopulation::release_slot(std::unique_ptr<Slot> slot) {
+void StreamingPopulation::release_slot(std::unique_ptr<PowerBatcher> slot) {
   std::lock_guard<std::mutex> lock(sim_mutex_);
   idle_slots_.push_back(std::move(slot));
 }
 
 void StreamingPopulation::draw_batch(std::span<double> out, Rng& rng) {
   pm().streaming_batches.inc();
-  if (!tape_) {
-    for (double& v : out) v = draw(rng);
-    return;
-  }
-  // Generate pairs in scalar order (identical RNG consumption), then
-  // evaluate up to `lanes` of them per levelized pass. The slot (simulator
-  // plus scratch buffers) is private to this call, so concurrent batches
-  // (each with its own Rng) never share mutable simulation state, and its
-  // buffers persist across passes and batches — the steady-state loop is
-  // allocation-free.
+  // The slot is private to this call, so concurrent batches (each with its
+  // own Rng) never share mutable simulation state, and its buffers persist
+  // across passes and batches.
   auto slot = acquire_slot();
-  const std::size_t max_lanes = slot->sim.lanes();
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::size_t lanes =
-        std::min<std::size_t>(max_lanes, out.size() - done);
-    slot->pairs.resize(lanes);
-    for (auto& p : slot->pairs) generator_.generate_into(rng, p);
-    slot->sim.evaluate_batch(slot->pairs, slot->results);
-    for (std::size_t k = 0; k < lanes; ++k) {
-      out[done + k] = slot->results[k].power_mw;
-    }
-    done += lanes;
-  }
+  slot->simulate(generator_, rng, out);
   draws_.fetch_add(out.size(), std::memory_order_relaxed);
   pm().streaming_units.inc(out.size());
   release_slot(std::move(slot));
@@ -178,7 +195,8 @@ std::string streaming_description(const std::string& circuit,
                                   const PairGenerator& generator,
                                   sim::DelayModel delay) {
   return "streaming population over " + circuit + " (" +
-         generator.description() + ") [" + sim::to_string(delay) + " delay]";
+         generator.description() + ") [" + sim::to_string(delay) + " delay" +
+         (delay == sim::DelayModel::kZero ? "" : ", energy order 2") + "]";
 }
 
 }  // namespace mpe::vec

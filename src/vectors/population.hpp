@@ -12,9 +12,10 @@
 // Batched draws: the estimation hot path pulls units through draw_batch(),
 // which consumes the RNG in exactly the same order as the equivalent
 // sequence of scalar draw() calls — so batching is purely a performance
-// choice, never a statistical one. A zero-delay StreamingPopulation routes
-// batches through the compiled wide-SIMD gate tape, turning one full
-// netlist traversal per unit into 1/64th..1/512th of one tape pass.
+// choice, never a statistical one. A StreamingPopulation routes batches
+// through the fast simulator of its delay model (a PowerBatcher): the
+// compiled wide-SIMD gate tape under zero delay, 64 to 512 units per tape
+// pass, and the 64-lane event simulator under unit or loaded delay.
 #pragma once
 
 #include <atomic>
@@ -23,18 +24,49 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <variant>
 #include <vector>
 
+#include "circuit/netlist.hpp"
+#include "sim/batch_event_sim.hpp"
 #include "sim/cpu_dispatch.hpp"
 #include "sim/power_eval.hpp"
+#include "sim/simd_sim.hpp"
 #include "util/rng.hpp"
 #include "vectors/generators.hpp"
 
-namespace mpe::sim {
-class GateProgram;
-}
-
 namespace mpe::vec {
+
+/// Batched simulation state: the fast simulator of a delay model plus
+/// reusable pair and result buffers, so steady-state passes allocate
+/// nothing. Under zero delay it is the compiled gate tape on
+/// sim::best_kernel(), 64/256/512 pairs per pass; under unit or loaded delay
+/// the 64-lane sim::BatchEventSimulator. Every value equals
+/// sim::CyclePowerEvaluator::power_mw on the same pair and options, bit for
+/// bit. One per thread.
+class PowerBatcher {
+ public:
+  /// Under zero delay, adopts `program` — which must have been compiled from
+  /// this netlist and technology — or compiles the tape when it is null.
+  /// Any other delay model requires a null `program`.
+  PowerBatcher(const circuit::Netlist& netlist,
+               const sim::PowerEvalOptions& options,
+               std::shared_ptr<const sim::GateProgram> program = nullptr);
+
+  /// Generates out.size() pairs from `generator` — the RNG stream of as
+  /// many generator.generate() calls — and writes their cycle power, a
+  /// simulator pass at a time.
+  void simulate(const PairGenerator& generator, Rng& rng,
+                std::span<double> out);
+
+  /// The SIMD kernel under zero delay; nullopt under event timing.
+  std::optional<sim::SimdKernel> kernel() const;
+
+ private:
+  std::variant<sim::CompiledSimulator, sim::BatchEventSimulator> sim_;
+  std::vector<VectorPair> pairs_;
+  std::vector<sim::CycleResult> results_;
+};
 
 /// Source of per-unit power values.
 class Population {
@@ -94,11 +126,12 @@ class FinitePopulation final : public Population {
 
 /// Unbounded population: simulate a fresh random unit per draw.
 ///
-/// The draw path follows from the evaluator's delay model. Under zero delay,
-/// draw_batch evaluates the compiled gate tape with sim::best_kernel(), up to
-/// 64/256/512 units per tape pass; any other delay model draws unit by unit
-/// through the scalar evaluator. draw() is always the scalar reference
-/// stream, and every draw_batch value equals it bit for bit.
+/// draw_batch evaluates on the fast simulator of the evaluator's delay
+/// model: the compiled gate tape with sim::best_kernel() under zero delay,
+/// up to 64/256/512 units per tape pass, and the 64-lane event simulator
+/// under unit or loaded delay. draw() is always the scalar reference stream
+/// through the borrowed evaluator, and every draw_batch value equals it bit
+/// for bit.
 class StreamingPopulation final : public Population {
  public:
   /// Borrows the generator and evaluator; both must outlive this object.
@@ -106,7 +139,8 @@ class StreamingPopulation final : public Population {
   /// compiled from this netlist and technology (the server's circuit cache
   /// keys its tapes by circuit content to guarantee it) — or compiles the
   /// tape itself when `program` is null. Any other delay model requires a
-  /// null `program`.
+  /// null `program`. The first simulation slot is built here, so a bad
+  /// netlist fails in the constructor, not inside a worker thread.
   StreamingPopulation(const PairGenerator& generator,
                       sim::CyclePowerEvaluator& evaluator,
                       std::shared_ptr<const sim::GateProgram> program =
@@ -115,20 +149,19 @@ class StreamingPopulation final : public Population {
 
   double draw(Rng& rng) override;
   void draw_batch(std::span<double> out, Rng& rng) override;
-  /// Tape draws are concurrent-safe: each call checks a simulation slot
-  /// (simulator + scratch buffers) out of an internal freelist, so
-  /// independent threads simulate on private state. Scalar draws share the
-  /// borrowed evaluator and stay single-threaded.
-  bool concurrent_draw_safe() const override { return tape_.has_value(); }
+  /// Batched draws are concurrent-safe: each call checks a simulation slot
+  /// (a PowerBatcher) out of an internal freelist, so independent threads
+  /// simulate on private state. Scalar draw() shares the borrowed evaluator
+  /// and stays single-threaded.
+  bool concurrent_draw_safe() const override { return true; }
   std::optional<std::size_t> size() const override { return std::nullopt; }
   /// streaming_description() of this population's circuit, generator and
   /// delay model.
   std::string description() const override;
 
-  /// Kernel evaluating tape batches; nullopt when draws are scalar.
-  std::optional<sim::SimdKernel> kernel() const {
-    return tape_ ? std::optional(tape_->kernel) : std::nullopt;
-  }
+  /// Kernel evaluating tape batches under zero delay; nullopt under event
+  /// timing.
+  std::optional<sim::SimdKernel> kernel() const { return kernel_; }
 
   /// Units simulated so far.
   std::size_t draws() const {
@@ -136,24 +169,19 @@ class StreamingPopulation final : public Population {
   }
 
  private:
-  struct Slot;  // simulator + reusable pair/result buffers
-  std::unique_ptr<Slot> acquire_slot();
-  void release_slot(std::unique_ptr<Slot> slot);
-  std::unique_ptr<Slot> make_slot() const;
+  std::unique_ptr<PowerBatcher> acquire_slot();
+  void release_slot(std::unique_ptr<PowerBatcher> slot);
+  std::unique_ptr<PowerBatcher> make_slot() const;
 
   const PairGenerator& generator_;
   sim::CyclePowerEvaluator& evaluator_;
-  /// Shared immutable tape and the kernel captured at construction.
-  struct Tape {
-    std::shared_ptr<const sim::GateProgram> program;
-    sim::SimdKernel kernel;
-  };
-  /// Set exactly when draws run on the tape (zero delay).
-  std::optional<Tape> tape_;
+  /// The shared immutable tape under zero delay; null under event timing.
+  std::shared_ptr<const sim::GateProgram> program_;
+  std::optional<sim::SimdKernel> kernel_;
   /// Idle simulation slots; one is checked out per concurrent draw_batch
   /// call, so the list grows to the peak thread count.
   std::mutex sim_mutex_;
-  std::vector<std::unique_ptr<Slot>> idle_slots_;
+  std::vector<std::unique_ptr<PowerBatcher>> idle_slots_;
   std::atomic<std::size_t> draws_{0};
 };
 
@@ -161,7 +189,10 @@ class StreamingPopulation final : public Population {
 /// and its delay model — what decides its values — but never the evaluation
 /// path. Seeded values are the same on every kernel, so a checkpoint, whose
 /// fingerprint folds this string in, resumes across hosts, while a run under
-/// another delay model is refused.
+/// another delay model is refused. Unit and loaded delay carry the revision
+/// of their energy summation order ("energy order 2": within a timestamp, a
+/// unit's toggles are summed in ascending node id), so checkpoints of the
+/// earlier order are refused; zero delay carries none.
 std::string streaming_description(const std::string& circuit,
                                   const PairGenerator& generator,
                                   sim::DelayModel delay);

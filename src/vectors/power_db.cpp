@@ -1,5 +1,7 @@
 #include "vectors/power_db.hpp"
 
+#include <algorithm>
+
 #include "util/contracts.hpp"
 
 namespace mpe::vec {
@@ -13,15 +15,18 @@ FinitePopulation build_power_database(const PairGenerator& generator,
       generator.width() == evaluator.netlist().num_inputs(),
       "generator width must match the netlist primary input count");
 
-  std::vector<double> values;
-  values.reserve(options.population_size);
-  for (std::size_t i = 0; i < options.population_size; ++i) {
-    const VectorPair p = generator.generate(rng);
-    values.push_back(evaluator.power_mw(p.first, p.second));
-    if (options.progress_stride != 0 && options.on_progress &&
-        (i + 1) % options.progress_stride == 0) {
-      options.on_progress(i + 1, options.population_size);
-    }
+  // Simulate in batches that end on progress ticks, so each tick reports
+  // the units simulated so far, as a unit-by-unit loop would.
+  PowerBatcher batcher(evaluator.netlist(), evaluator.options());
+  const std::size_t total = options.population_size;
+  const bool report = options.progress_stride != 0 && options.on_progress;
+  const std::size_t step = report ? options.progress_stride : total;
+  std::vector<double> values(total);
+  for (std::size_t done = 0; done < total;) {
+    const std::size_t n = std::min(step - done % step, total - done);
+    batcher.simulate(generator, rng, std::span(values).subspan(done, n));
+    done += n;
+    if (report && done % step == 0) options.on_progress(done, total);
   }
   return FinitePopulation(
       std::move(values),

@@ -18,7 +18,9 @@ struct PowerDbOptions {
 };
 
 /// Simulates `options.population_size` pairs from `generator` on
-/// `evaluator`'s netlist and returns the materialized population.
+/// `evaluator`'s netlist and returns the materialized population. Pairs are
+/// evaluated in batches on the fast simulator of the evaluator's delay model
+/// (vec::PowerBatcher); every value equals evaluator.power_mw on its pair.
 FinitePopulation build_power_database(const PairGenerator& generator,
                                       sim::CyclePowerEvaluator& evaluator,
                                       const PowerDbOptions& options, Rng& rng);

@@ -5,9 +5,11 @@
 #include <cstdio>
 #include <fstream>
 #include <stdexcept>
+#include <utility>
 
 #include "circuit/analysis.hpp"
 #include "gen/arithmetic.hpp"
+#include "util/status.hpp"
 
 namespace {
 
@@ -105,6 +107,21 @@ TEST(BenchIo, MalformedLinesReportLineNumbers) {
     FAIL() << "expected parse error";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  }
+}
+
+TEST(BenchIo, DuplicateOrDrivenInputIsParseErrorAtItsLine) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"INPUT(a)\nINPUT(a)\nOUTPUT(y)\ny = NOT(a)\n", "line 2"},
+      {"INPUT(a)\nOUTPUT(y)\ny = NOT(a)\nINPUT(y)\n", "line 4"}};
+  for (const auto& [text, line] : cases) {
+    try {
+      ckt::read_bench_string(text);
+      FAIL() << "accepted: " << text;
+    } catch (const mpe::Error& e) {
+      EXPECT_EQ(e.code(), mpe::ErrorCode::kParse);
+      EXPECT_NE(std::string(e.what()).find(line), std::string::npos);
+    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <optional>
+#include <span>
 #include <string>
 
 #include "gen/presets.hpp"
@@ -528,6 +529,57 @@ TEST(CheckpointRefusal, OtherDelayModelIsPrecondition) {
     }
     std::remove(path.c_str());
   }
+}
+
+/// A population under another description, as an earlier build named it.
+class RenamedPopulation final : public mpe::vec::Population {
+ public:
+  RenamedPopulation(mpe::vec::Population& inner, std::string description)
+      : inner_(inner), description_(std::move(description)) {}
+  double draw(mpe::Rng& rng) override { return inner_.draw(rng); }
+  void draw_batch(std::span<double> out, mpe::Rng& rng) override {
+    inner_.draw_batch(out, rng);
+  }
+  bool concurrent_draw_safe() const override {
+    return inner_.concurrent_draw_safe();
+  }
+  std::optional<std::size_t> size() const override { return inner_.size(); }
+  std::string description() const override { return description_; }
+
+ private:
+  mpe::vec::Population& inner_;
+  std::string description_;
+};
+
+TEST(CheckpointRefusal, EarlierEnergyOrderLoadedCheckpointIsPrecondition) {
+  // Loaded-delay checkpoints written before energies were summed in node
+  // order carry the description without its revision, and may hold values
+  // an ulp away: they are refused, not resumed.
+  const auto nl = mpe::gen::build_preset("c432", 3);
+  const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
+  mpe::sim::CyclePowerEvaluator eval(nl);  // fanout-loaded, inertial
+  mpe::vec::StreamingPopulation pop(gen, eval);
+  const std::string earlier = "streaming population over " + nl.name() +
+                              " (" + gen.description() +
+                              ") [fanout-loaded delay]";
+  ASSERT_NE(pop.description(), earlier);
+  RenamedPopulation written(pop, earlier);
+
+  const std::string path = temp_path("ckpt_energy_order.ckpt");
+  std::remove(path.c_str());
+  mp::EstimatorOptions opt;
+  opt.checkpoint_path = path;
+  opt.max_hyper_samples = 3;
+  const std::uint64_t seed = 3;
+  (void)mp::estimate_max_power(written, opt, seed);
+  try {
+    (void)mp::estimate_max_power(pop, opt, seed);
+    FAIL() << "earlier energy-order checkpoint resumed";
+  } catch (const mpe::Error& e) {
+    EXPECT_EQ(e.code(), mpe::ErrorCode::kPrecondition);
+    EXPECT_NE(e.context().find("expected_fingerprint"), std::string::npos);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(CheckpointRefusal, SerialCheckpointRefusedByParallelPath) {

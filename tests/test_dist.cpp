@@ -931,6 +931,25 @@ TEST(WorkerHubParking, IdleRequestIsHeldUntilWorkOrDrainArrives) {
   EXPECT_EQ(hub.parked(), 0u);
 }
 
+TEST(WorkerHubParking, LingerHoldingFullGraceDrainsALateDialer) {
+  // A worker whose first dial lands after the campaign ended, with no other
+  // worker connected, still hears drain while the hub holds its grace —
+  // instead of redialing a vanished socket until its retries run out.
+  const std::string dir = fresh_dir("hub_linger");
+  md::CoordinatorCore core(one_shard_config(dir));
+  md::UnixListener listener(dir + ".sock");
+  md::WorkerHub hub(core, {&listener});
+  core.begin_drain();
+  std::thread lingering([&] { hub.linger(1500ms, true); });
+  std::this_thread::sleep_for(100ms);  // lingering with no connection
+  RawWorker late(dir + ".sock", "late");
+  late.send(md::encode_hello(late.id));
+  EXPECT_EQ(late.reply_kind(1000ms), md::MessageKind::kAck);
+  late.send(md::encode_request(late.id));
+  EXPECT_EQ(late.reply_kind(1000ms), md::MessageKind::kDrain);
+  lingering.join();
+}
+
 TEST(WorkerHubParking, BackoffGatedShardIsGrantedNoEarlierThanItsGate) {
   const std::string dir = fresh_dir("hub_gate");
   md::CoordinatorCore core(one_shard_config(dir));

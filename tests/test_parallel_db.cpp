@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "gen/arithmetic.hpp"
 #include "gen/trees.hpp"
 #include "stats/descriptive.hpp"
@@ -26,23 +28,39 @@ TEST(ParallelDb, BuildsRequestedSize) {
 }
 
 TEST(ParallelDb, DeterministicAcrossThreadCounts) {
+  // Loaded and zero delay, 1, 2, 4 and 13 threads: one population, and
+  // every value is the scalar evaluator's on its chunk's stream.
   auto nl = mpe::gen::ripple_carry_adder(8);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::ParallelPowerDbOptions opt;
   opt.population_size = 5000;
   opt.seed = 42;
-
-  opt.threads = 1;
-  const auto p1 = vec::build_power_database_parallel(nl, gen, {}, opt);
-  opt.threads = 4;
-  const auto p4 = vec::build_power_database_parallel(nl, gen, {}, opt);
-  opt.threads = 13;
-  const auto p13 = vec::build_power_database_parallel(nl, gen, {}, opt);
-
-  ASSERT_EQ(p1.values().size(), p4.values().size());
-  for (std::size_t i = 0; i < p1.values().size(); ++i) {
-    EXPECT_DOUBLE_EQ(p1.values()[i], p4.values()[i]) << i;
-    EXPECT_DOUBLE_EQ(p1.values()[i], p13.values()[i]) << i;
+  for (const auto model : {mpe::sim::DelayModel::kFanoutLoaded,
+                           mpe::sim::DelayModel::kZero}) {
+    SCOPED_TRACE(mpe::sim::to_string(model));
+    mpe::sim::PowerEvalOptions eval_opt;
+    eval_opt.delay_model = model;
+    opt.threads = 1;
+    const auto p1 = vec::build_power_database_parallel(nl, gen, eval_opt, opt);
+    for (unsigned threads : {2u, 4u, 13u}) {
+      opt.threads = threads;
+      const auto pn =
+          vec::build_power_database_parallel(nl, gen, eval_opt, opt);
+      ASSERT_EQ(p1.values().size(), pn.values().size());
+      for (std::size_t i = 0; i < p1.values().size(); ++i) {
+        EXPECT_EQ(p1.values()[i], pn.values()[i]) << threads << "/" << i;
+      }
+    }
+    mpe::sim::CyclePowerEvaluator scalar(nl, eval_opt);
+    for (std::size_t c = 0; c * opt.chunk < opt.population_size; ++c) {
+      mpe::Rng rng(mpe::stream_seed(opt.seed, c));
+      const std::size_t end =
+          std::min(opt.population_size, (c + 1) * opt.chunk);
+      for (std::size_t i = c * opt.chunk; i < end; ++i) {
+        const auto p = gen.generate(rng);
+        ASSERT_EQ(p1.values()[i], scalar.power_mw(p.first, p.second)) << i;
+      }
+    }
   }
 }
 

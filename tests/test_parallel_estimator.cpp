@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
+#include <string>
 
 #include "gen/trees.hpp"
 #include "maxpower/estimator.hpp"
@@ -159,14 +161,28 @@ TEST(ParallelEstimator, StreamingBitParallelIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelEstimator, ScalarStreamingFallsBackDeterministically) {
-  // A scalar streaming population shares one evaluator, so it is not
-  // concurrent-draw-safe: the pipeline must serialize the wave and still
-  // produce thread-count-independent results.
+/// Draws scalar through a streaming population's one shared evaluator:
+/// not concurrent-draw-safe (the Population defaults).
+class ScalarOnlyPopulation final : public mpe::vec::Population {
+ public:
+  explicit ScalarOnlyPopulation(mpe::vec::StreamingPopulation& inner)
+      : inner_(inner) {}
+  double draw(mpe::Rng& rng) override { return inner_.draw(rng); }
+  std::optional<std::size_t> size() const override { return std::nullopt; }
+  std::string description() const override { return inner_.description(); }
+
+ private:
+  mpe::vec::StreamingPopulation& inner_;
+};
+
+TEST(ParallelEstimator, NonConcurrentPopulationFallsBackDeterministically) {
+  // A population that is not concurrent-draw-safe: the pipeline must
+  // serialize the wave and still produce thread-count-independent results.
   auto nl = mpe::gen::parity_tree(16, 2);
-  mpe::sim::CyclePowerEvaluator eval(nl);  // event-driven: scalar only
+  mpe::sim::CyclePowerEvaluator eval(nl);
   const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
-  mpe::vec::StreamingPopulation pop(gen, eval);
+  mpe::vec::StreamingPopulation streaming(gen, eval);
+  ScalarOnlyPopulation pop(streaming);
   ASSERT_FALSE(pop.concurrent_draw_safe());
   mp::EstimatorOptions opt;
   opt.epsilon = 0.10;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "gen/presets.hpp"
 #include "gen/trees.hpp"
 #include "util/contracts.hpp"
 #include "util/rng.hpp"
@@ -86,11 +89,13 @@ TEST(FinitePopulation, ConcurrentDrawSafe) {
 }
 
 TEST(StreamingPopulation, ScalarBatchMatchesScalarDraws) {
+  // A loaded-delay batch runs on the 64-lane event simulator and still
+  // reproduces the scalar draw() stream.
   auto nl = mpe::gen::parity_tree(12, 2);
   mpe::sim::CyclePowerEvaluator eval(nl);
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
-  EXPECT_FALSE(pop.concurrent_draw_safe());
+  EXPECT_TRUE(pop.concurrent_draw_safe());
   mpe::Rng scalar_rng(5), batch_rng(5);
   std::vector<double> expected(40);
   for (auto& v : expected) v = pop.draw(scalar_rng);
@@ -142,19 +147,62 @@ TEST(StreamingPopulation, BitParallelHandlesPartialAndMultiWaveBatches) {
   }
 }
 
-TEST(StreamingPopulation, BitParallelRejectedForEventDrivenEvaluator) {
-  // Event timing does not vectorize: a loaded-delay population draws
-  // scalar through its one shared evaluator, so it is not concurrent-safe.
+TEST(StreamingPopulation, EventDrivenBatchesAreConcurrentSafe) {
+  // A loaded-delay population checks a 64-lane event simulator out per
+  // draw_batch call, so concurrent batches are safe; it has no SIMD kernel.
   auto nl = mpe::gen::parity_tree(12, 2);
   mpe::sim::CyclePowerEvaluator eval(nl);  // default: event-driven
   const vec::UniformPairGenerator gen(nl.num_inputs());
   vec::StreamingPopulation pop(gen, eval);
   EXPECT_FALSE(pop.kernel().has_value());
-  EXPECT_FALSE(pop.concurrent_draw_safe());
+  EXPECT_TRUE(pop.concurrent_draw_safe());
   mpe::Rng rng(2);
   std::vector<double> batch(10);
   pop.draw_batch(batch, rng);
   EXPECT_EQ(pop.draws(), 10u);
+}
+
+TEST(StreamingPopulation, EventDrawBatchMatchesScalarDrawsAtEverySize) {
+  // Unit and loaded delay: draw_batch is bit-identical to sequential draw()
+  // for a single lane, partial, full and multi-pass batches.
+  const auto nl = mpe::gen::build_preset("c880", 1);
+  const vec::HighActivityPairGenerator gen(nl.num_inputs(), 0.3);
+  for (const auto model :
+       {mpe::sim::DelayModel::kUnit, mpe::sim::DelayModel::kFanoutLoaded}) {
+    mpe::sim::PowerEvalOptions opt;
+    opt.delay_model = model;
+    mpe::sim::CyclePowerEvaluator eval(nl, opt);
+    vec::StreamingPopulation pop(gen, eval);
+    for (std::size_t size : {1, 63, 64, 65, 300}) {
+      SCOPED_TRACE(std::string(mpe::sim::to_string(model)) + " batch " +
+                   std::to_string(size));
+      mpe::Rng scalar_rng(size), batch_rng(size);
+      std::vector<double> expected(size);
+      for (auto& v : expected) v = pop.draw(scalar_rng);
+      std::vector<double> batch(size);
+      pop.draw_batch(batch, batch_rng);
+      EXPECT_EQ(batch, expected);
+    }
+  }
+}
+
+TEST(StreamingPopulation, DescriptionsCarryTheEnergyOrderOfEventTiming) {
+  // Event-timed descriptions name the energy summation order, so a
+  // checkpoint of the earlier order is refused; zero delay names none.
+  auto nl = mpe::gen::parity_tree(8, 2, "ptree");
+  const vec::UniformPairGenerator gen(nl.num_inputs());
+  EXPECT_EQ(vec::streaming_description("ptree", gen,
+                                       mpe::sim::DelayModel::kZero),
+            "streaming population over ptree (" + gen.description() +
+                ") [zero delay]");
+  EXPECT_EQ(vec::streaming_description("ptree", gen,
+                                       mpe::sim::DelayModel::kFanoutLoaded),
+            "streaming population over ptree (" + gen.description() +
+                ") [fanout-loaded delay, energy order 2]");
+  EXPECT_EQ(vec::streaming_description("ptree", gen,
+                                       mpe::sim::DelayModel::kUnit),
+            "streaming population over ptree (" + gen.description() +
+                ") [unit delay, energy order 2]");
 }
 
 }  // namespace

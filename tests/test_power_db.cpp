@@ -42,6 +42,36 @@ TEST(PowerDb, ProgressCallbackFires) {
   EXPECT_EQ(ticks, (std::vector<std::size_t>{25, 50, 75, 100}));
 }
 
+TEST(PowerDb, BatchedValuesAreTheScalarStream) {
+  // Every delay model: the batched build gives the values and RNG stream of
+  // generate() + power_mw() unit by unit, and ticks where that loop did.
+  const auto nl = mpe::gen::ripple_carry_adder(6);
+  const vec::UniformPairGenerator gen(nl.num_inputs());
+  for (const auto model :
+       {mpe::sim::DelayModel::kZero, mpe::sim::DelayModel::kUnit,
+        mpe::sim::DelayModel::kFanoutLoaded}) {
+    SCOPED_TRACE(mpe::sim::to_string(model));
+    mpe::sim::PowerEvalOptions eval_opt;
+    eval_opt.delay_model = model;
+    mpe::sim::CyclePowerEvaluator eval(nl, eval_opt);
+    vec::PowerDbOptions opt;
+    opt.population_size = 150;
+    opt.progress_stride = 70;
+    std::vector<std::size_t> ticks;
+    opt.on_progress = [&](std::size_t done, std::size_t) {
+      ticks.push_back(done);
+    };
+    mpe::Rng rng(3), scalar_rng(3);
+    const auto pop = vec::build_power_database(gen, eval, opt, rng);
+    for (std::size_t i = 0; i < 150; ++i) {
+      const auto p = gen.generate(scalar_rng);
+      ASSERT_EQ(pop.values()[i], eval.power_mw(p.first, p.second)) << i;
+    }
+    EXPECT_EQ(rng(), scalar_rng());
+    EXPECT_EQ(ticks, (std::vector<std::size_t>{70, 140}));
+  }
+}
+
 TEST(PowerDb, DeterministicForSeed) {
   auto nl = mpe::gen::ripple_carry_adder(6);
   mpe::sim::CyclePowerEvaluator e1(nl), e2(nl);

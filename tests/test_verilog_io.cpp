@@ -167,6 +167,18 @@ TEST(VerilogIo, RejectsVectors) {
             mpe::ErrorCode::kParse);
 }
 
+TEST(VerilogIo, DuplicateInputIsParseErrorAtItsLine) {
+  try {
+    ckt::read_verilog_string(
+        "module m (a, y);\n  input a;\n  input a;\n  output y;\n"
+        "  not (y, a);\nendmodule\n");
+    FAIL() << "duplicate input accepted";
+  } catch (const mpe::Error& e) {
+    EXPECT_EQ(e.code(), mpe::ErrorCode::kParse);
+    EXPECT_NE(std::string(e.what()).find("line 3"), std::string::npos);
+  }
+}
+
 TEST(VerilogIo, RejectsMissingFile) {
   EXPECT_EQ(thrown_code([] { ckt::read_verilog_file("/no/such/file.v"); }),
             mpe::ErrorCode::kIo);

@@ -283,7 +283,7 @@ int cmd_estimate(const Cli& cli) {
   std::printf("input model       : %s\n", pairs->description().c_str());
   const auto kernel = population.kernel();
   std::printf("sim backend       : %s (%s delay)\n",
-              kernel ? sim::to_string(*kernel) : "scalar",
+              kernel ? sim::to_string(*kernel) : "event64",
               sim::to_string(eval_opt.delay_model));
   std::printf("estimated max     : %.4f mW\n", r.estimate);
   std::printf("confidence interval: [%.4f, %.4f] mW @ %.0f%%\n", r.ci.lower,
