@@ -17,6 +17,10 @@ MAX_PCT=2
 rm -rf "$WORK"
 mkdir -p "$WORK/state" "$WORK/w0" "$WORK/w1"
 LOG="$WORK/serve.log"
+# Create the log before the daemon starts: the shell opens the redirect in
+# the forked child, and under load the port poll below can run first and
+# find no file (sed exits 2, and set -e ends the script without a word).
+: > "$LOG"
 
 fail() { echo "idle_cpu_check: FAIL: $1" >&2; exit 1; }
 

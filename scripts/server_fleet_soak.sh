@@ -40,7 +40,20 @@ rm -rf "$WORK"
 mkdir -p "$WORK/local_state" "$WORK/local_reports" \
   "$WORK/fleet_state" "$WORK/fleet_reports" "$WORK/workers"
 
-fail() { echo "server_fleet_soak: FAIL: $1" >&2; exit 1; }
+# fail <message>: names the step that failed and shows the tail of both
+# daemon logs, so a failure that leaves nothing else behind (ctest keeps
+# only this script's output) still says where it happened.
+STEP="setup"
+fail() {
+  echo "server_fleet_soak: FAIL in step '$STEP': $1" >&2
+  for log in "$WORK/local.log" "$WORK/fleet.log"; do
+    if [ -f "$log" ]; then
+      echo "--- last lines of $log:" >&2
+      tail -n 20 "$log" >&2
+    fi
+  done
+  exit 1
+}
 
 # Cheap, convergent jobs (epsilon 0.25 stops after a handful of
 # hyper-samples): the soak's cost is fleet mechanics, which is the point.
@@ -73,7 +86,12 @@ sleep_ms() {
 }
 
 # --- 1. Reference: the SAME daemon binary running jobs in-process ----------
+STEP="1 local reference"
 LOCAL_LOG="$WORK/local.log"
+# Create the log before the daemon starts: the shell opens the redirect in
+# the forked child, and under load the port poll below can run first and
+# find no file (sed exits 2, and set -e ends the script without a word).
+: > "$LOCAL_LOG"
 "$CLI" serve --tcp-port 0 --state-dir "$WORK/local_state" \
   --trace-capacity 0 --max-active 2 --max-queue 256 --queue-per-client 256 > "$LOCAL_LOG" 2>&1 &
 LOCAL=$!
@@ -90,17 +108,20 @@ n=$(grep -c ' done ' "$WORK/local.out" || true)
 [ "$n" -eq "$JOBS" ] || fail "local run: $n done lines, want $JOBS"
 
 # --- 2. The fleet daemon + 3 workers ---------------------------------------
+STEP="2 fleet start"
 FLEET_LOG="$WORK/fleet.log"
+: > "$FLEET_LOG"  # created up front, as local.log is
 "$CLI" serve --tcp-port 0 --worker-port 0 --state-dir "$WORK/fleet_state" \
   --trace-capacity 0 --max-active 2 --max-queue 256 --queue-per-client 256 --lease-ms 1000 --max-assign 25 \
   --shard-size 4 \
   --drain-grace-ms 60000 > "$FLEET_LOG" 2>&1 &
 SERVER=$!
+W_PIDS=""  # before the trap: under set -u an unset W_PIDS would abort the
+           # trap and leave the daemon running
 trap 'kill -9 "$SERVER" $W_PIDS 2> /dev/null || true' EXIT
 CLIENT_PORT=$(wait_port "$FLEET_LOG" "$SERVER" "listening tcp")
 WORKER_PORT=$(wait_port "$FLEET_LOG" "$SERVER" "listening worker tcp")
 
-W_PIDS=""
 start_worker() {
   # start_worker <name>: its own state dir — fleet members share nothing.
   mkdir -p "$WORK/workers/$1"
@@ -119,6 +140,7 @@ start_worker w2
 CLIENT=$!
 
 # --- 3. Seeded kill -9 chaos against the worker fleet ----------------------
+STEP="3 chaos"
 lcg() { SEED=$(( (SEED * 1103515245 + 12345) % 2147483648 )); }
 
 ROUND=0
@@ -139,11 +161,13 @@ n=$(grep -c ' done ' "$WORK/fleet.out" || true)
 [ "$n" -eq "$JOBS" ] || fail "fleet run: $n done lines, want $JOBS"
 
 # --- 4. Observability: the shard latency series was published -------------
+STEP="4 scrape"
 "$CLI" submit --port "$CLIENT_PORT" --scrape > "$WORK/scrape.txt"
 grep -q '^mpe_coord_shard_latency_ms_count' "$WORK/scrape.txt" || \
   fail "scrape missing shard latency histogram"
 
 # --- 5. Graceful drain: server AND surviving workers go home ---------------
+STEP="5 drain"
 kill -TERM "$SERVER"
 wait "$SERVER" || fail "fleet server exited non-zero on SIGTERM"
 grep -q '(drained)' "$FLEET_LOG" || \
@@ -154,6 +178,7 @@ done
 trap - EXIT
 
 # --- 6. Verdict: byte-identical to in-process execution --------------------
+STEP="6 verdict"
 sort "$WORK/local.out" > "$WORK/local.sorted"
 sort "$WORK/fleet.out" > "$WORK/fleet.sorted"
 cmp -s "$WORK/local.sorted" "$WORK/fleet.sorted" || {

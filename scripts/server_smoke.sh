@@ -37,6 +37,10 @@ grep '"type":"result"' "$WORK/ref.jsonl" | sed 's/"seq":[0-9]*,*//' \
 [ -s "$WORK/ref_result.txt" ] || fail "batch reference produced no result line"
 
 # --- 2. Start the daemon on an ephemeral port ------------------------------
+# Create the log before the daemon starts: the shell opens the redirect in
+# the forked child, and under load the port poll below can run first and
+# find no file (sed exits 2, and set -e ends the script without a word).
+: > "$LOG"
 "$CLI" serve --tcp-port 0 --state-dir "$WORK/state" --max-active 2 \
   --cache-cap 8 > "$LOG" 2>&1 &
 SERVER=$!

@@ -8,9 +8,18 @@
 //   * Profile likelihood. For fixed endpoint mu, z_i = mu - x_i reduces the
 //     problem to the standard 2-parameter Weibull MLE: beta has the closed
 //     form m / sum z_i^alpha, and alpha solves a strictly decreasing 1-D
-//     equation (safeguarded Brent).
+//     equation psi(alpha) = 0. That shape solve is a safeguarded Newton
+//     iteration: one pass over the z_i gives psi and its derivative (the
+//     z^alpha-weighted variance of log z_i), a step that leaves the sign
+//     bracket bisects it geometrically, and each solve starts from the
+//     shape of the neighbouring endpoint, so most take two or three passes.
 //   * The profile over mu is maximized on a log-spaced grid above max(x_i),
-//     then refined with golden-section search.
+//     then refined between the best grid point's neighbours by Brent's
+//     parabolic search on the profile values, seeded with those three grid
+//     points (golden-section steps where a parabola is refused).
+//   * On the Weibull->Gumbel ridge the reported endpoint is the lowest one
+//     within `ridge_tolerance` of the maximum, a bracketed root (Brent) of
+//     the profile minus that target.
 //   * All powers are evaluated in shifted log space so large alpha cannot
 //     overflow.
 #pragma once
@@ -20,6 +29,14 @@
 #include "stats/weibull.hpp"
 
 namespace mpe::evt {
+
+/// Revision of the profile solver. Two solvers stop at different points
+/// within their tolerances, so fitted values differ in the last digits; the
+/// run fingerprint folds this in, and a checkpoint written under another
+/// revision is refused instead of mixing both solvers' values in one run.
+/// 1: cold Brent shape roots, golden-section endpoint search. 2: warm-started
+/// Newton shape solves, Brent parabolic endpoint search.
+inline constexpr int kWeibullMleSolverRevision = 2;
 
 /// Diagnostics and outcome of one MLE fit.
 struct WeibullMleResult {
@@ -36,7 +53,12 @@ struct WeibullMleResult {
   /// smallest endpoint within `ridge_tolerance` log-likelihood units of the
   /// ridge maximum instead of the ridge point itself.
   bool ridge_fallback = false;
-  int profile_evaluations = 0;   ///< number of profile-likelihood evaluations
+  /// Fixed-endpoint (profile) solves computed: the grid, the refinement
+  /// search and, on the ridge, the crossing search. None is solved twice.
+  int profile_evaluations = 0;
+  /// Shape-equation evaluations over all those solves; each is one pass of
+  /// m exp() calls, the unit of the fit's cost.
+  int shape_evaluations = 0;
 };
 
 /// Options for the profile search.
@@ -67,7 +89,9 @@ WeibullMleResult fit_weibull_mle(std::span<const double> maxima,
 
 /// Inner solve used by the profile: 2-parameter Weibull MLE for z_i = mu -
 /// x_i with fixed endpoint mu > max(x_i). Exposed for tests and diagnostics.
-/// Returns fitted (alpha, beta) and the attained log-likelihood.
+/// Returns fitted (alpha, beta) and the attained log-likelihood. Starts cold
+/// from a moment estimate of the shape; inside fit_weibull_mle each solve
+/// starts from its neighbour's shape instead.
 struct FixedMuFit {
   double alpha = 0.0;
   double beta = 0.0;

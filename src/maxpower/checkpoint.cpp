@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstring>
 
+#include "evt/weibull_mle.hpp"
 #include "maxpower/options_fields.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
@@ -190,6 +191,7 @@ std::uint64_t run_fingerprint(const EstimatorOptions& options,
   canon.reserve(512);
   canon += parallel_path ? "path=parallel;" : "path=serial;";
   fp_u64(canon, "seed", base_seed);
+  fp_u64(canon, "mle_solver", evt::kWeibullMleSolverRevision);
   visit_estimator_options(options, FingerprintVisitor{canon});
   canon += "population=";
   canon += population;

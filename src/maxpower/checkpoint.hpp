@@ -68,14 +68,16 @@ struct RunCheckpoint {
 /// Fingerprint of everything that shapes the value sequence of a run:
 /// result-affecting EstimatorOptions fields (epsilon, confidence, interval
 /// kind, min_hyper_samples, max_redraws, the full hyper-sample and MLE
-/// configuration), the base seed, the execution path, and the population
-/// description. The option field list is not maintained here — it is the
-/// fingerprinted subset of visit_estimator_options
-/// (maxpower/options_fields.hpp), the same visitor that serializes options,
-/// so the two cannot drift apart. Excluded on purpose: max_hyper_samples
-/// and RunControl (budgets — extending them is the point of resuming),
-/// thread counts (the pipelined path is bit-identical across them),
-/// tracer/checkpoint wiring.
+/// configuration), the base seed, the execution path, the population
+/// description, and the Weibull fit's solver revision
+/// (evt::kWeibullMleSolverRevision), since another solver fits the same
+/// maxima to values a few ulps to ~1e-6 apart. The option field list is
+/// not maintained here — it is the fingerprinted subset of
+/// visit_estimator_options (maxpower/options_fields.hpp), the same visitor
+/// that serializes options, so the two cannot drift apart. Excluded on
+/// purpose: max_hyper_samples and RunControl (budgets — extending them is
+/// the point of resuming), thread counts (the pipelined path is
+/// bit-identical across them), tracer/checkpoint wiring.
 std::uint64_t run_fingerprint(const EstimatorOptions& options,
                               std::uint64_t base_seed, bool parallel_path,
                               std::string_view population);

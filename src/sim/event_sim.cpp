@@ -11,6 +11,9 @@ EventSimulator::EventSimulator(const circuit::Netlist& netlist,
                                EventSimOptions options)
     : netlist_(netlist), opt_(options) {
   MPE_EXPECTS(netlist.finalized());
+  // Epoch stamps and event sequence numbers are uint32_t and restart every
+  // evaluate(); a cap at or above 2^32 events would let one cycle wrap them.
+  MPE_EXPECTS(opt_.max_events < (std::size_t{1} << 32));
   cap_ = node_capacitances(netlist_, opt_.tech);
   gate_delay_ = gate_delays(netlist_, opt_.tech, opt_.delay_model, cap_);
   value_.resize(netlist_.num_nodes());
@@ -69,6 +72,11 @@ CycleResult EventSimulator::evaluate(std::span<const std::uint8_t> v1,
   heap_.clear();
   event_alive_.clear();
   std::fill(pending_seq_.begin(), pending_seq_.end(), kNoPending);
+  // Epochs restart every cycle, so they never wrap onto a stale mark.
+  std::fill(gate_mark_.begin(), gate_mark_.end(), 0);
+  std::fill(node_mark_.begin(), node_mark_.end(), 0);
+  epoch_ = 0;
+  ts_epoch_ = 0;
 
   const auto& inputs = netlist_.inputs();
   MPE_EXPECTS(v2.size() == inputs.size());

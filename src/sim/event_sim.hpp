@@ -38,7 +38,8 @@ struct EventSimOptions {
   /// unphysically heavy power tails. Set false for transport semantics.
   bool inertial = true;
   /// Hard cap on processed events per cycle (defends against model bugs; a
-  /// combinational netlist always settles long before this).
+  /// combinational netlist always settles long before this). Must be below
+  /// 2^32, the range of the simulator's per-cycle epoch stamps.
   std::size_t max_events = 50'000'000;
 };
 
@@ -85,6 +86,8 @@ class EventSimulator {
       return a.seq > b.seq;
     }
   };
+
+  friend struct EventSimulatorTestPeer;  // reaches the epochs in tests
 
   void settle(std::span<const std::uint8_t> in);
   void schedule(circuit::NodeId node, double te, std::uint8_t value,

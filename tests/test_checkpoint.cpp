@@ -582,6 +582,34 @@ TEST(CheckpointRefusal, EarlierEnergyOrderLoadedCheckpointIsPrecondition) {
   std::remove(path.c_str());
 }
 
+TEST(CheckpointRefusal, EarlierFitSolverCheckpointIsPrecondition) {
+  // The same run written before the Weibull fit's solver changed (solver
+  // revision 1) carried this fingerprint; its hyper-values come from the
+  // other solver and may differ in the last digits, so it is refused, not
+  // resumed.
+  constexpr std::uint64_t kRevision1Fingerprint = 0xdb63ccc9effc8882ull;
+  auto pop = weibull_population(20000, 77);
+  const std::string path = temp_path("ckpt_fit_solver.ckpt");
+  std::remove(path.c_str());
+  mp::EstimatorOptions opt;
+  opt.checkpoint_path = path;
+  opt.max_hyper_samples = 3;
+  const std::uint64_t seed = 3;
+  (void)mp::estimate_max_power(pop, opt, seed);
+  mp::RunCheckpoint written = mp::load_checkpoint_file(path);
+  ASSERT_NE(written.fingerprint, kRevision1Fingerprint);
+  written.fingerprint = kRevision1Fingerprint;
+  mp::save_checkpoint_file(path, written);
+  try {
+    (void)mp::estimate_max_power(pop, opt, seed);
+    FAIL() << "checkpoint of the earlier fit solver resumed";
+  } catch (const mpe::Error& e) {
+    EXPECT_EQ(e.code(), mpe::ErrorCode::kPrecondition);
+    EXPECT_NE(e.context().find("found_fingerprint"), std::string::npos);
+  }
+  std::remove(path.c_str());
+}
+
 TEST(CheckpointRefusal, SerialCheckpointRefusedByParallelPath) {
   auto pop = weibull_population(20000, 73);
   const std::string path = temp_path("ckpt_pathkind.ckpt");

@@ -7,7 +7,20 @@
 #include "gen/random_dag.hpp"
 #include "gen/trees.hpp"
 #include "sim/zero_delay_sim.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
+
+namespace mpe::sim {
+
+/// Ages a simulator: sets both epoch stamps as a long run would leave them.
+struct EventSimulatorTestPeer {
+  static void set_epochs(EventSimulator& s, std::uint32_t epoch) {
+    s.epoch_ = epoch;
+    s.ts_epoch_ = epoch;
+  }
+};
+
+}  // namespace mpe::sim
 
 namespace {
 
@@ -200,6 +213,49 @@ TEST(EventSim, DeterministicAcrossRepeats) {
   EXPECT_EQ(a.toggles, b.toggles);
   EXPECT_DOUBLE_EQ(a.energy_pj, b.energy_pj);
   EXPECT_DOUBLE_EQ(a.settle_time_ns, b.settle_time_ns);
+}
+
+TEST(EventSim, EpochsRestartEachCycle) {
+  // Gates and nodes are marked with uint32_t wave/timestamp epochs. A
+  // simulator whose epochs sit just below the wrap point (as after ~2^32
+  // waves) must still match a fresh one: without the per-cycle restart, the
+  // third wave would reach epoch 0 and take every never-marked gate for one
+  // already queued, dropping its re-evaluation.
+  mpe::gen::RandomDagParams p;
+  p.num_inputs = 24;
+  p.num_gates = 300;
+  mpe::Rng gen_rng(21);
+  const auto nl = mpe::gen::random_dag(p, gen_rng);
+  const auto opt = options(sim::DelayModel::kFanoutLoaded, true);
+  sim::EventSimulator fresh(nl, opt);
+  sim::EventSimulator aged(nl, opt);
+  mpe::Rng rng(22);
+  for (int t = 0; t < 50; ++t) {
+    std::vector<std::uint8_t> v1(nl.num_inputs()), v2(nl.num_inputs());
+    for (auto& b : v1) b = rng.bernoulli(0.5);
+    for (auto& b : v2) b = rng.bernoulli(0.5);
+    sim::EventSimulatorTestPeer::set_epochs(aged, 0xffffffffu - 2);
+    const auto want = fresh.evaluate(v1, v2);
+    const auto got = aged.evaluate(v1, v2);
+    EXPECT_EQ(got.energy_pj, want.energy_pj) << "pair " << t;
+    EXPECT_EQ(got.toggles, want.toggles) << "pair " << t;
+    EXPECT_EQ(got.settle_time_ns, want.settle_time_ns) << "pair " << t;
+  }
+}
+
+TEST(EventSim, EventCapMustFitTheEpochRange) {
+  // The epochs are uint32_t stamps that restart every cycle; a cap at or
+  // above 2^32 events would let a single evaluate() wrap them.
+  mpe::gen::RandomDagParams p;
+  p.num_inputs = 8;
+  p.num_gates = 20;
+  mpe::Rng gen_rng(23);
+  const auto nl = mpe::gen::random_dag(p, gen_rng);
+  sim::EventSimOptions opt;
+  opt.max_events = std::size_t{1} << 32;
+  EXPECT_THROW(sim::EventSimulator(nl, opt), mpe::ContractViolation);
+  opt.max_events = (std::size_t{1} << 32) - 1;
+  EXPECT_NO_THROW(sim::EventSimulator(nl, opt));
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "fit_corpus.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/weibull.hpp"
 #include "util/contracts.hpp"
@@ -157,6 +158,42 @@ TEST(WeibullMle, LikelihoodAtOptimumBeatsNeighborhood) {
     const auto alt = evt::fit_weibull_mle_fixed_mu(xs, mu_alt);
     EXPECT_LE(alt.log_likelihood, ll_hat + 1e-6) << "factor=" << factor;
   }
+}
+
+TEST(WeibullMle, WarmStartedShapeSolveMatchesColdSolve) {
+  // Inside a fit each shape solve starts from a neighbouring endpoint's
+  // shape; the exposed fixed-endpoint solve starts cold from a moment
+  // estimate. Both must land on the same root at the fitted endpoint.
+  int compared = 0;
+  for (const auto& maxima : fit_corpus::full_corpus()) {
+    const auto fit = evt::fit_weibull_mle(maxima);
+    const auto cold = evt::fit_weibull_mle_fixed_mu(maxima, fit.params.mu);
+    if (!cold.converged) continue;  // shape pinned at a bound: no root
+    ++compared;
+    EXPECT_NEAR(fit.params.alpha, cold.alpha, 1e-9 * cold.alpha)
+        << "mu " << fit.params.mu;
+  }
+  EXPECT_GT(compared, 5000);
+}
+
+TEST(WeibullMle, ShapeEvaluationBudget) {
+  // The fit's cost is its shape evaluations (m exp() calls each). The
+  // earlier cold-started solver spent about 2 100 per fit; the warm-started
+  // one about 300. A mean above 500 over the corpus means the solver slid
+  // back toward the old cost.
+  evt::WeibullMleOptions raw;
+  raw.ridge_tolerance = 0.0;
+  double evals = 0.0;
+  double fits = 0.0;
+  for (const auto& maxima : fit_corpus::full_corpus()) {
+    for (const auto& opt : {evt::WeibullMleOptions{}, raw}) {
+      const auto fit = evt::fit_weibull_mle(maxima, opt);
+      EXPECT_GE(fit.shape_evaluations, fit.profile_evaluations);
+      evals += fit.shape_evaluations;
+      fits += 1.0;
+    }
+  }
+  EXPECT_LE(evals / fits, 500.0);
 }
 
 struct MleCase {
