@@ -30,9 +30,9 @@ Variant run_variant(const std::string& label, vec::FinitePopulation& pop,
                     std::uint64_t seed) {
   Variant v;
   v.label = label;
-  Rng rng(seed);
   for (std::size_t i = 0; i < runs; ++i) {
-    const auto r = maxpower::estimate_max_power(pop, est, rng);
+    const auto r =
+        maxpower::estimate_max_power(pop, est, stream_seed(seed, i));
     v.avg_abs_err +=
         std::fabs(r.estimate - pop.true_max()) / pop.true_max();
     v.avg_units += static_cast<double>(r.units_used);

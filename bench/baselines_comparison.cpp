@@ -41,11 +41,11 @@ int main(int argc, char** argv) try {
   maxpower::EstimatorOptions est;
   est.epsilon = opt.epsilon;
   est.confidence = opt.confidence;
-  Rng rng(opt.seed);
   double evt_mean = 0.0, evt_bias = 0.0;
   std::size_t budget = 0;
   for (std::size_t r = 0; r < opt.runs; ++r) {
-    const auto res = maxpower::estimate_max_power(pop, est, rng);
+    const auto res =
+        maxpower::estimate_max_power(pop, est, stream_seed(opt.seed, r));
     evt_mean += std::fabs(res.estimate - pop.true_max());
     evt_bias += res.estimate - pop.true_max();
     budget += res.units_used;

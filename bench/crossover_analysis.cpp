@@ -94,11 +94,12 @@ int main(int argc, char** argv) try {
     maxpower::EstimatorOptions est;
     est.epsilon = opt.epsilon;
     est.confidence = opt.confidence;
-    Rng rng(opt.seed + size);
     double units = 0.0;
     for (std::size_t r = 0; r < opt.runs; ++r) {
       units += static_cast<double>(
-          maxpower::estimate_max_power(pop, est, rng).units_used);
+          maxpower::estimate_max_power(pop, est,
+                                       stream_seed(opt.seed + size, r))
+              .units_used);
     }
     units /= static_cast<double>(opt.runs);
     cross.add_row({Table::integer(static_cast<long long>(size)),

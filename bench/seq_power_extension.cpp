@@ -51,8 +51,7 @@ int main(int argc, char** argv) try {
     seq::SequencePopulation pop(est_sim);
     maxpower::EstimatorOptions opt;
     opt.epsilon = epsilon;
-    Rng rng(seed);
-    const auto r = maxpower::estimate_max_power(pop, opt, rng);
+    const auto r = maxpower::estimate_max_power(pop, opt, seed);
 
     table.add_row(
         {name,

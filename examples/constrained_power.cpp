@@ -32,9 +32,8 @@ int main(int argc, char** argv) try {
 
     mpe::maxpower::EstimatorOptions options;
     options.epsilon = epsilon;
-    mpe::Rng rng(seed);
     const auto r =
-        mpe::maxpower::estimate_max_power(population, options, rng);
+        mpe::maxpower::estimate_max_power(population, options, seed);
 
     // Also report the average power over a quick random sample, to show
     // how far the maximum sits above the mean at each activity level.

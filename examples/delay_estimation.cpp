@@ -50,9 +50,8 @@ int main(int argc, char** argv) try {
   const mpe::vec::UniformPairGenerator pairs(netlist.num_inputs());
   mpe::maxpower::EstimatorOptions options;
   options.epsilon = epsilon;
-  mpe::Rng rng(seed);
   const auto r =
-      mpe::maxdelay::estimate_max_delay(pairs, simulator, options, rng);
+      mpe::maxdelay::estimate_max_delay(pairs, simulator, options, seed);
 
   std::printf(
       "\nEVT estimate of max sensitizable delay : %.3f ns\n"

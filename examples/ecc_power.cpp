@@ -81,8 +81,7 @@ int main(int argc, char** argv) try {
 
     maxpower::EstimatorOptions options;
     options.epsilon = epsilon;
-    Rng rng(seed);
-    const auto r = maxpower::estimate_max_power(population, options, rng);
+    const auto r = maxpower::estimate_max_power(population, options, seed);
     table.add_row({gen_ref.description(), Table::num(avg, 4),
                    Table::num(r.estimate, 4),
                    "[" + Table::num(r.ci.lower, 3) + ", " +

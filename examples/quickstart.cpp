@@ -40,9 +40,8 @@ int main(int argc, char** argv) try {
   mpe::maxpower::EstimatorOptions options;
   options.epsilon = epsilon;
   options.confidence = confidence;
-  mpe::Rng rng(seed);
   const auto result =
-      mpe::maxpower::estimate_max_power(population, options, rng);
+      mpe::maxpower::estimate_max_power(population, options, seed);
 
   std::printf(
       "\nestimated maximum power : %.4f mW\n"

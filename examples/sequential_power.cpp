@@ -28,8 +28,7 @@ void run_one(const char* label, mpe::seq::SequentialNetlist netlist,
   mpe::seq::SequencePopulation est_pop(est_sim);
   mpe::maxpower::EstimatorOptions options;
   options.epsilon = epsilon;
-  mpe::Rng rng(seed);
-  const auto r = mpe::maxpower::estimate_max_power(est_pop, options, rng);
+  const auto r = mpe::maxpower::estimate_max_power(est_pop, options, seed);
 
   table.add_row(
       {label,

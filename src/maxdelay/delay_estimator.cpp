@@ -25,12 +25,12 @@ std::string DelayPopulation::description() const {
 
 maxpower::EstimationResult estimate_max_delay(
     const vec::PairGenerator& generator, sim::EventSimulator& simulator,
-    const maxpower::EstimatorOptions& options, Rng& rng) {
+    const maxpower::EstimatorOptions& options, std::uint64_t seed) {
   DelayPopulation pop(generator, simulator);
   // Same engine as max-power estimation: settle times are just another unit
   // stream, so the default strategy composition applies unchanged.
   const maxpower::Engine engine(maxpower::EngineConfig{options, nullptr, {}});
-  return engine.run(pop, rng);
+  return engine.run(pop, seed);
 }
 
 }  // namespace mpe::maxdelay

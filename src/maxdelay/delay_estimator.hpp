@@ -5,6 +5,7 @@
 // circuit's maximum sensitizable delay statistically.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <string>
 
@@ -36,10 +37,12 @@ class DelayPopulation final : public vec::Population {
 };
 
 /// Convenience wrapper: runs the iterative EVT estimator on the delay
-/// population. The options' finite correction is ignored (streaming
-/// population => endpoint estimate mu-hat is used directly).
+/// population, hyper-sample i drawn from stream_seed(seed, i) on the
+/// caller's thread (the one simulator is not safe to share). The options'
+/// finite correction is ignored (streaming population => endpoint estimate
+/// mu-hat is used directly).
 maxpower::EstimationResult estimate_max_delay(
     const vec::PairGenerator& generator, sim::EventSimulator& simulator,
-    const maxpower::EstimatorOptions& options, Rng& rng);
+    const maxpower::EstimatorOptions& options, std::uint64_t seed);
 
 }  // namespace mpe::maxdelay

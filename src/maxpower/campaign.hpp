@@ -84,7 +84,7 @@ struct CampaignOptions {
   std::string report_path;
   util::RetryPolicy retry;
   util::RunControl control;  ///< polled between jobs, attempts, and samples
-  /// Forwarded to the pipelined estimator (result-invariant).
+  /// Forwarded to the estimator (result-invariant).
   unsigned threads = 1;
   std::size_t checkpoint_every_k = 1;
   /// Seed for retry backoff jitter (deterministic replay in tests).

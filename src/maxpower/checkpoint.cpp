@@ -178,18 +178,21 @@ struct FingerprintVisitor {
 }  // namespace
 
 std::uint64_t run_fingerprint(const EstimatorOptions& options,
-                              std::uint64_t base_seed, bool parallel_path,
+                              std::uint64_t base_seed,
                               std::string_view population) {
-  return run_fingerprint(options, base_seed, parallel_path, population, {});
+  return run_fingerprint(options, base_seed, population, {});
 }
 
 std::uint64_t run_fingerprint(const EstimatorOptions& options,
-                              std::uint64_t base_seed, bool parallel_path,
+                              std::uint64_t base_seed,
                               std::string_view population,
                               std::string_view strategies) {
   std::string canon;
   canon.reserve(512);
-  canon += parallel_path ? "path=parallel;" : "path=serial;";
+  // Every fingerprint keeps the execution-path tag the sequential path of
+  // earlier releases made necessary, so checkpoints written before its
+  // removal still resume.
+  canon += "path=parallel;";
   fp_u64(canon, "seed", base_seed);
   fp_u64(canon, "mle_solver", evt::kWeibullMleSolverRevision);
   visit_estimator_options(options, FingerprintVisitor{canon});

@@ -5,14 +5,12 @@
 //
 // Why this is cheap and exact: the estimate is a pure function of the
 // accumulated hyper-sample values (the EVT block-maxima framing), so the
-// state to persist is tiny — the accepted hyper-sample values, the RNG
-// stream position, the next stream index, and the run diagnostics. The
-// pipelined estimator draws hyper-sample i from the counter-derived stream
-// stream_seed(seed, i) and applies its stopping rule in index order, so a
-// resumed run replays nothing: it restores the accepted prefix and keeps
-// consuming indices exactly where the original left off, at any thread
-// count. The sequential reference path snapshots the caller's RNG state
-// instead, with the same guarantee.
+// state to persist is tiny — the accepted hyper-sample values, the interval
+// RNG state, the next stream index, and the run diagnostics. The estimator
+// draws hyper-sample i from the counter-derived stream stream_seed(seed, i)
+// and applies its stopping rule in index order, so a resumed run replays
+// nothing: it restores the accepted prefix and keeps consuming indices
+// exactly where the original left off, at any thread count.
 //
 // Safety rails:
 //   * Written via util::atomic_write_file (tmp + fsync + rename), so a kill
@@ -21,7 +19,7 @@
 //   * A trailing CRC32 over the whole payload: corruption fails closed with
 //     ErrorCode::kCorruptData, never a crash or a silently wrong resume.
 //   * A fingerprint over every estimator option that shapes the result plus
-//     the base seed, the execution path, and the population description.
+//     the base seed and the population description.
 //     Resuming under a mismatched configuration is a hard
 //     ErrorCode::kPrecondition refusal — budget fields
 //     (max_hyper_samples, deadlines) are deliberately excluded so a stopped
@@ -48,18 +46,17 @@ inline constexpr std::uint32_t kCheckpointVersion = 1;
 /// evaluated).
 struct RunCheckpoint {
   std::uint64_t fingerprint = 0;  ///< run_fingerprint() of the owning run
-  std::uint64_t base_seed = 0;    ///< pipelined path's seed; 0 for serial
-  bool parallel_path = false;     ///< which entry point wrote it
+  std::uint64_t base_seed = 0;    ///< the run's seed
+  /// Flag bit 1. Every run writes true; false marks a file of the
+  /// sequential path earlier releases had, which no run resumes.
+  bool parallel_path = false;
   bool complete = false;          ///< run converged; result is final
-  /// Next RNG stream index to consume (pipelined path) or draw attempts so
-  /// far (sequential path) — where the resumed loop picks up.
+  /// Next RNG stream index to consume — where the resumed loop picks up.
   std::uint64_t next_index = 0;
-  /// Sequential path: the caller Rng at the capture instant. Pipelined
-  /// path: the interval Rng (consumed by the bootstrap stopping rule).
+  /// The interval Rng (consumed by the bootstrap stopping rule).
   Rng::State rng;
-  /// Stream index (pipelined) or attempt number (sequential) that produced
-  /// each accepted hyper-value, for forensics; same length as
-  /// result.hyper_values.
+  /// Stream index that produced each accepted hyper-value, for forensics;
+  /// same length as result.hyper_values.
   std::vector<std::uint64_t> accepted_indices;
   /// The full result snapshot: hyper-values, interval, units, diagnostics.
   EstimationResult result;
@@ -68,28 +65,28 @@ struct RunCheckpoint {
 /// Fingerprint of everything that shapes the value sequence of a run:
 /// result-affecting EstimatorOptions fields (epsilon, confidence, interval
 /// kind, min_hyper_samples, max_redraws, the full hyper-sample and MLE
-/// configuration), the base seed, the execution path, the population
-/// description, and the Weibull fit's solver revision
+/// configuration), the base seed, the population description, and the
+/// Weibull fit's solver revision
 /// (evt::kWeibullMleSolverRevision), since another solver fits the same
 /// maxima to values a few ulps to ~1e-6 apart. The option field list is
 /// not maintained here — it is the fingerprinted subset of
 /// visit_estimator_options (maxpower/options_fields.hpp), the same visitor
 /// that serializes options, so the two cannot drift apart. Excluded on
 /// purpose: max_hyper_samples and RunControl (budgets — extending them is
-/// the point of resuming), thread counts (the pipelined path is
-/// bit-identical across them), tracer/checkpoint wiring.
+/// the point of resuming), thread counts (runs are bit-identical across
+/// them), tracer/checkpoint wiring.
 std::uint64_t run_fingerprint(const EstimatorOptions& options,
-                              std::uint64_t base_seed, bool parallel_path,
+                              std::uint64_t base_seed,
                               std::string_view population);
 
 /// As above, additionally folding a non-default engine strategy composition
 /// (maxpower/engine.hpp strategy_canon) into the fingerprint. An empty
-/// `strategies` yields exactly the 4-argument fingerprint, so default-path
-/// checkpoints (including pre-engine ones) keep their fingerprints; a
-/// non-default fitter or stopping chain refuses to resume a checkpoint
-/// written under a different composition.
+/// `strategies` yields exactly the 3-argument fingerprint, so default-path
+/// checkpoints keep their fingerprints; a non-default fitter or stopping
+/// chain refuses to resume a checkpoint written under a different
+/// composition.
 std::uint64_t run_fingerprint(const EstimatorOptions& options,
-                              std::uint64_t base_seed, bool parallel_path,
+                              std::uint64_t base_seed,
                               std::string_view population,
                               std::string_view strategies);
 

@@ -47,15 +47,14 @@ bool usable(const EstimatorOptions& options, const HyperSampleResult& hs) {
 class RunScope {
  public:
   RunScope(const EstimatorOptions& options, UnitSource& source,
-           bool parallel_path, unsigned threads)
+           unsigned threads)
       : options_(options),
-        parallel_(parallel_path),
         start_(std::chrono::steady_clock::now()),
         span_(options.tracer != nullptr ? options.tracer->span("run")
                                         : util::Tracer().span("run")) {
     if (options_.tracer != nullptr) {
       util::JsonFields f;
-      f.add("path", parallel_ ? "parallel" : "serial")
+      f.add("path", "parallel")
           .add("threads", threads)
           .add("epsilon", options_.epsilon)
           .add("confidence", options_.confidence)
@@ -76,10 +75,8 @@ class RunScope {
   /// Records the finished run. Call exactly once, with the final result.
   void finish(const EstimationResult& r) {
     auto& m = detail::estimator_metrics();
-    (parallel_ ? m.runs_parallel : m.runs_serial).inc();
-    if (r.converged) {
-      (parallel_ ? m.converged_parallel : m.converged_serial).inc();
-    }
+    m.runs.inc();
+    if (r.converged) m.converged.inc();
     m.units.inc(r.units_used);
     m.hyper_per_run.observe(r.hyper_samples);
     if (util::MetricRegistry::global().enabled()) {
@@ -106,7 +103,6 @@ class RunScope {
 
  private:
   const EstimatorOptions& options_;
-  bool parallel_;
   std::chrono::steady_clock::time_point start_;
   util::Tracer::Span span_;
 };
@@ -124,75 +120,28 @@ struct Slot {
   bool computed = false;  ///< false = abandoned by a mid-wave fault/stop
 };
 
-/// How draws are scheduled. The policy owns the draw cursor and the RNG
-/// discipline; the engine's single loop owns folding, stopping, and
-/// checkpointing. draw_wave() returns false when a draw faulted (the fault
-/// is recorded before returning); `slots` then holds the computed prefix.
+/// Where the hyper-samples of a run come from, in index order. The policy
+/// owns the draw cursor; the engine's single loop owns folding, stopping,
+/// checkpointing and the interval RNG. draw_wave() hands over the next wave
+/// and moves the cursor past it; it returns false when a draw faulted (the
+/// fault is recorded before returning) or nothing is left to hand over, and
+/// `slots` then holds the computed prefix.
 class ExecutionPolicy {
  public:
   virtual ~ExecutionPolicy() = default;
   /// Next draw index the run would consume (== draw attempts so far).
   virtual std::size_t cursor() const = 0;
-  /// Restores checkpointed position + RNG state.
-  virtual void resume(std::uint64_t next_index, const Rng::State& state) = 0;
-  /// The RNG that feeds the stopping chain's interval randomness.
-  virtual Rng& interval_rng() = 0;
-  /// The RNG state a checkpoint must capture at an accept boundary.
-  virtual Rng::State checkpoint_rng_state() = 0;
+  /// Restores the checkpointed position.
+  virtual void resume(std::uint64_t next_index) = 0;
   virtual bool draw_wave(UnitSource& source, const TailFitter& fitter,
                          RunContext& ctx, EstimationResult& r,
                          std::vector<Slot>& slots) = 0;
-  /// Consumes the indices of the wave just folded (no-op when draw_wave
-  /// already advanced the cursor).
-  virtual void advance_past_wave() = 0;
 };
 
-/// The paper's sequential reference path: one draw per "wave", one shared
-/// RNG stream for draws and interval randomness alike.
-class SerialExecution final : public ExecutionPolicy {
- public:
-  explicit SerialExecution(Rng& rng) : rng_(rng) {}
-
-  std::size_t cursor() const override { return attempts_; }
-
-  void resume(std::uint64_t next_index, const Rng::State& state) override {
-    attempts_ = static_cast<std::size_t>(next_index);
-    rng_.set_state(state);
-  }
-
-  Rng& interval_rng() override { return rng_; }
-  Rng::State checkpoint_rng_state() override { return rng_.state(); }
-
-  bool draw_wave(UnitSource& source, const TailFitter& fitter,
-                 RunContext& ctx, EstimationResult& r,
-                 std::vector<Slot>& slots) override {
-    slots.clear();
-    Slot s;
-    s.index = attempts_;
-    try {
-      s.hs = draw_hyper_sample(source, ctx.options().hyper, fitter, rng_);
-    } catch (const Error& e) {
-      ctx.record_draw_fault(e, r);
-      return false;
-    }
-    ++attempts_;
-    s.computed = true;
-    slots.push_back(std::move(s));
-    return true;
-  }
-
-  void advance_past_wave() override {}  // attempts_ advanced on draw
-
- private:
-  Rng& rng_;
-  std::size_t attempts_ = 0;
-};
-
-/// The pipelined path: hyper-sample i always draws from the counter-derived
+/// The live policy: hyper-sample i always draws from the counter-derived
 /// stream stream_seed(seed, i); waves of up to `wave` indices are computed
-/// speculatively (concurrently when the source allows), and a dedicated
-/// stream feeds the interval randomness, so the schedule is unobservable in
-/// the result.
+/// speculatively (concurrently when the source allows), so the schedule is
+/// unobservable in the result.
 class SpeculativeExecution final : public ExecutionPolicy {
  public:
   SpeculativeExecution(std::uint64_t seed, std::size_t wave, bool concurrent,
@@ -201,18 +150,13 @@ class SpeculativeExecution final : public ExecutionPolicy {
         wave_(wave),
         concurrent_(concurrent),
         pool_(pool),
-        max_attempts_(max_attempts),
-        interval_rng_(stream_seed(seed, kIntervalStream)) {}
+        max_attempts_(max_attempts) {}
 
   std::size_t cursor() const override { return next_index_; }
 
-  void resume(std::uint64_t next_index, const Rng::State& state) override {
+  void resume(std::uint64_t next_index) override {
     next_index_ = static_cast<std::size_t>(next_index);
-    interval_rng_.set_state(state);
   }
-
-  Rng& interval_rng() override { return interval_rng_; }
-  Rng::State checkpoint_rng_state() override { return interval_rng_.state(); }
 
   bool draw_wave(UnitSource& source, const TailFitter& fitter,
                  RunContext& ctx, EstimationResult& r,
@@ -266,11 +210,9 @@ class SpeculativeExecution final : public ExecutionPolicy {
       s.hs = std::move(batch_[j]);
       slots.push_back(std::move(s));
     }
-    last_count_ = count;
+    next_index_ += count;
     return !draw_faulted;
   }
-
-  void advance_past_wave() override { next_index_ += last_count_; }
 
  private:
   std::uint64_t seed_;
@@ -278,33 +220,25 @@ class SpeculativeExecution final : public ExecutionPolicy {
   bool concurrent_;
   util::ThreadPool* pool_;
   std::size_t max_attempts_;
-  Rng interval_rng_;
   std::size_t next_index_ = 0;
-  std::size_t last_count_ = 0;
   std::size_t wave_number_ = 0;
   std::vector<HyperSampleResult> batch_;
 };
 
 /// Replays pre-computed hyper-samples (shard results assembled by a
-/// coordinator) through the fold: one slot per wave in index order, the
-/// dedicated interval stream for the stopping chain — exactly the
-/// SpeculativeExecution RNG discipline, with the draws themselves replaced
-/// by the recorded values. Bit-identical to a live pipelined run as long as
-/// the recorded prefix covers the stopping point.
+/// coordinator) through the fold: one slot per wave in index order, with
+/// the draws themselves replaced by the recorded values. Bit-identical to a
+/// live run as long as the recorded prefix covers the stopping point.
 class ReplayExecution final : public ExecutionPolicy {
  public:
-  ReplayExecution(std::uint64_t seed,
-                  const std::vector<Engine::ReplaySample>& samples)
-      : samples_(samples), interval_rng_(stream_seed(seed, kIntervalStream)) {}
+  explicit ReplayExecution(const std::vector<Engine::ReplaySample>& samples)
+      : samples_(samples) {}
 
   std::size_t cursor() const override { return pos_; }
 
-  void resume(std::uint64_t, const Rng::State&) override {
+  void resume(std::uint64_t) override {
     throw Error(ErrorCode::kInternal, "replay runs never resume");
   }
-
-  Rng& interval_rng() override { return interval_rng_; }
-  Rng::State checkpoint_rng_state() override { return interval_rng_.state(); }
 
   bool draw_wave(UnitSource&, const TailFitter&, RunContext&,
                  EstimationResult&, std::vector<Slot>& slots) override {
@@ -315,14 +249,12 @@ class ReplayExecution final : public ExecutionPolicy {
     s.hs = samples_[pos_].hs;
     s.computed = true;
     slots.push_back(std::move(s));
+    ++pos_;
     return true;
   }
 
-  void advance_past_wave() override { ++pos_; }
-
  private:
   const std::vector<Engine::ReplaySample>& samples_;
-  Rng interval_rng_;
   std::size_t pos_ = 0;
 };
 
@@ -344,14 +276,16 @@ void finalize_chain(
   for (const auto& rule : chain) rule->finalize(options, r, interval_rng);
 }
 
-/// The one run loop both execution policies share. Loop shape, fold order,
-/// trace-event placement, and checkpoint boundaries all mirror the legacy
-/// dual implementations exactly — the golden tests pin this bit for bit.
+/// The one run loop the live and the replay policy share. The stopping
+/// chain's interval randomness comes from its own stream of `seed`
+/// (kIntervalStream), so it never depends on how draws are scheduled.
 EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
                           const std::vector<std::shared_ptr<StoppingRule>>&
                               chain,
-                          RunContext& ctx, ExecutionPolicy& policy) {
+                          RunContext& ctx, ExecutionPolicy& policy,
+                          std::uint64_t seed) {
   const EstimatorOptions& options = ctx.options();
+  Rng interval_rng(stream_seed(seed, kIntervalStream));
   EstimationResult r;
   bool resumed = false;
   if (ctx.checkpoint().enabled()) {
@@ -362,7 +296,8 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       // A complete checkpoint is the final result of a converged run:
       // return it without drawing anything.
       if (complete) return r;
-      policy.resume(next_index, rng_state);
+      policy.resume(next_index);
+      interval_rng.set_state(rng_state);
       resumed = true;
     }
   }
@@ -382,7 +317,7 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
           *verdict == StopReason::kDeadlineExceeded) {
         ctx.record_stop(*verdict, r);
         ctx.checkpoint().flush();
-        finalize_chain(chain, options, r, policy.interval_rng());
+        finalize_chain(chain, options, r, interval_rng);
         return r;
       }
       break;  // budget verdict: fall through to the epilogue below
@@ -416,8 +351,7 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       if (s.hs.used_pwm) ++r.diagnostics.pwm_refits;
       if (s.hs.constant_sample) ++r.diagnostics.constant_samples;
       for (const auto& rule : chain) {
-        if (rule->post_accept(options, r, policy.interval_rng())
-                .has_value()) {
+        if (rule->post_accept(options, r, interval_rng).has_value()) {
           done = true;
           break;
         }
@@ -426,16 +360,15 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
       // The resume point is the index after this accept; unfolded entries
       // later in the wave are re-drawn on resume from their per-index
       // streams, reproducing the same values.
-      ctx.checkpoint().on_accept(r, policy.checkpoint_rng_state(),
-                                 s.index + 1, s.index, done);
+      ctx.checkpoint().on_accept(r, interval_rng.state(), s.index + 1,
+                                 s.index, done);
     }
     if (done) return r;
     if (!wave_ok) {
       ctx.checkpoint().flush();
-      finalize_chain(chain, options, r, policy.interval_rng());
+      finalize_chain(chain, options, r, interval_rng);
       return r;
     }
-    policy.advance_past_wave();
   }
 
   // Budget epilogue: the chain ended the run without converging. Too few
@@ -446,7 +379,7 @@ EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
     ctx.record_redraws_exhausted(r);
   }
   ctx.checkpoint().flush();
-  finalize_chain(chain, options, r, policy.interval_rng());
+  finalize_chain(chain, options, r, interval_rng);
   return r;
 }
 
@@ -471,31 +404,6 @@ std::string strategy_canon(const EngineConfig& config) {
 }
 
 }  // namespace
-
-EstimationResult Engine::run(UnitSource& source, Rng& rng) const {
-  check_options(config_.options);
-  const TailFitter& fitter =
-      config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
-  const auto chain =
-      config_.stopping.empty() ? default_stopping_chain() : config_.stopping;
-
-  RunScope scope(config_.options, source, /*parallel_path=*/false, 1);
-  RunContext ctx(config_.options,
-                 run_fingerprint(config_.options, /*base_seed=*/0,
-                                 /*parallel_path=*/false,
-                                 source.description(),
-                                 strategy_canon(config_)),
-                 /*base_seed=*/0, /*parallel_path=*/false);
-  SerialExecution policy(rng);
-  EstimationResult r = run_loop(source, fitter, chain, ctx, policy);
-  scope.finish(r);
-  return r;
-}
-
-EstimationResult Engine::run(vec::Population& population, Rng& rng) const {
-  PopulationUnitSource source(population);
-  return run(source, rng);
-}
 
 EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
                              const ParallelOptions& parallel) const {
@@ -525,16 +433,15 @@ EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
   }
   const std::size_t wave = concurrent ? threads : 1;
 
-  RunScope scope(config_.options, source, /*parallel_path=*/true, threads);
+  RunScope scope(config_.options, source, threads);
   RunContext ctx(config_.options,
-                 run_fingerprint(config_.options, seed,
-                                 /*parallel_path=*/true, source.description(),
+                 run_fingerprint(config_.options, seed, source.description(),
                                  strategy_canon(config_)),
-                 seed, /*parallel_path=*/true);
+                 seed);
   SpeculativeExecution policy(
       seed, wave, concurrent, pool,
       config_.options.max_hyper_samples + config_.options.max_redraws);
-  EstimationResult r = run_loop(source, fitter, chain, ctx, policy);
+  EstimationResult r = run_loop(source, fitter, chain, ctx, policy, seed);
   scope.finish(r);
   return r;
 }
@@ -569,10 +476,10 @@ EstimationResult Engine::replay(
   options.checkpoint_path.clear();
   options.tracer = nullptr;
   options.control = util::RunControl{};
-  RunContext ctx(options, /*fingerprint=*/0, seed, /*parallel_path=*/true);
+  RunContext ctx(options, /*fingerprint=*/0, seed);
   ReplaySource source;
-  ReplayExecution policy(seed, samples);
-  return run_loop(source, fitter, chain, ctx, policy);
+  ReplayExecution policy(samples);
+  return run_loop(source, fitter, chain, ctx, policy, seed);
 }
 
 }  // namespace mpe::maxpower

@@ -6,18 +6,21 @@
 //   TailFitter       — how sample maxima become one estimate
 //                      (maxpower/tail_fitter.hpp)
 //   StoppingRule[]   — when the run ends (maxpower/stopping.hpp)
-//   ExecutionPolicy  — how draws are scheduled: the serial reference path
-//                      (caller RNG, exactly the paper's loop) or the
-//                      speculative pipelined path (per-index RNG streams,
-//                      waves on a thread pool). Internal to the engine —
-//                      selected by which run() overload is called.
+//   ExecutionPolicy  — where hyper-samples come from, internal to the
+//                      engine: run() draws hyper-sample i from its own
+//                      counter-derived stream stream_seed(seed, i), in waves
+//                      on a thread pool; replay() folds hyper-samples
+//                      computed elsewhere (shard workers).
+//
+// The paper's Figure-4 loop and its Student-t interval need only
+// independent hyper-samples, which the per-index streams provide; the
+// result is therefore a function of the seed alone, never of the thread
+// count, the wave size or the host that drew a hyper-sample.
 //
 // Cross-cutting services (tracing, metrics, checkpointing, run control)
 // live in one RunContext (maxpower/run_context.hpp) threaded through the
-// loop once. Both legacy estimate_max_power entry points are thin wrappers
-// over an Engine with the default strategy composition, and every golden is
-// bit-identical to the pre-engine implementation: same RNG consumption
-// order, same fold order, same trace events, same checkpoints.
+// loop once. estimate_max_power is a thin wrapper over an Engine with the
+// default strategy composition.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +36,7 @@ class TailFitter;    // maxpower/tail_fitter.hpp
 class UnitSource;    // maxpower/unit_source.hpp
 
 /// Full engine configuration: the estimator options plus the strategy
-/// composition. Defaults reproduce the paper (and the legacy entry points)
+/// composition. Defaults reproduce the paper (and estimate_max_power)
 /// exactly.
 struct EngineConfig {
   EstimatorOptions options;
@@ -55,10 +58,10 @@ struct EngineConfig {
 /// run in that case).
 ///
 /// Checkpoint compatibility: the default composition fingerprints runs
-/// exactly as the legacy entry points did, so pre-engine checkpoints
-/// resume. A non-default fitter or stopping chain folds the strategy names
-/// into the fingerprint — resuming a run under a different composition is a
-/// hard kPrecondition refusal, never a silently different continuation.
+/// exactly as estimate_max_power does. A non-default fitter or stopping
+/// chain folds the strategy names into the fingerprint — resuming a run
+/// under a different composition is a hard kPrecondition refusal, never a
+/// silently different continuation.
 class Engine {
  public:
   Engine() = default;
@@ -66,15 +69,11 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// Sequential reference path: one shared RNG stream, exactly the paper's
-  /// Figure-4 loop.
-  EstimationResult run(UnitSource& source, Rng& rng) const;
-  EstimationResult run(vec::Population& population, Rng& rng) const;
-
-  /// Pipelined path: hyper-sample i draws from the counter-derived stream
-  /// stream_seed(seed, i); waves of hyper-samples are computed
-  /// speculatively (in parallel when the source allows it) and the stopping
-  /// chain is applied in index order. Bit-identical for every thread count.
+  /// The paper's Figure-4 loop: hyper-sample i draws from the
+  /// counter-derived stream stream_seed(seed, i); waves of hyper-samples
+  /// are computed speculatively (in parallel when the source allows it) and
+  /// the stopping chain is applied in index order. Bit-identical for every
+  /// thread count: `parallel` changes wall time only.
   EstimationResult run(UnitSource& source, std::uint64_t seed,
                        const ParallelOptions& parallel = {}) const;
   EstimationResult run(vec::Population& population, std::uint64_t seed,
@@ -90,8 +89,8 @@ class Engine {
 
   /// Re-runs the fold + stopping chain over hyper-samples computed
   /// elsewhere (e.g. shard workers on other hosts). `samples` must be the
-  /// contiguous index-ordered prefix 0..samples.size()-1 of the pipelined
-  /// run's draw sequence for `seed`; the result is then bit-identical to
+  /// contiguous index-ordered prefix 0..samples.size()-1 of the run's draw
+  /// sequence for `seed`; the result is then bit-identical to
   /// run(source, seed, ...) whenever the recorded prefix covers the point
   /// where that run stops (convergence, budget, or redraw exhaustion).
   /// If the prefix runs out earlier, the returned partial result is a

@@ -50,19 +50,9 @@ std::string RunDiagnostics::to_json() const {
       .object();
 }
 
-// Both entry points are thin wrappers over the layered engine
-// (maxpower/engine.hpp) with the default strategy composition — the
-// paper's reversed-Weibull MLE fitter and the budget / run-control /
-// options.interval stopping chain. Results are bit-identical to the
-// pre-engine implementations.
-
-EstimationResult estimate_max_power(vec::Population& population,
-                                    const EstimatorOptions& options,
-                                    Rng& rng) {
-  Engine engine(EngineConfig{options, nullptr, {}});
-  return engine.run(population, rng);
-}
-
+// A thin wrapper over the layered engine (maxpower/engine.hpp) with the
+// default strategy composition — the paper's reversed-Weibull MLE fitter
+// and the budget / run-control / options.interval stopping chain.
 EstimationResult estimate_max_power(vec::Population& population,
                                     const EstimatorOptions& options,
                                     std::uint64_t seed,

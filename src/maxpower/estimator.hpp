@@ -4,17 +4,15 @@
 // error bound epsilon at confidence level l — the first method able to
 // estimate maximum power to *any* user-specified error and confidence.
 //
-// Two entry points:
-//   * estimate_max_power(pop, options, rng) — the sequential reference
-//     procedure, one shared RNG stream, exactly the paper's loop;
-//   * estimate_max_power(pop, options, seed, parallel) — the pipelined
-//     variant: hyper-sample i always draws from the counter-derived stream
-//     stream_seed(seed, i), waves of hyper-samples are computed
-//     speculatively (in parallel when the population allows it), and the
-//     stopping rule is applied in index order. The result is bit-identical
-//     for every thread count — block maxima over i.i.d. draws are
-//     order-insensitive, and the per-index streams make the schedule
-//     unobservable — with wasted speculation bounded by one wave.
+// One entry point, estimate_max_power(pop, options, seed, parallel):
+// hyper-sample i always draws from the counter-derived stream
+// stream_seed(seed, i), so the hyper-samples are independent, as the
+// paper's loop and its Student-t interval require. Waves of hyper-samples
+// are computed speculatively (in parallel when the population allows it)
+// and the stopping rule is applied in index order. The result is a function
+// of the seed alone, bit-identical for every thread count — block maxima
+// over i.i.d. draws are order-insensitive, and the per-index streams make
+// the schedule unobservable — with wasted speculation bounded by one wave.
 #pragma once
 
 #include <cstdint>
@@ -56,15 +54,14 @@ struct EstimatorOptions {
   /// the run stops with StopReason::kDataFault rather than looping forever
   /// against a population that cannot produce usable samples.
   std::size_t max_redraws = 16;
-  /// Deadline / cancellation brakes, polled once per hyper-sample (serial
-  /// path) or once per wave plus once per speculative index (parallel
-  /// path). Inert by default; runs stopped early report partial results
-  /// with StopReason::kDeadlineExceeded or kCancelled.
+  /// Deadline / cancellation brakes, polled once per wave plus once per
+  /// speculative index. Inert by default; runs stopped early report partial
+  /// results with StopReason::kDeadlineExceeded or kCancelled.
   util::RunControl control;
   /// Observability hook (non-owning, may be null): when set, the estimator
   /// emits structured run events — a run_config event, one event per
   /// accepted/discarded hyper-sample carrying its fit diagnostics, wave
-  /// events on the parallel path, and a closing "run" span with wall/CPU
+  /// events, and a closing "run" span with wall/CPU
   /// time. Tracing never perturbs results: goldens are bit-identical with
   /// it on or off (see test_run_report). Serialize with
   /// maxpower::write_run_report (docs/OBSERVABILITY.md documents the
@@ -142,12 +139,7 @@ struct EstimationResult {
   RunDiagnostics diagnostics;         ///< per-run health summary
 };
 
-/// Runs the iterative procedure against a population (sequential reference
-/// path; one shared RNG stream, exactly the paper's Figure-4 loop).
-EstimationResult estimate_max_power(vec::Population& population,
-                                    const EstimatorOptions& options, Rng& rng);
-
-/// Execution policy for the pipelined estimator.
+/// How an estimate is computed: concurrency only, never the result.
 struct ParallelOptions {
   /// Total concurrency (caller included). 1 = run inline without a pool
   /// (the default); 0 = std::thread::hardware_concurrency(). Only changes
@@ -159,10 +151,11 @@ struct ParallelOptions {
   util::ThreadPool* pool = nullptr;
 };
 
-/// Pipelined variant: hyper-sample i is drawn from the counter-derived
-/// stream stream_seed(seed, i) and waves of up to `threads` hyper-samples
-/// are speculated concurrently, with the stopping rule applied in index
-/// order. Bit-identical for any thread count (including 1). Concurrent
+/// Runs the iterative procedure (the paper's Figure 4) against a
+/// population: hyper-sample i is drawn from the counter-derived stream
+/// stream_seed(seed, i) and waves of up to `threads` hyper-samples are
+/// speculated concurrently, with the stopping rule applied in index order.
+/// Bit-identical for any thread count (including 1). Concurrent
 /// speculation requires population.concurrent_draw_safe(); otherwise the
 /// wave is drawn sequentially (same result, no draw-side speedup).
 /// Discarded speculative hyper-samples are not reported in units_used.

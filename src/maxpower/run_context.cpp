@@ -11,11 +11,10 @@ namespace detail {
 
 EstimatorMetrics::EstimatorMetrics() {
   auto& reg = util::MetricRegistry::global();
-  runs_serial = reg.counter("mpe_estimator_runs_total", "path=serial");
-  runs_parallel = reg.counter("mpe_estimator_runs_total", "path=parallel");
-  converged_serial =
-      reg.counter("mpe_estimator_converged_runs_total", "path=serial");
-  converged_parallel =
+  // The label predates the removal of the sequential path; it is kept so
+  // existing dashboards and scrapes keep their series.
+  runs = reg.counter("mpe_estimator_runs_total", "path=parallel");
+  converged =
       reg.counter("mpe_estimator_converged_runs_total", "path=parallel");
   hyper_accepted = reg.counter("mpe_estimator_hyper_samples_total");
   hyper_discarded = reg.counter("mpe_estimator_hyper_discarded_total");
@@ -35,12 +34,12 @@ EstimatorMetrics& estimator_metrics() {
 
 CheckpointSink::CheckpointSink(const EstimatorOptions& options,
                                std::uint64_t fingerprint,
-                               std::uint64_t base_seed, bool parallel_path)
+                               std::uint64_t base_seed)
     : options_(options), enabled_(!options.checkpoint_path.empty()) {
   if (!enabled_) return;
   snapshot_.fingerprint = fingerprint;
   snapshot_.base_seed = base_seed;
-  snapshot_.parallel_path = parallel_path;
+  snapshot_.parallel_path = true;
 }
 
 bool CheckpointSink::try_resume(EstimationResult& r, std::uint64_t& next_index,
@@ -49,8 +48,9 @@ bool CheckpointSink::try_resume(EstimationResult& r, std::uint64_t& next_index,
     return false;
   }
   RunCheckpoint loaded = load_checkpoint_file(options_.checkpoint_path);
-  if (loaded.fingerprint != snapshot_.fingerprint ||
-      loaded.parallel_path != snapshot_.parallel_path) {
+  // A file written by the sequential path of earlier releases (flag bit
+  // clear) is outside input that no run here can continue.
+  if (loaded.fingerprint != snapshot_.fingerprint || !loaded.parallel_path) {
     throw Error(ErrorCode::kPrecondition,
                 "checkpoint was written by a different run configuration; "
                 "refusing to resume",
@@ -104,10 +104,8 @@ void CheckpointSink::write() {
 }
 
 RunContext::RunContext(const EstimatorOptions& options,
-                       std::uint64_t fingerprint, std::uint64_t base_seed,
-                       bool parallel_path)
-    : options_(options),
-      checkpoint_(options, fingerprint, base_seed, parallel_path) {}
+                       std::uint64_t fingerprint, std::uint64_t base_seed)
+    : options_(options), checkpoint_(options, fingerprint, base_seed) {}
 
 void RunContext::check_source_size(std::optional<std::size_t> population_size,
                                    EstimationResult& r) const {

@@ -28,10 +28,8 @@ namespace detail {
 /// Estimator-level metric handles, registered once against the global
 /// registry (docs/OBSERVABILITY.md catalogs every series).
 struct EstimatorMetrics {
-  util::Counter runs_serial;
-  util::Counter runs_parallel;
-  util::Counter converged_serial;
-  util::Counter converged_parallel;
+  util::Counter runs;
+  util::Counter converged;
   util::Counter hyper_accepted;
   util::Counter hyper_discarded;
   util::Counter units;
@@ -47,11 +45,11 @@ EstimatorMetrics& estimator_metrics();
 
 }  // namespace detail
 
-/// Durable-run-state hook shared by both execution policies. Inert (every
+/// Durable-run-state hook of the live run loop. Inert (every
 /// call a no-op) when EstimatorOptions::checkpoint_path is empty, so the
 /// checkpoint feature costs one branch per accept when disabled. When
 /// enabled it captures a full state snapshot at every accept boundary —
-/// result, loop/interval RNG state, next stream index — and persists every
+/// result, interval RNG state, next stream index — and persists every
 /// k-th one atomically; stop paths flush the latest snapshot so a resumed
 /// run never loses an accepted hyper-sample to a graceful stop.
 class CheckpointSink {
@@ -59,20 +57,21 @@ class CheckpointSink {
   /// `fingerprint` is run_fingerprint() over the owning run's configuration
   /// (including any non-default strategy composition).
   CheckpointSink(const EstimatorOptions& options, std::uint64_t fingerprint,
-                 std::uint64_t base_seed, bool parallel_path);
+                 std::uint64_t base_seed);
 
   bool enabled() const { return enabled_; }
 
   /// Loads an existing checkpoint into (`r`, `next_index`, `rng_state`).
   /// Returns false when there is no checkpoint (fresh run). Throws
   /// mpe::Error(kPrecondition) when the file belongs to a different run
-  /// configuration, kCorruptData/kParse/kIo when it is unusable — resuming
+  /// configuration or was written by the sequential path earlier releases
+  /// had, kCorruptData/kParse/kIo when it is unusable — resuming
   /// the wrong state silently is never an option.
   bool try_resume(EstimationResult& r, std::uint64_t& next_index,
                   Rng::State& rng_state, bool& complete);
 
   /// Captures the accept-boundary snapshot: `r` immediately after the
-  /// accept, the loop/interval RNG at that instant, the next index the
+  /// accept, the interval RNG at that instant, the next index the
   /// resumed loop should consume, and the index that produced this
   /// hyper-sample. Persists every k-th accept, and always when the run just
   /// converged (`complete`).
@@ -101,7 +100,7 @@ class CheckpointSink {
 class RunContext {
  public:
   RunContext(const EstimatorOptions& options, std::uint64_t fingerprint,
-             std::uint64_t base_seed, bool parallel_path);
+             std::uint64_t base_seed);
 
   const EstimatorOptions& options() const { return options_; }
   util::Tracer* tracer() const { return options_.tracer; }
@@ -132,7 +131,7 @@ class RunContext {
   /// Records redraw-budget exhaustion (too few usable hyper-samples).
   void record_redraws_exhausted(EstimationResult& r) const;
 
-  /// Wave bookkeeping for the speculative execution policy.
+  /// Wave bookkeeping.
   void note_wave() const;
   void note_speculation_wasted() const;
 

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <utility>
 
+#include "evt/weibull_mle.hpp"
 #include "maxpower/hyper_sample.hpp"
 #include "maxpower/ledger.hpp"
 #include "maxpower/tail_fitter.hpp"
@@ -212,16 +213,18 @@ std::string shard_header_line(const CampaignJob& job, std::uint64_t shard,
   f.add("shard", shard);
   f.add("lo", lo);
   f.add("hi", hi);
-  // The full spec pins every value-affecting knob: a shard checkpoint can
-  // never be resumed under a different job configuration.
+  // The full spec pins every value-affecting knob of the job, and the fit
+  // solver revision the code behind it: a shard checkpoint can never be
+  // resumed under a different job configuration or a different solver.
   f.add("spec", campaign_job_to_json(job));
+  f.add("mle_solver", std::uint64_t{evt::kWeibullMleSolverRevision});
   return seal_ledger_line(f.object());
 }
 
 /// Loads the contiguous [lo, ...) prefix recorded in a shard checkpoint.
 /// Returns an empty vector (and header_ok=false) when the file is missing,
 /// its header is absent/corrupt, or the header names a different
-/// job/shard/range/spec. Sample records may arrive out of order or
+/// job/shard/range/spec/fit solver. Sample records may arrive out of order or
 /// duplicated (two speculating workers share the file); only the contiguous
 /// prefix from `lo` is trusted, anything else is recomputed.
 std::vector<ShardSample> load_shard_checkpoint(const std::string& path,
@@ -258,7 +261,9 @@ std::vector<ShardSample> load_shard_checkpoint(const std::string& path,
                      uint_field(v, "lo", ~0ull, true) == lo &&
                      uint_field(v, "hi", ~0ull, true) == hi &&
                      s != nullptr && s->is_string() &&
-                     s->as_string() == campaign_job_to_json(job);
+                     s->as_string() == campaign_job_to_json(job) &&
+                     uint_field(v, "mle_solver", 0, true) ==
+                         std::uint64_t{evt::kWeibullMleSolverRevision};
       } catch (const Error&) {
         saw_header = false;
       }

@@ -2,7 +2,7 @@
 // wave-index ranges [lo, hi) that different workers (possibly on different
 // hosts) compute independently and a coordinator folds back together.
 //
-// Why this is sound: hyper-sample i of the pipelined engine path is a pure
+// Why this is sound: hyper-sample i of an engine run is a pure
 // function of Rng(stream_seed(seed, i)) — the counter-derived streams make
 // the draw for index i identical no matter which process computes it, in
 // what order, or how many times. A shard therefore just materializes a
@@ -63,7 +63,7 @@ std::string encode_shard_samples(const std::vector<ShardSample>& samples);
 /// Throws mpe::Error(kParse/kBadData) on malformed input.
 std::vector<ShardSample> decode_shard_samples(std::string_view json_array);
 
-/// Total wave-index budget of one job: the pipelined run never draws past
+/// Total wave-index budget of one job: the engine run never draws past
 /// max_hyper_samples + max_redraws attempts, so shards partition
 /// [0, attempt budget).
 std::uint64_t job_attempt_budget(const CampaignJob& job);

@@ -6,7 +6,7 @@
 // being hand-woven into the run loop.
 //
 // A rule is consulted at two points:
-//   * pre_draw  — before each draw attempt (serial) or wave (parallel).
+//   * pre_draw  — before each wave of draws.
 //     Returning a StopReason ends the run: kCancelled / kDeadlineExceeded
 //     become a recorded partial-result stop; any other reason exits to the
 //     engine's budget epilogue (which decides between kMaxHyperSamples and
@@ -55,9 +55,9 @@ class StoppingRule {
   }
 
   /// Consulted after each accepted hyper-sample, in index order.
-  /// `interval_rng` is the run's interval randomness (the serial path's
-  /// draw RNG, the pipelined path's dedicated interval stream) — consume it
-  /// only for stochastic stopping decisions (e.g. bootstrap resampling).
+  /// `interval_rng` is the run's interval randomness (its dedicated
+  /// stream, apart from every hyper-sample's) — consume it only for
+  /// stochastic stopping decisions (e.g. bootstrap resampling).
   virtual std::optional<StopReason> post_accept(
       const EstimatorOptions& options, EstimationResult& r,
       Rng& interval_rng) {
@@ -126,7 +126,7 @@ class IntervalRule final : public StoppingRule {
   std::optional<IntervalKind> kind_;
 };
 
-/// The chain both legacy entry points run: HyperBudgetRule, RunControlRule,
+/// The chain estimate_max_power runs: HyperBudgetRule, RunControlRule,
 /// IntervalRule(options.interval) — in that order.
 std::vector<std::shared_ptr<StoppingRule>> default_stopping_chain();
 

@@ -76,8 +76,8 @@ std::shared_ptr<const TailFitter> make_tail_fitter(TailFitterKind kind);
 std::optional<TailFitterKind> tail_fitter_kind_from_name(
     std::string_view name);
 
-/// The paper-default fitter (kWeibullMle); what the legacy entry points and
-/// a null EngineConfig::fitter resolve to.
+/// The paper-default fitter (kWeibullMle); what estimate_max_power and a
+/// null EngineConfig::fitter resolve to.
 const TailFitter& default_tail_fitter();
 
 }  // namespace mpe::maxpower

@@ -1,5 +1,5 @@
 // In-process job execution: a thread pool sized to the server's executor
-// slots, one pipelined engine run per job, trace events streamed from the
+// slots, one engine run per job, trace events streamed from the
 // per-job tracer ring. This is the classic `mpe_cli serve` shape, extracted
 // behind the JobExecutor seam so the serve loop no longer cares where jobs
 // run (fleet_executor.hpp is the other side of that seam). A job's runner

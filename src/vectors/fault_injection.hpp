@@ -1,7 +1,7 @@
 // Seeded fault-injection harness: a Population decorator that corrupts a
 // deterministic subset of draws. It exists so the robustness tests can prove
-// a property no healthy population can exercise — that the serial and
-// parallel estimators never crash, deadlock, or silently fold a poisoned
+// a property no healthy population can exercise — that the estimator, at
+// any thread count, never crashes, deadlocks, or silently folds a poisoned
 // value into the mean, whatever the population throws at them.
 //
 // Faults fire on a global draw counter: draw number d (0-based, counted

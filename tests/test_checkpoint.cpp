@@ -186,25 +186,23 @@ TEST(CheckpointFuzz, GarbageIsParseOrCorruptError) {
 
 TEST(CheckpointFingerprint, SensitiveToResultShapingOptionsOnly) {
   mp::EstimatorOptions a;
-  const std::uint64_t fp =
-      mp::run_fingerprint(a, 7, /*parallel_path=*/true, "pop");
+  const std::uint64_t fp = mp::run_fingerprint(a, 7, "pop");
 
   mp::EstimatorOptions b = a;
   b.epsilon = 0.01;
-  EXPECT_NE(mp::run_fingerprint(b, 7, true, "pop"), fp);
+  EXPECT_NE(mp::run_fingerprint(b, 7, "pop"), fp);
 
   mp::EstimatorOptions c = a;
   c.max_hyper_samples += 100;  // budget: deliberately outside the print
-  EXPECT_EQ(mp::run_fingerprint(c, 7, true, "pop"), fp);
+  EXPECT_EQ(mp::run_fingerprint(c, 7, "pop"), fp);
 
   mp::EstimatorOptions d = a;
   d.control.deadline =
       mpe::util::Deadline::after(std::chrono::seconds(1));  // budget too
-  EXPECT_EQ(mp::run_fingerprint(d, 7, true, "pop"), fp);
+  EXPECT_EQ(mp::run_fingerprint(d, 7, "pop"), fp);
 
-  EXPECT_NE(mp::run_fingerprint(a, 8, true, "pop"), fp);    // seed
-  EXPECT_NE(mp::run_fingerprint(a, 7, false, "pop"), fp);   // path
-  EXPECT_NE(mp::run_fingerprint(a, 7, true, "other"), fp);  // population
+  EXPECT_NE(mp::run_fingerprint(a, 8, "pop"), fp);    // seed
+  EXPECT_NE(mp::run_fingerprint(a, 7, "other"), fp);  // population
 }
 
 TEST(CheckpointFingerprint, VisitorFieldsMarkedFingerprintedAreFolded) {
@@ -214,54 +212,23 @@ TEST(CheckpointFingerprint, VisitorFieldsMarkedFingerprintedAreFolded) {
   // deep fingerprinted field (the MLE grid) must perturb the print, and
   // the two fields marked non-fingerprinted (budget/cadence) must not.
   mp::EstimatorOptions a;
-  const std::uint64_t fp = mp::run_fingerprint(a, 3, false, "pop");
+  const std::uint64_t fp = mp::run_fingerprint(a, 3, "pop");
 
   mp::EstimatorOptions grid = a;
   grid.hyper.mle.grid_points += 1;  // fingerprinted: shapes every fit
-  EXPECT_NE(mp::run_fingerprint(grid, 3, false, "pop"), fp);
+  EXPECT_NE(mp::run_fingerprint(grid, 3, "pop"), fp);
 
   mp::EstimatorOptions interval = a;
   interval.interval = mp::IntervalKind::kBootstrap;  // fingerprinted enum
-  EXPECT_NE(mp::run_fingerprint(interval, 3, false, "pop"), fp);
+  EXPECT_NE(mp::run_fingerprint(interval, 3, "pop"), fp);
 
   mp::EstimatorOptions budget = a;
   budget.max_hyper_samples *= 2;  // not fingerprinted: resumable budget
   budget.checkpoint_every_k += 4;  // not fingerprinted: write cadence
-  EXPECT_EQ(mp::run_fingerprint(budget, 3, false, "pop"), fp);
+  EXPECT_EQ(mp::run_fingerprint(budget, 3, "pop"), fp);
 }
 
 // --- Resume bit-identity ----------------------------------------------------
-
-TEST(CheckpointResume, SerialResumeBitIdentical) {
-  auto pop = weibull_population(20000, 101);
-  mp::EstimatorOptions opt;
-  opt.epsilon = 0.005;  // converges at k = 33 here: well past the cap below
-
-  mpe::Rng ref_rng(15);
-  const auto reference = mp::estimate_max_power(pop, opt, ref_rng);
-  ASSERT_TRUE(reference.converged);
-  ASSERT_GT(reference.hyper_samples, 5u);
-
-  // Interrupt by capping the budget below convergence, then resume with the
-  // full budget. The fingerprint excludes max_hyper_samples, so this is the
-  // supported restart-with-bigger-budget flow.
-  const std::string path = temp_path("ckpt_serial_resume.ckpt");
-  std::remove(path.c_str());
-  mp::EstimatorOptions capped = opt;
-  capped.checkpoint_path = path;
-  capped.max_hyper_samples = 5;
-  mpe::Rng rng1(15);
-  const auto partial = mp::estimate_max_power(pop, capped, rng1);
-  ASSERT_FALSE(partial.converged);
-  ASSERT_EQ(partial.hyper_samples, 5u);
-
-  mp::EstimatorOptions full = opt;
-  full.checkpoint_path = path;
-  mpe::Rng rng2(999);  // state comes from the checkpoint, not this seed
-  const auto resumed = mp::estimate_max_power(pop, full, rng2);
-  expect_identical(reference, resumed);
-  std::remove(path.c_str());
-}
 
 TEST(CheckpointResume, ParallelResumeBitIdenticalAcrossThreadCounts) {
   auto pop = weibull_population(30000, 35);
@@ -611,18 +578,26 @@ TEST(CheckpointRefusal, EarlierFitSolverCheckpointIsPrecondition) {
 }
 
 TEST(CheckpointRefusal, SerialCheckpointRefusedByParallelPath) {
+  // Earlier releases had a sequential entry point whose checkpoints clear
+  // flag bit 1. Nothing writes one any more, but a file on disk is outside
+  // input: the same run's checkpoint with only that flag cleared is refused.
   auto pop = weibull_population(20000, 73);
   const std::string path = temp_path("ckpt_pathkind.ckpt");
   std::remove(path.c_str());
   mp::EstimatorOptions opt;
   opt.checkpoint_path = path;
   opt.max_hyper_samples = 3;
-  mpe::Rng rng(3);
-  (void)mp::estimate_max_power(pop, opt, rng);  // serial writes it
+  const std::uint64_t seed = 3;
+  (void)mp::estimate_max_power(pop, opt, seed);
+  mp::RunCheckpoint serial = mp::load_checkpoint_file(path);
+  ASSERT_TRUE(serial.parallel_path);
+  serial.parallel_path = false;
+  mp::save_checkpoint_file(path, serial);
+  ASSERT_FALSE(mp::load_checkpoint_file(path).parallel_path);
 
   try {
-    (void)mp::estimate_max_power(pop, opt, std::uint64_t{3});  // parallel
-    FAIL() << "serial checkpoint resumed on the parallel path";
+    (void)mp::estimate_max_power(pop, opt, seed);
+    FAIL() << "serial checkpoint resumed";
   } catch (const mpe::Error& e) {
     EXPECT_EQ(e.code(), mpe::ErrorCode::kPrecondition);
   }

@@ -31,8 +31,7 @@ TEST(ConstrainedIntegration, MarkovPopulationEstimates) {
 
   mp::EstimatorOptions opt;
   opt.epsilon = 0.08;
-  mpe::Rng rng2(2);
-  const auto r = mp::estimate_max_power(pop, opt, rng2);
+  const auto r = mp::estimate_max_power(pop, opt, 2);
   const double rel = std::fabs(r.estimate - pop.true_max()) / pop.true_max();
   EXPECT_LT(rel, 0.25);
   EXPECT_GT(r.units_used, 0u);

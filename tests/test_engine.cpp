@@ -1,5 +1,5 @@
 // Strategy-seam tests for the layered estimation engine: equivalence with
-// the legacy entry points on both paper input categories, custom
+// estimate_max_power on both paper input categories, custom
 // user-supplied StoppingRule / TailFitter through the public API, the
 // alternative built-in strategies end-to-end, and the strategy-aware
 // checkpoint fingerprint.
@@ -60,19 +60,7 @@ void expect_bit_identical(const mp::EstimationResult& a,
   }
 }
 
-// --- Equivalence with the legacy entry points -----------------------------
-
-TEST(Engine, DefaultCompositionMatchesLegacySerial) {
-  auto pop = weibull_population(20000, 101);
-  mp::EstimatorOptions opt;
-  mpe::Rng r1(14), r2(14);
-  const auto legacy = mp::estimate_max_power(pop, opt, r1);
-  const mp::Engine engine(mp::EngineConfig{opt, nullptr, {}});
-  const auto ours = engine.run(pop, r2);
-  expect_bit_identical(legacy, ours);
-  // Both consumed the caller RNG identically.
-  EXPECT_EQ(r1.state().s, r2.state().s);
-}
+// --- Equivalence with estimate_max_power ----------------------------------
 
 TEST(Engine, DefaultCompositionMatchesLegacyParallel) {
   auto pop = weibull_population(20000, 102);
@@ -97,10 +85,9 @@ TEST(Engine, EquivalenceOnUnconstrainedStreamingPopulation) {
   mp::EstimatorOptions opt;
   opt.epsilon = 0.10;
   opt.max_hyper_samples = 12;
-  mpe::Rng r1(21), r2(21);
-  const auto legacy = mp::estimate_max_power(p1, opt, r1);
+  const auto legacy = mp::estimate_max_power(p1, opt, 21);
   const mp::Engine engine(mp::EngineConfig{opt, nullptr, {}});
-  const auto ours = engine.run(p2, r2);
+  const auto ours = engine.run(p2, 21);
   expect_bit_identical(legacy, ours);
 }
 
@@ -116,10 +103,9 @@ TEST(Engine, EquivalenceOnConstrainedMarkovPopulation) {
   auto pop = vec::build_power_database(gen, eval, db, build_rng);
   mp::EstimatorOptions opt;
   opt.epsilon = 0.08;
-  mpe::Rng r1(2), r2(2);
-  const auto legacy = mp::estimate_max_power(pop, opt, r1);
+  const auto legacy = mp::estimate_max_power(pop, opt, 2);
   const mp::Engine engine(mp::EngineConfig{opt, nullptr, {}});
-  const auto ours = engine.run(pop, r2);
+  const auto ours = engine.run(pop, 2);
   expect_bit_identical(legacy, ours);
 }
 
@@ -152,13 +138,12 @@ TEST(Engine, CustomStoppingRuleThroughPublicApi) {
                   std::make_shared<mp::RunControlRule>(),
                   std::make_shared<FixedCountRule>(7)};
   const mp::Engine engine(cfg);
-  mpe::Rng rng(31);
-  const auto r = engine.run(pop, rng);
+  const auto r = engine.run(pop, 31);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.hyper_samples, 7u);
   EXPECT_EQ(r.stop_reason, mp::StopReason::kConverged);
 
-  // Same custom chain on the pipelined path, invariant across threads.
+  // The same custom chain is invariant across thread counts.
   mp::ParallelOptions par1, par8;
   par1.threads = 1;
   par8.threads = 8;
@@ -190,8 +175,7 @@ TEST(Engine, CustomTailFitterThroughPublicApi) {
   mp::EngineConfig cfg;
   cfg.fitter = std::make_shared<ConstantFitter>();
   const mp::Engine engine(cfg);
-  mpe::Rng rng(41);
-  const auto r = engine.run(pop, rng);
+  const auto r = engine.run(pop, 41);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.hyper_samples, cfg.options.min_hyper_samples);
   EXPECT_EQ(r.estimate, 1.0e6);
@@ -205,8 +189,7 @@ TEST(Engine, PwmFitterConverges) {
   mp::EngineConfig cfg;
   cfg.fitter = mp::make_tail_fitter(mp::TailFitterKind::kPwm);
   const mp::Engine engine(cfg);
-  mpe::Rng rng(51);
-  const auto r = engine.run(pop, rng);
+  const auto r = engine.run(pop, 51);
   EXPECT_TRUE(r.converged);
   const double rel = std::fabs(r.estimate - pop.true_max()) / pop.true_max();
   EXPECT_LT(rel, 0.15);
@@ -217,11 +200,9 @@ TEST(Engine, GevFitterConvergesAndIsThreadInvariant) {
   mp::EngineConfig cfg;
   cfg.fitter = mp::make_tail_fitter(mp::TailFitterKind::kGevMle);
   const mp::Engine engine(cfg);
-  mpe::Rng rng(61);
-  const auto serial = engine.run(pop, rng);
-  EXPECT_TRUE(serial.converged);
-  const double rel =
-      std::fabs(serial.estimate - pop.true_max()) / pop.true_max();
+  const auto r = engine.run(pop, 61);
+  EXPECT_TRUE(r.converged);
+  const double rel = std::fabs(r.estimate - pop.true_max()) / pop.true_max();
   EXPECT_LT(rel, 0.15);
 
   mp::ParallelOptions par1, par2, par8;
@@ -241,8 +222,7 @@ TEST(Engine, PinnedBootstrapRuleMatchesOptionsBootstrap) {
   auto pop = weibull_population(20000, 107);
   mp::EstimatorOptions legacy_opt;
   legacy_opt.interval = mp::IntervalKind::kBootstrap;
-  mpe::Rng r1(71), r2(71);
-  const auto legacy = mp::estimate_max_power(pop, legacy_opt, r1);
+  const auto legacy = mp::estimate_max_power(pop, legacy_opt, 71);
 
   mp::EngineConfig cfg;  // options.interval left at kStudentT: the pin wins
   cfg.stopping = {
@@ -250,7 +230,7 @@ TEST(Engine, PinnedBootstrapRuleMatchesOptionsBootstrap) {
       std::make_shared<mp::RunControlRule>(),
       std::make_shared<mp::IntervalRule>(mp::IntervalKind::kBootstrap)};
   const mp::Engine engine(cfg);
-  const auto ours = engine.run(pop, r2);
+  const auto ours = engine.run(pop, 71);
   expect_bit_identical(legacy, ours);
 }
 
@@ -274,12 +254,12 @@ TEST(Engine, PopulationUnitSourceReportsPopulationFacts) {
 
 TEST(Engine, StrategyCompositionChangesFingerprint) {
   mp::EstimatorOptions opt;
-  const auto base = mp::run_fingerprint(opt, 9, true, "pop");
-  // Empty strategies == the 4-argument (legacy/default) fingerprint.
-  EXPECT_EQ(mp::run_fingerprint(opt, 9, true, "pop", ""), base);
-  const auto gev = mp::run_fingerprint(opt, 9, true, "pop", "fitter=gev");
+  const auto base = mp::run_fingerprint(opt, 9, "pop");
+  // Empty strategies == the 3-argument (default composition) fingerprint.
+  EXPECT_EQ(mp::run_fingerprint(opt, 9, "pop", ""), base);
+  const auto gev = mp::run_fingerprint(opt, 9, "pop", "fitter=gev");
   EXPECT_NE(gev, base);
-  EXPECT_NE(mp::run_fingerprint(opt, 9, true, "pop", "fitter=pwm"), gev);
+  EXPECT_NE(mp::run_fingerprint(opt, 9, "pop", "fitter=pwm"), gev);
 }
 
 TEST(Engine, NonDefaultFitterRefusesDefaultCheckpoint) {
@@ -343,8 +323,8 @@ TEST(Engine, OptionsJsonRoundTripPreservesFingerprint) {
   EXPECT_EQ(back.hyper.mle.grid_points, opt.hyper.mle.grid_points);
   EXPECT_EQ(back.checkpoint_every_k, opt.checkpoint_every_k);
   // The same visitor feeds the fingerprint, so round-tripping is identity.
-  EXPECT_EQ(mp::run_fingerprint(back, 1, false, "p"),
-            mp::run_fingerprint(opt, 1, false, "p"));
+  EXPECT_EQ(mp::run_fingerprint(back, 1, "p"),
+            mp::run_fingerprint(opt, 1, "p"));
 }
 
 TEST(Engine, NameParsersAcceptKnownRejectUnknown) {

@@ -30,8 +30,8 @@ mpe::vec::FinitePopulation weibull_population(std::size_t size,
 TEST(Estimator, ConvergesOnSyntheticPopulation) {
   auto pop = weibull_population(40000, 1);
   mp::EstimatorOptions opt;
-  mpe::Rng rng(2);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 2;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_TRUE(r.converged);
   EXPECT_LE(r.relative_error_bound, opt.epsilon);
   EXPECT_EQ(r.units_used, r.hyper_samples * 300u);
@@ -44,11 +44,10 @@ TEST(Estimator, EstimateWithinErrorBandMostOfTheTime) {
   // within ~5% of the truth in the vast majority of cases.
   auto pop = weibull_population(40000, 3);
   mp::EstimatorOptions opt;
-  mpe::Rng rng(4);
   int within = 0;
   const int reps = 60;
   for (int i = 0; i < reps; ++i) {
-    const auto r = mp::estimate_max_power(pop, opt, rng);
+    const auto r = mp::estimate_max_power(pop, opt, mpe::stream_seed(4, i));
     const double rel_err =
         std::fabs(r.estimate - pop.true_max()) / pop.true_max();
     if (rel_err <= 0.08) ++within;  // small slack over the 5% target
@@ -60,9 +59,8 @@ TEST(Estimator, UnitCountsInPaperRange) {
   // The paper's Table 1 reports 600..5400 units (k in [2, 18]) per run.
   auto pop = weibull_population(40000, 5);
   mp::EstimatorOptions opt;
-  mpe::Rng rng(6);
   for (int i = 0; i < 20; ++i) {
-    const auto r = mp::estimate_max_power(pop, opt, rng);
+    const auto r = mp::estimate_max_power(pop, opt, mpe::stream_seed(6, i));
     EXPECT_GE(r.units_used, 600u);
     EXPECT_LE(r.units_used, 30000u);
   }
@@ -74,11 +72,11 @@ TEST(Estimator, TighterEpsilonNeedsMoreUnits) {
   loose.epsilon = 0.10;
   mp::EstimatorOptions tight;
   tight.epsilon = 0.02;
-  mpe::Rng r1(8), r2(8);
   std::size_t units_loose = 0, units_tight = 0;
   for (int i = 0; i < 15; ++i) {
-    units_loose += mp::estimate_max_power(pop, loose, r1).units_used;
-    units_tight += mp::estimate_max_power(pop, tight, r2).units_used;
+    const std::uint64_t seed = mpe::stream_seed(8, i);
+    units_loose += mp::estimate_max_power(pop, loose, seed).units_used;
+    units_tight += mp::estimate_max_power(pop, tight, seed).units_used;
   }
   EXPECT_GT(units_tight, units_loose);
 }
@@ -91,9 +89,9 @@ TEST(Estimator, HigherConfidenceWidensInterval) {
   low.epsilon = 1e-9;         // never converges early
   mp::EstimatorOptions high = low;
   high.confidence = 0.99;
-  mpe::Rng r1(10), r2(10);
-  const auto a = mp::estimate_max_power(pop, low, r1);
-  const auto b = mp::estimate_max_power(pop, high, r2);
+  const std::uint64_t seed = 10;
+  const auto a = mp::estimate_max_power(pop, low, seed);
+  const auto b = mp::estimate_max_power(pop, high, seed);
   EXPECT_GT(b.ci.half_width, a.ci.half_width);
 }
 
@@ -102,8 +100,8 @@ TEST(Estimator, NonConvergenceReportedHonestly) {
   mp::EstimatorOptions opt;
   opt.epsilon = 1e-9;  // unattainable
   opt.max_hyper_samples = 5;
-  mpe::Rng rng(12);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 12;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.hyper_samples, 5u);
   EXPECT_GT(r.relative_error_bound, opt.epsilon);
@@ -113,9 +111,9 @@ TEST(Estimator, NonConvergenceReportedHonestly) {
 TEST(Estimator, DeterministicGivenSeed) {
   auto pop = weibull_population(20000, 13);
   mp::EstimatorOptions opt;
-  mpe::Rng r1(14), r2(14);
-  const auto a = mp::estimate_max_power(pop, opt, r1);
-  const auto b = mp::estimate_max_power(pop, opt, r2);
+  const std::uint64_t seed = 14;
+  const auto a = mp::estimate_max_power(pop, opt, seed);
+  const auto b = mp::estimate_max_power(pop, opt, seed);
   EXPECT_DOUBLE_EQ(a.estimate, b.estimate);
   EXPECT_EQ(a.units_used, b.units_used);
 }
@@ -124,8 +122,7 @@ TEST(Estimator, WorksAcrossShapeParameters) {
   for (double alpha : {2.5, 4.0, 6.0}) {
     auto pop = weibull_population(30000, 15, alpha, 5.0);
     mp::EstimatorOptions opt;
-    mpe::Rng rng(16);
-    const auto r = mp::estimate_max_power(pop, opt, rng);
+    const auto r = mp::estimate_max_power(pop, opt, std::uint64_t{16});
     const double rel_err =
         std::fabs(r.estimate - pop.true_max()) / pop.true_max();
     EXPECT_LT(rel_err, 0.15) << "alpha=" << alpha;
@@ -136,8 +133,8 @@ TEST(Estimator, BootstrapIntervalModeConverges) {
   auto pop = weibull_population(30000, 21);
   mp::EstimatorOptions opt;
   opt.interval = mp::IntervalKind::kBootstrap;
-  mpe::Rng rng(22);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 22;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_TRUE(r.converged);
   const double rel =
       std::fabs(r.estimate - pop.true_max()) / pop.true_max();
@@ -152,9 +149,9 @@ TEST(Estimator, BootstrapAndTTrackEachOther) {
   mp::EstimatorOptions t_opt;
   mp::EstimatorOptions b_opt;
   b_opt.interval = mp::IntervalKind::kBootstrap;
-  mpe::Rng r1(24), r2(24);
-  const auto rt = mp::estimate_max_power(pop, t_opt, r1);
-  const auto rb = mp::estimate_max_power(pop, b_opt, r2);
+  const std::uint64_t seed = 24;
+  const auto rt = mp::estimate_max_power(pop, t_opt, seed);
+  const auto rb = mp::estimate_max_power(pop, b_opt, seed);
   // Same population, same seed stream: estimates agree to within a few
   // percent even though the stopping rules differ.
   EXPECT_NEAR(rb.estimate, rt.estimate, 0.1 * rt.estimate);
@@ -168,8 +165,8 @@ TEST(Estimator, ConstantPopulationConvergesToCommonValueFlagged) {
   // must finish with the common value and loud diagnostics, not NaN.
   mpe::vec::FinitePopulation pop(std::vector<double>(500, 7.5), "stuck");
   mp::EstimatorOptions opt;
-  mpe::Rng rng(31);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 31;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_TRUE(r.converged);
   EXPECT_EQ(r.estimate, 7.5);
   EXPECT_EQ(r.stop_reason, mp::StopReason::kConverged);
@@ -182,8 +179,8 @@ TEST(Estimator, SmallPopulationFlaggedButStillEstimates) {
   // the small-population warning while still producing a finite estimate.
   auto pop = weibull_population(100, 33);
   mp::EstimatorOptions opt;
-  mpe::Rng rng(34);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 34;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_TRUE(r.diagnostics.small_population);
   EXPECT_TRUE(std::isfinite(r.estimate));
   EXPECT_FALSE(r.diagnostics.records.empty());
@@ -197,8 +194,8 @@ TEST(Estimator, HeavyTailWithPwmPolicyStaysFinite) {
   opt.hyper.degenerate_policy = mp::DegenerateFitPolicy::kPwmFallback;
   opt.epsilon = 1e-9;  // unattainable: fold max_hyper_samples values
   opt.max_hyper_samples = 10;
-  mpe::Rng rng(36);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 36;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_EQ(r.hyper_samples, 10u);
   EXPECT_TRUE(std::isfinite(r.estimate));
   for (double v : r.hyper_values) EXPECT_TRUE(std::isfinite(v));
@@ -215,8 +212,8 @@ TEST(Estimator, DiscardRedrawExhaustsBudgetOnHopelessPopulation) {
   opt.hyper.degenerate_policy = mp::DegenerateFitPolicy::kDiscardRedraw;
   opt.max_hyper_samples = 4;
   opt.max_redraws = 2;
-  mpe::Rng rng(37);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 37;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.hyper_samples, 0u);
   EXPECT_EQ(r.stop_reason, mp::StopReason::kDataFault);
@@ -227,8 +224,8 @@ TEST(Estimator, DiscardRedrawStillConvergesOnHealthyPopulation) {
   auto pop = weibull_population(40000, 39);
   mp::EstimatorOptions opt;
   opt.hyper.degenerate_policy = mp::DegenerateFitPolicy::kDiscardRedraw;
-  mpe::Rng rng(40);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 40;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_TRUE(r.converged);
   EXPECT_TRUE(std::isfinite(r.estimate));
 }
@@ -237,8 +234,8 @@ TEST(Estimator, ExpiredDeadlineReturnsPartialResult) {
   auto pop = weibull_population(20000, 41);
   mp::EstimatorOptions opt;
   opt.control.deadline = mpe::util::Deadline::after(std::chrono::nanoseconds{0});
-  mpe::Rng rng(42);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 42;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.stop_reason, mp::StopReason::kDeadlineExceeded);
   EXPECT_EQ(r.hyper_samples, 0u);
@@ -250,8 +247,8 @@ TEST(Estimator, PreCancelledRunReturnsImmediately) {
   mp::EstimatorOptions opt;
   opt.control.cancel = mpe::util::CancellationToken::create();
   opt.control.cancel.request_stop();
-  mpe::Rng rng(44);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 44;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_FALSE(r.converged);
   EXPECT_EQ(r.stop_reason, mp::StopReason::kCancelled);
   EXPECT_EQ(r.hyper_samples, 0u);
@@ -290,8 +287,8 @@ TEST(Estimator, PartlyPoisonedPopulationStillConverges) {
   }
   mpe::vec::FinitePopulation pop(std::move(vals), "partly poisoned");
   mp::EstimatorOptions opt;
-  mpe::Rng rng(50);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
+  const std::uint64_t seed = 50;
+  const auto r = mp::estimate_max_power(pop, opt, seed);
   EXPECT_TRUE(std::isfinite(r.estimate));
   EXPECT_GT(r.diagnostics.nonfinite_units, 0u);
   for (double v : r.hyper_values) EXPECT_TRUE(std::isfinite(v));
@@ -299,18 +296,18 @@ TEST(Estimator, PartlyPoisonedPopulationStillConverges) {
 
 TEST(Estimator, ContractChecks) {
   auto pop = weibull_population(1000, 17);
-  mpe::Rng rng(18);
+  const std::uint64_t seed = 18;
   mp::EstimatorOptions bad;
   bad.epsilon = 0.0;
-  EXPECT_THROW(mp::estimate_max_power(pop, bad, rng),
+  EXPECT_THROW(mp::estimate_max_power(pop, bad, seed),
                mpe::ContractViolation);
   bad = {};
   bad.min_hyper_samples = 1;
-  EXPECT_THROW(mp::estimate_max_power(pop, bad, rng),
+  EXPECT_THROW(mp::estimate_max_power(pop, bad, seed),
                mpe::ContractViolation);
   bad = {};
   bad.max_hyper_samples = 1;
-  EXPECT_THROW(mp::estimate_max_power(pop, bad, rng),
+  EXPECT_THROW(mp::estimate_max_power(pop, bad, seed),
                mpe::ContractViolation);
 }
 

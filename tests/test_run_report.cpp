@@ -50,14 +50,14 @@ struct ReportFixture {
     auto& reg = mpe::util::MetricRegistry::global();
     const bool was_enabled = reg.enabled();
     reg.enable(true);
-    mpe::Rng rng(14);
-    result = mp::estimate_max_power(pop, opt, rng);
+    result = mp::estimate_max_power(pop, opt, std::uint64_t{14});
     reg.enable(was_enabled);
 
     mp::RunReportOptions ropt;
     ropt.tracer = &tracer;
     if (with_metrics) ropt.metrics = &reg;
-    ropt.population = pop.description();
+    const std::string population = pop.description();  // outlives ropt
+    ropt.population = population;
     std::ostringstream out;
     mp::write_run_report(out, result, opt, ropt);
     std::istringstream in(out.str());
@@ -209,8 +209,7 @@ TEST(RunReport, GlobalMetricsFlowIntoReport) {
   reg.enable(true);
   auto pop = weibull_population(20000, 101);
   mp::EstimatorOptions opt;
-  mpe::Rng rng(14);
-  const auto result = mp::estimate_max_power(pop, opt, rng);
+  const auto result = mp::estimate_max_power(pop, opt, std::uint64_t{14});
   reg.enable(was_enabled);
 
   mp::RunReportOptions ropt;
@@ -316,19 +315,18 @@ TEST(RunReport, InstrumentationDoesNotPerturbResults) {
   }
   reg.enable(was_enabled);
 
-  // Serial reference path too.
-  mpe::Rng rng_a(14);
-  mpe::Rng rng_b(14);
+  // And against a pinned golden on a second population.
   auto pop2 = weibull_population(20000, 101);
-  const auto plain_r = mp::estimate_max_power(pop2, plain, rng_a);
+  const auto plain_r = mp::estimate_max_power(pop2, plain, std::uint64_t{14});
   reg.enable(true);
   mpe::util::Tracer tracer(1024);
   mp::EstimatorOptions instrumented;
   instrumented.tracer = &tracer;
-  const auto traced_r = mp::estimate_max_power(pop2, instrumented, rng_b);
+  const auto traced_r =
+      mp::estimate_max_power(pop2, instrumented, std::uint64_t{14});
   reg.enable(was_enabled);
   expect_identical(plain_r, traced_r);
-  EXPECT_EQ(traced_r.estimate, 9.8196310902247124);  // the seed golden
+  EXPECT_EQ(traced_r.estimate, 9.8642527418549424);  // the seed golden
 }
 
 TEST(RunReport, WriteFailureThrowsIoError) {

@@ -165,8 +165,7 @@ TEST(SeqPopulation, EstimatorConvergesOnAccumulator) {
   seq::SequencePopulation pop(sim);
   mpe::maxpower::EstimatorOptions opt;
   opt.epsilon = 0.08;
-  mpe::Rng rng(9);
-  const auto r = mpe::maxpower::estimate_max_power(pop, opt, rng);
+  const auto r = mpe::maxpower::estimate_max_power(pop, opt, 9);
   EXPECT_GT(r.estimate, 0.0);
   EXPECT_GT(r.units_used, 0u);
   // The estimate must be at least the largest cycle power sampled directly.

@@ -71,8 +71,7 @@ TEST(SeqPresets, EstimatorRunsOnPreset) {
   mpe::maxpower::EstimatorOptions opt;
   opt.epsilon = 0.10;
   opt.max_hyper_samples = 60;
-  mpe::Rng rng(5);
-  const auto r = mpe::maxpower::estimate_max_power(pop, opt, rng);
+  const auto r = mpe::maxpower::estimate_max_power(pop, opt, 5);
   EXPECT_GT(r.estimate, 0.0);
   EXPECT_GE(r.hyper_samples, 3u);
 }

@@ -9,16 +9,19 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <system_error>
 #include <vector>
 
+#include "evt/weibull_mle.hpp"
 #include "maxpower/campaign.hpp"
 #include "maxpower/circuit_cache.hpp"
 #include "maxpower/ledger.hpp"
 #include "maxpower/shard.hpp"
 #include "sim/technology.hpp"
 #include "util/atomic_file.hpp"
+#include "util/jsonl.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -236,6 +239,60 @@ TEST(ShardCheckpoint, ForeignSpecHeaderIsDiscardedNotResumed) {
   const mp::ShardOutcome again =
       mp::run_campaign_shard(reseeded, 0, 0, 8, options, cache);
   EXPECT_EQ(again.samples, other.samples);
+}
+
+TEST(ShardCheckpoint, EarlierFitSolverHeaderIsDiscardedNotResumed) {
+  const mp::CampaignJob job = tiny_job("solver", 5);
+  const std::string dir = fresh_dir("shard_solver");
+  mp::ShardRunOptions options;
+  options.state_dir = dir;
+  mp::CircuitCache cache(1);
+  const mp::ShardOutcome fresh =
+      mp::run_campaign_shard(job, 0, 0, 8, options, cache);
+  ASSERT_EQ(fresh.status, mp::JobStatus::kDone);
+  ASSERT_EQ(fresh.samples.size(), 8u);
+
+  // The same shard as the Weibull fit's solver revision 1 wrote it: the
+  // header pins the same job, shard, range and spec, and the sealed sample
+  // records are valid but carry the other solver's estimates.
+  const std::string ckpt = dir + "/solver.shard0.ckpt";
+  std::istringstream in(mpe::util::read_file(ckpt));
+  std::string line;
+  std::getline(in, line);  // the current header
+  mpe::util::JsonFields header;
+  header.add("schema", "mpe.shard")
+      .add("v", std::uint64_t{1})
+      .add("job", job.name)
+      .add("shard", std::uint64_t{0})
+      .add("lo", std::uint64_t{0})
+      .add("hi", std::uint64_t{8})
+      .add("spec", mp::campaign_job_to_json(job))
+      .add("mle_solver", std::uint64_t{1});
+  std::string written = mp::seal_ledger_line(header.object()) + "\n";
+  std::vector<double> recorded;
+  while (std::getline(in, line)) {
+    const mpe::util::JsonValue v = mpe::util::parse_json(line);
+    const double est = v.find("est")->as_number() * (1.0 + 1e-6);
+    recorded.push_back(est);
+    mpe::util::JsonFields f;
+    f.add("i", static_cast<std::uint64_t>(v.find("i")->as_number()))
+        .add("est", est)
+        .add("u", static_cast<std::uint64_t>(v.find("u")->as_number()))
+        .add("f", static_cast<std::uint64_t>(v.find("f")->as_number()));
+    written += mp::seal_ledger_line(f.object()) + "\n";
+  }
+  ASSERT_EQ(recorded.size(), 8u);
+  mpe::util::atomic_write_file(ckpt, written);
+
+  // The earlier solver's records are recomputed, never mixed into the job.
+  const mp::ShardOutcome resumed =
+      mp::run_campaign_shard(job, 0, 0, 8, options, cache);
+  ASSERT_EQ(resumed.status, mp::JobStatus::kDone);
+  EXPECT_EQ(resumed.samples, fresh.samples);
+  EXPECT_NE(resumed.samples[0].estimate, recorded[0]);
+  const std::string current =
+      "\"mle_solver\":" + std::to_string(mpe::evt::kWeibullMleSolverRevision);
+  EXPECT_NE(mpe::util::read_file(ckpt).find(current), std::string::npos);
 }
 
 TEST(ShardRun, RunControlStopKeepsPartialProgress) {

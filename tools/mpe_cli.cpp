@@ -86,9 +86,8 @@ void install_signal_handlers() {
       "            [--deadline-ms N] [--fit-policy use|pwm|redraw]\n"
       "            [--fitter mle|pwm|gev] [--stop t|bootstrap]\n"
       "            [--max-hyper K] [--metrics-out FILE|-] [--trace]\n"
-      "            [--checkpoint FILE [--checkpoint-every K] "
-      "[--threads N]]\n"
-      "            [--delay zero|unit|loaded]\n"
+      "            [--checkpoint FILE [--checkpoint-every K]]\n"
+      "            [--threads N] [--delay zero|unit|loaded]\n"
       "  convert : --in <file.bench|file.v> --out <file.bench|file.v>\n"
       "  timing  : --model zero|unit|loaded\n"
       "  vcd     : --out <file.vcd> [--cycles N]\n"
@@ -237,21 +236,15 @@ int cmd_estimate(const Cli& cli) {
   if (tracer.enabled()) options.tracer = &tracer;
   if (!metrics_out.empty()) util::MetricRegistry::global().enable(true);
 
-  // --threads selects the pipelined estimator (bit-identical across thread
-  // counts, so a checkpoint taken at --threads 8 resumes at --threads 1 and
-  // vice versa); without it the sequential reference path runs.
+  // --threads changes wall time only: the estimate is bit-identical across
+  // thread counts, so a checkpoint taken at --threads 8 resumes at
+  // --threads 1 and vice versa.
   engine_cfg.options = options;
   const maxpower::Engine engine(engine_cfg);
-  maxpower::EstimationResult r;
-  if (cli.has("threads") || !options.checkpoint_path.empty()) {
-    maxpower::ParallelOptions par;
-    par.threads = static_cast<unsigned>(
-        std::max<long long>(0, cli.get_int("threads", 1)));
-    r = engine.run(population, seed, par);
-  } else {
-    Rng rng(seed);
-    r = engine.run(population, rng);
-  }
+  maxpower::ParallelOptions par;
+  par.threads =
+      static_cast<unsigned>(std::max<long long>(0, cli.get_int("threads", 1)));
+  const maxpower::EstimationResult r = engine.run(population, seed, par);
 
   if (!metrics_out.empty()) {
     maxpower::RunReportOptions ropt;
@@ -961,8 +954,7 @@ int cmd_maxdelay(const Cli& cli) {
   const vec::UniformPairGenerator pairs(netlist.num_inputs());
   maxpower::EstimatorOptions est;
   est.epsilon = cli.get_double("epsilon", 0.08);
-  Rng rng(seed);
-  const auto r = maxdelay::estimate_max_delay(pairs, simulator, est, rng);
+  const auto r = maxdelay::estimate_max_delay(pairs, simulator, est, seed);
   const auto t = sim::analyze_timing(netlist);
   std::printf("EVT max sensitizable delay: %.3f ns  [%.3f, %.3f] @ 90%%\n",
               r.estimate, r.ci.lower, r.ci.upper);
