@@ -183,8 +183,8 @@ void BM_CompiledDrawBatch(benchmark::State& state, const std::string& name,
 
 // Full pipelined estimator over a zero-delay streaming population (the
 // production configuration: the compiled tape evaluates every draw, and
-// every unit is freshly simulated): thread-count scaling of the speculative
-// hyper-sample waves. Items = simulated units consumed by the stopping rule.
+// every unit is freshly simulated): thread-count scaling of the pipelined
+// hyper-sample loop. Items = simulated units consumed by the stopping rule.
 void BM_EstimatorPipeline(benchmark::State& state) {
   const auto threads = static_cast<unsigned>(state.range(0));
   const auto& nl = preset("c7552");

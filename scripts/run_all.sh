@@ -44,7 +44,7 @@ if [ "${MPE_SANITIZERS:-0}" = "1" ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo
   cmake --build build-tsan -j "$(nproc 2>/dev/null || echo 4)"
   ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadPool|ParallelEstimator|FaultInjection|RunControl|ParallelDb|ServerLive|ServerCache|ServerFleet|WorkerHubParking|DistEndToEnd|StreamingCompiled|StreamingPopulation|StreamingEvent|BatchEventSim'
+    -R 'ThreadPool|Engine|ParallelEstimator|FaultInjection|RunControl|ParallelDb|ServerLive|ServerCache|ServerFleet|WorkerHubParking|DistEndToEnd|StreamingCompiled|StreamingPopulation|StreamingEvent|BatchEventSim'
 fi
 
 # Perf trajectory: google-benchmark JSON (per-benchmark real/cpu ns and

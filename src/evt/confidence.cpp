@@ -1,6 +1,7 @@
 #include "evt/confidence.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "stats/descriptive.hpp"
 #include "stats/normal.hpp"
@@ -24,6 +25,31 @@ ConfidenceInterval normal_interval(double center, double sd, std::size_t n,
   return ci;
 }
 
+double t_critical(std::size_t k, double confidence) {
+  MPE_EXPECTS(k >= 2);
+  MPE_EXPECTS(confidence > 0.0 && confidence < 1.0);
+  // A run asks for k = min_hyper_samples, +1, +2, ... at one confidence,
+  // and so does the next run on the thread. Past kMaxMemoK (far beyond the
+  // default 500-sample budget) values are computed, not kept.
+  constexpr std::size_t kMaxMemoK = 4096;
+  thread_local double memo_confidence = 0.0;
+  thread_local std::vector<double> memo;  // by k; 0 = not computed yet
+  if (k > kMaxMemoK) {
+    return stats::StudentT(static_cast<double>(k) - 1.0)
+        .two_sided_critical(confidence);
+  }
+  if (confidence != memo_confidence) {
+    memo_confidence = confidence;
+    memo.clear();
+  }
+  if (memo.size() <= k) memo.resize(k + 1, 0.0);
+  if (memo[k] == 0.0) {
+    memo[k] = stats::StudentT(static_cast<double>(k) - 1.0)
+                  .two_sided_critical(confidence);
+  }
+  return memo[k];
+}
+
 ConfidenceInterval t_interval(std::span<const double> values,
                               double confidence) {
   MPE_EXPECTS_MSG(values.size() >= 2, "t interval needs at least two values");
@@ -31,10 +57,9 @@ ConfidenceInterval t_interval(std::span<const double> values,
   const auto k = static_cast<double>(values.size());
   const double mean = stats::mean(values);
   const double s = stats::stddev(values);
-  const stats::StudentT t(k - 1.0);
   ConfidenceInterval ci;
   ci.center = mean;
-  ci.half_width = t.two_sided_critical(confidence) * s / std::sqrt(k);
+  ci.half_width = t_critical(values.size(), confidence) * s / std::sqrt(k);
   ci.lower = mean - ci.half_width;
   ci.upper = mean + ci.half_width;
   ci.confidence = confidence;

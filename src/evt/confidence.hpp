@@ -4,6 +4,7 @@
 //  * the stopping-rule evaluation (relative half-width vs epsilon).
 #pragma once
 
+#include <cstddef>
 #include <span>
 
 namespace mpe::evt {
@@ -20,6 +21,13 @@ struct ConfidenceInterval {
 /// Normal interval center ± u_l * sd / sqrt(n) (Theorem 4 / Eqn 3.5).
 ConfidenceInterval normal_interval(double center, double sd, std::size_t n,
                                    double confidence);
+
+/// The critical value t_{l,k-1} of the interval over k values, memoized
+/// per thread for the last confidence asked for: bit-identical to
+/// stats::StudentT(k - 1).two_sided_critical(confidence), which is a root
+/// search the stopping rule would otherwise repeat after every accept.
+/// Requires k >= 2.
+double t_critical(std::size_t k, double confidence);
 
 /// Student-t interval over a sample of hyper-sample estimates
 /// (Theorem 6 / Eqn 3.8): mean ± t_{l,k-1} s / sqrt(k). Requires k >= 2.

@@ -1,9 +1,15 @@
 #include "maxpower/engine.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -112,275 +118,350 @@ class RunScope {
 /// reach this one within the max_hyper_samples budget.
 constexpr std::uint64_t kIntervalStream = ~std::uint64_t{0} - 1;
 
-/// One drawn hyper-sample with its draw index, as handed from the
-/// execution policy to the fold.
-struct Slot {
-  HyperSampleResult hs;
-  std::size_t index = 0;
-  bool computed = false;  ///< false = abandoned by a mid-wave fault/stop
-};
+using Chain = std::vector<std::shared_ptr<StoppingRule>>;
 
-/// Where the hyper-samples of a run come from, in index order. The policy
-/// owns the draw cursor; the engine's single loop owns folding, stopping,
-/// checkpointing and the interval RNG. draw_wave() hands over the next wave
-/// and moves the cursor past it; it returns false when a draw faulted (the
-/// fault is recorded before returning) or nothing is left to hand over, and
-/// `slots` then holds the computed prefix.
-class ExecutionPolicy {
+/// Computes hyper-sample `index` into `out`. Returns false when there is
+/// nothing to fold at that index: run control stopped the run, or a
+/// replay's recorded prefix ran out. A throw is a draw fault, folded (and
+/// recorded) at its index like any other outcome.
+using DrawFn = std::function<bool(std::size_t index, HyperSampleResult& out)>;
+
+/// Waits of a participant that has nothing to claim are short (the next
+/// fold frees a claim), so it spins this many pauses before it sleeps.
+constexpr int kSpinLimit = 1024;
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#elif defined(__aarch64__)
+  asm volatile("yield");
+#endif
+}
+
+/// Blocks until `a` no longer holds `seen`: a bounded spin, then a futex
+/// wait. Every store to the waited-on atomics is followed by notify_all.
+void await_change(const std::atomic<std::uint32_t>& a, std::uint32_t seen) {
+  for (int spin = 0; spin < kSpinLimit; ++spin) {
+    if (a.load(std::memory_order_acquire) != seen) return;
+    cpu_relax();
+  }
+  a.wait(seen, std::memory_order_acquire);
+}
+
+/// The run loop of one estimate: the paper's Figure-4 procedure. Every
+/// participant — the caller plus participants-1 pool helpers, dispatched
+/// once per run — repeats three steps:
+///   1. claim the next index, if it is below cursor + participants;
+///   2. draw that hyper-sample into its ring cell;
+///   3. under the fold lock, fold every ready cell at the fold cursor,
+///      strictly in index order: pre-draw rules, discard or accept,
+///      post-accept rules, checkpoint.
+/// The participant whose fold ends the run wakes the others; the caller
+/// returns once every helper that entered the run has left it. The fold
+/// order and the per-index streams are those of a one-participant run, so
+/// the result never depends on the schedule. Replay is the same loop with
+/// one participant whose draw returns the recorded sample.
+///
+/// Owned through a shared_ptr that every helper task holds: a helper that
+/// starts after its run ended touches only the atomics of this object,
+/// never the caller's source, chain or context.
+class Pipeline {
  public:
-  virtual ~ExecutionPolicy() = default;
-  /// Next draw index the run would consume (== draw attempts so far).
-  virtual std::size_t cursor() const = 0;
-  /// Restores the checkpointed position.
-  virtual void resume(std::uint64_t next_index) = 0;
-  virtual bool draw_wave(UnitSource& source, const TailFitter& fitter,
-                         RunContext& ctx, EstimationResult& r,
-                         std::vector<Slot>& slots) = 0;
-};
+  Pipeline(const DrawFn& draw, const Chain& chain, RunContext& ctx,
+           std::uint64_t seed, unsigned participants)
+      : draw_(draw),
+        chain_(chain),
+        ctx_(ctx),
+        options_(ctx.options()),
+        window_(participants),
+        max_attempts_(options_.max_hyper_samples + options_.max_redraws),
+        cells_(std::make_unique<Cell[]>(participants)),
+        interval_rng_(stream_seed(seed, kIntervalStream)) {}
 
-/// The live policy: hyper-sample i always draws from the counter-derived
-/// stream stream_seed(seed, i); waves of up to `wave` indices are computed
-/// speculatively (concurrently when the source allows), so the schedule is
-/// unobservable in the result.
-class SpeculativeExecution final : public ExecutionPolicy {
- public:
-  SpeculativeExecution(std::uint64_t seed, std::size_t wave, bool concurrent,
-                       util::ThreadPool* pool, std::size_t max_attempts)
-      : seed_(seed),
-        wave_(wave),
-        concurrent_(concurrent),
-        pool_(pool),
-        max_attempts_(max_attempts) {}
-
-  std::size_t cursor() const override { return next_index_; }
-
-  void resume(std::uint64_t next_index) override {
-    next_index_ = static_cast<std::size_t>(next_index);
+  /// Resumes from a checkpoint and consults the pre-draw rules for the
+  /// first index; the run may end right here (a complete checkpoint, or a
+  /// rule that stops it before any draw).
+  void start(std::optional<std::size_t> population_size) {
+    bool resumed = false;
+    if (ctx_.checkpoint().enabled()) {
+      std::uint64_t next_index = 0;
+      Rng::State rng_state;
+      bool complete = false;
+      if (ctx_.checkpoint().try_resume(r_, next_index, rng_state,
+                                       complete)) {
+        // A complete checkpoint is the final result of a converged run:
+        // return it without drawing anything.
+        if (complete) return end();
+        next_.store(static_cast<std::size_t>(next_index));
+        cursor_.store(static_cast<std::size_t>(next_index));
+        interval_rng_.set_state(rng_state);
+        resumed = true;
+      }
+    }
+    // The restored diagnostics already carry the population-size note from
+    // the original run start; only a fresh run records it.
+    if (!resumed) ctx_.check_source_size(population_size, r_);
+    fold();
   }
 
-  bool draw_wave(UnitSource& source, const TailFitter& fitter,
-                 RunContext& ctx, EstimationResult& r,
-                 std::vector<Slot>& slots) override {
-    const EstimatorOptions& options = ctx.options();
-    const std::size_t count = std::min(wave_, max_attempts_ - next_index_);
-    batch_.assign(count, HyperSampleResult{});
-    // A computed batch entry always has units_used = n*m > 0; entries
-    // abandoned by a mid-wave fault or stop keep the zero default, so the
-    // fold below can recognize them.
-    auto draw_one = [&](std::size_t j) {
-      Rng hyper_rng(stream_seed(seed_, next_index_ + j));
-      batch_[j] =
-          draw_hyper_sample(source, options.hyper, fitter, hyper_rng);
-    };
-    ctx.note_wave();
-    auto wave_span = options.tracer != nullptr
-                         ? options.tracer->span("wave")
-                         : util::Tracer().span("wave");
-    bool draw_faulted = false;
-    try {
-      if (concurrent_ && count > 1) {
-        pool_->parallel_for(0, count, draw_one, &options.control);
-      } else {
-        for (std::size_t j = 0; j < count; ++j) {
-          if (options.control.should_stop() != util::StopCause::kNone) break;
-          draw_one(j);
-        }
+  bool finished() const { return finished_.load(); }
+
+  /// The body of one pool helper.
+  void help() {
+    helpers_.fetch_add(1);
+    if (!finished_.load()) participate();
+    helpers_.fetch_sub(1);
+    helpers_.notify_all();
+  }
+
+  /// Claims, draws and folds until nothing is left to claim.
+  void participate() {
+    while (const std::optional<std::size_t> index = claim()) {
+      Cell& cell = cells_[*index % window_];
+      try {
+        cell.drawn = draw_(*index, cell.hs);
+      } catch (...) {
+        cell.fault = std::current_exception();
       }
-    } catch (const Error& e) {
-      // The wave is drained before parallel_for rethrows, so every entry is
-      // either fully computed or untouched; the engine folds the computed
-      // prefix, then stops.
-      ctx.record_draw_fault(e, r);
-      draw_faulted = true;
+      if (cell.drawn) drawn_.fetch_add(1, std::memory_order_relaxed);
+      cell.ready.store(true, std::memory_order_release);
+      fold();
     }
-    wave_span.note(util::JsonFields{}
-                       .add("wave", wave_number_)
-                       .add("first_index", next_index_)
-                       .add("count", count)
-                       .add("concurrent", concurrent_ && count > 1)
-                       .body());
-    wave_span.finish();
-    ++wave_number_;
-    slots.clear();
-    slots.reserve(count);
-    for (std::size_t j = 0; j < count; ++j) {
-      Slot s;
-      s.computed = batch_[j].units_used != 0;
-      s.index = next_index_ + j;
-      s.hs = std::move(batch_[j]);
-      slots.push_back(std::move(s));
+  }
+
+  /// Waits for the end of the run and for every helper inside it, then
+  /// hands over the result (or rethrows what ended the run).
+  EstimationResult finish() {
+    for (;;) {
+      const std::uint32_t seen = progress_.load(std::memory_order_acquire);
+      if (finished_.load()) break;
+      await_change(progress_, seen);
     }
-    next_index_ += count;
-    return !draw_faulted;
+    for (;;) {
+      const std::uint32_t inside = helpers_.load();
+      if (inside == 0) break;
+      await_change(helpers_, inside);
+    }
+    // Drawn but never folded: what speculating past the stop index cost.
+    ctx_.note_speculation_wasted(drawn_.load(std::memory_order_relaxed) -
+                                 folded_);
+    if (error_) std::rethrow_exception(error_);
+    return std::move(r_);
   }
 
  private:
-  std::uint64_t seed_;
-  std::size_t wave_;
-  bool concurrent_;
-  util::ThreadPool* pool_;
-  std::size_t max_attempts_;
-  std::size_t next_index_ = 0;
-  std::size_t wave_number_ = 0;
-  std::vector<HyperSampleResult> batch_;
-};
+  /// One ring slot: index i lives in cell i % participants until folded.
+  struct Cell {
+    HyperSampleResult hs;
+    std::exception_ptr fault;  ///< the draw threw
+    bool drawn = false;        ///< hs holds the draw of this index
+    std::atomic<bool> ready{false};
+  };
 
-/// Replays pre-computed hyper-samples (shard results assembled by a
-/// coordinator) through the fold: one slot per wave in index order, with
-/// the draws themselves replaced by the recorded values. Bit-identical to a
-/// live run as long as the recorded prefix covers the stopping point.
-class ReplayExecution final : public ExecutionPolicy {
- public:
-  explicit ReplayExecution(const std::vector<Engine::ReplaySample>& samples)
-      : samples_(samples) {}
-
-  std::size_t cursor() const override { return pos_; }
-
-  void resume(std::uint64_t) override {
-    throw Error(ErrorCode::kInternal, "replay runs never resume");
+  /// The next index to draw, or nullopt once the run ended or every
+  /// index of the attempt budget is claimed. Waits while the claim would
+  /// run `participants` or more indices ahead of the fold cursor.
+  std::optional<std::size_t> claim() {
+    std::size_t index = next_.load(std::memory_order_relaxed);
+    for (;;) {
+      const std::uint32_t seen = progress_.load(std::memory_order_acquire);
+      if (finished_.load(std::memory_order_acquire) ||
+          index >= max_attempts_) {
+        return std::nullopt;
+      }
+      if (index >= cursor_.load(std::memory_order_acquire) + window_) {
+        await_change(progress_, seen);
+        index = next_.load(std::memory_order_relaxed);
+        continue;
+      }
+      if (next_.compare_exchange_weak(index, index + 1,
+                                      std::memory_order_relaxed)) {
+        return index;
+      }
+    }
   }
 
-  bool draw_wave(UnitSource&, const TailFitter&, RunContext&,
-                 EstimationResult&, std::vector<Slot>& slots) override {
-    slots.clear();
-    if (pos_ >= samples_.size()) return false;  // recorded prefix exhausted
-    Slot s;
-    s.index = static_cast<std::size_t>(samples_[pos_].index);
-    s.hs = samples_[pos_].hs;
-    s.computed = true;
-    slots.push_back(std::move(s));
-    ++pos_;
+  /// Folds every ready cell at the cursor. Whatever a fold step throws
+  /// (a checkpoint write, a stopping rule) ends the run and is rethrown
+  /// by the caller in finish().
+  void fold() {
+    std::lock_guard<std::mutex> lock(fold_mutex_);
+    if (finished_.load(std::memory_order_relaxed)) return;
+    try {
+      for (;;) {
+        const std::size_t index = cursor_.load(std::memory_order_relaxed);
+        if (!checked_) {
+          // The pre-draw rules see each index once, before it is folded
+          // and with everything below it folded, as a one-participant
+          // run would show them.
+          checked_ = true;
+          if (stops_before(index)) return end();
+        }
+        Cell& cell = cells_[index % window_];
+        if (!cell.ready.load(std::memory_order_acquire)) return;
+        const bool ended = fold_cell(index, cell);
+        cell.fault = nullptr;
+        cell.drawn = false;
+        cell.ready.store(false, std::memory_order_relaxed);
+        if (ended) return end();
+        checked_ = false;
+        cursor_.store(index + 1, std::memory_order_release);
+        progress_.fetch_add(1, std::memory_order_release);
+        progress_.notify_all();
+      }
+    } catch (...) {
+      error_ = std::current_exception();
+      end();
+    }
+  }
+
+  void end() {
+    finished_.store(true);
+    progress_.fetch_add(1, std::memory_order_release);
+    progress_.notify_all();
+  }
+
+  /// The pre-draw rules for `index`, then the engine's own budget cap.
+  /// Returns true when the run ended before drawing `index`.
+  bool stops_before(std::size_t index) {
+    std::optional<StopReason> verdict;
+    for (const auto& rule : chain_) {
+      verdict = rule->pre_draw(options_, r_, index);
+      if (verdict.has_value()) break;
+    }
+    if (verdict == StopReason::kCancelled ||
+        verdict == StopReason::kDeadlineExceeded) {
+      ctx_.record_stop(*verdict, r_);
+      stop();
+      return true;
+    }
+    if (!verdict.has_value() && index < max_attempts_ &&
+        r_.hyper_samples < options_.max_hyper_samples) {
+      return false;
+    }
+    // Budget epilogue: the chain ended the run without converging. Too few
+    // accepted hyper-samples means the redraw budget was spent on unusable
+    // draws — a data fault, not a clean budget stop.
+    if (r_.hyper_samples < options_.max_hyper_samples &&
+        r_.stop_reason == StopReason::kMaxHyperSamples) {
+      ctx_.record_redraws_exhausted(r_);
+    }
+    stop();
     return true;
   }
 
- private:
-  const std::vector<Engine::ReplaySample>& samples_;
-  std::size_t pos_ = 0;
-};
-
-/// UnitSource stand-in for replay: the fold never draws, so fill() is
-/// unreachable.
-class ReplaySource final : public UnitSource {
- public:
-  void fill(std::span<double>, Rng&) override {
-    throw Error(ErrorCode::kInternal, "replay source never draws");
-  }
-  bool concurrent_fill_safe() const override { return false; }
-  std::optional<std::size_t> population_size() const override { return {}; }
-  std::string description() const override { return "replay"; }
-};
-
-void finalize_chain(
-    const std::vector<std::shared_ptr<StoppingRule>>& chain,
-    const EstimatorOptions& options, EstimationResult& r, Rng& interval_rng) {
-  for (const auto& rule : chain) rule->finalize(options, r, interval_rng);
-}
-
-/// The one run loop the live and the replay policy share. The stopping
-/// chain's interval randomness comes from its own stream of `seed`
-/// (kIntervalStream), so it never depends on how draws are scheduled.
-EstimationResult run_loop(UnitSource& source, const TailFitter& fitter,
-                          const std::vector<std::shared_ptr<StoppingRule>>&
-                              chain,
-                          RunContext& ctx, ExecutionPolicy& policy,
-                          std::uint64_t seed) {
-  const EstimatorOptions& options = ctx.options();
-  Rng interval_rng(stream_seed(seed, kIntervalStream));
-  EstimationResult r;
-  bool resumed = false;
-  if (ctx.checkpoint().enabled()) {
-    std::uint64_t next_index = 0;
-    Rng::State rng_state;
-    bool complete = false;
-    if (ctx.checkpoint().try_resume(r, next_index, rng_state, complete)) {
-      // A complete checkpoint is the final result of a converged run:
-      // return it without drawing anything.
-      if (complete) return r;
-      policy.resume(next_index);
-      interval_rng.set_state(rng_state);
-      resumed = true;
-    }
-  }
-  // The restored diagnostics already carry the population-size note from
-  // the original run start; only a fresh run records it.
-  if (!resumed) ctx.check_source_size(source.population_size(), r);
-
-  std::vector<Slot> slots;
-  for (;;) {
-    std::optional<StopReason> verdict;
-    for (const auto& rule : chain) {
-      verdict = rule->pre_draw(options, r, policy.cursor());
-      if (verdict.has_value()) break;
-    }
-    if (verdict.has_value()) {
-      if (*verdict == StopReason::kCancelled ||
-          *verdict == StopReason::kDeadlineExceeded) {
-        ctx.record_stop(*verdict, r);
-        ctx.checkpoint().flush();
-        finalize_chain(chain, options, r, interval_rng);
-        return r;
+  /// Folds the outcome of `index`; returns true when it ended the run.
+  /// Discarded (unusable) hyper-samples simply advance the index stream —
+  /// the next index *is* the redraw.
+  bool fold_cell(std::size_t index, Cell& cell) {
+    if (cell.fault) {
+      // Recorded only here, at its index: a fault past the stop index
+      // leaves no trace, whatever the schedule drew first. Anything but
+      // mpe::Error propagates to the caller.
+      try {
+        std::rethrow_exception(cell.fault);
+      } catch (const Error& e) {
+        ctx_.record_draw_fault(e, r_);
       }
-      break;  // budget verdict: fall through to the epilogue below
+      stop();
+      return true;
     }
-
-    const bool wave_ok = policy.draw_wave(source, fitter, ctx, r, slots);
-
-    // Stopping chain strictly in index order: hyper-samples past the
-    // convergence point are discarded, so the result cannot depend on the
-    // wave size or thread count. Discarded (unusable) hyper-samples simply
-    // advance the index stream — the next index *is* the redraw.
-    bool done = false;
-    for (Slot& s : slots) {
-      if (!s.computed) break;  // not computed (fault/stop)
-      if (done || r.hyper_samples >= options.max_hyper_samples) {
-        // Computed speculatively but never folded: count the waste so the
-        // metrics show what the wave size costs.
-        ctx.note_speculation_wasted();
-        continue;
-      }
-      r.diagnostics.nonfinite_units += s.hs.nonfinite_units;
-      if (!usable(options, s.hs)) {
-        ctx.record_discard(s.hs, r);
-        continue;
-      }
-      r.hyper_values.push_back(s.hs.estimate);
-      r.units_used += s.hs.units_used;
-      ++r.hyper_samples;
-      if (!s.hs.mle.converged) ++r.degenerate_fits;
-      if (s.hs.degenerate) ++r.diagnostics.degenerate_fits;
-      if (s.hs.used_pwm) ++r.diagnostics.pwm_refits;
-      if (s.hs.constant_sample) ++r.diagnostics.constant_samples;
-      for (const auto& rule : chain) {
-        if (rule->post_accept(options, r, interval_rng).has_value()) {
-          done = true;
+    if (!cell.drawn) {
+      switch (options_.control.should_stop()) {
+        case util::StopCause::kCancelled:
+          ctx_.record_stop(StopReason::kCancelled, r_);
           break;
-        }
+        case util::StopCause::kDeadline:
+          ctx_.record_stop(StopReason::kDeadlineExceeded, r_);
+          break;
+        case util::StopCause::kNone:  // replay: recorded prefix exhausted
+          break;
       }
-      ctx.record_accept(s.hs, r);
-      // The resume point is the index after this accept; unfolded entries
-      // later in the wave are re-drawn on resume from their per-index
-      // streams, reproducing the same values.
-      ctx.checkpoint().on_accept(r, interval_rng.state(), s.index + 1,
-                                 s.index, done);
+      stop();
+      return true;
     }
-    if (done) return r;
-    if (!wave_ok) {
-      ctx.checkpoint().flush();
-      finalize_chain(chain, options, r, interval_rng);
-      return r;
+    ++folded_;
+    const HyperSampleResult& hs = cell.hs;
+    r_.diagnostics.nonfinite_units += hs.nonfinite_units;
+    if (!usable(options_, hs)) {
+      ctx_.record_discard(hs, r_);
+      return false;
+    }
+    r_.hyper_values.push_back(hs.estimate);
+    r_.units_used += hs.units_used;
+    ++r_.hyper_samples;
+    if (!hs.mle.converged) ++r_.degenerate_fits;
+    if (hs.degenerate) ++r_.diagnostics.degenerate_fits;
+    if (hs.used_pwm) ++r_.diagnostics.pwm_refits;
+    if (hs.constant_sample) ++r_.diagnostics.constant_samples;
+    bool done = false;
+    for (const auto& rule : chain_) {
+      if (rule->post_accept(options_, r_, interval_rng_).has_value()) {
+        done = true;
+        break;
+      }
+    }
+    ctx_.record_accept(hs, r_);
+    // The resume point is the index after this accept; indices drawn past
+    // it are re-drawn on resume from their per-index streams, reproducing
+    // the same values.
+    ctx_.checkpoint().on_accept(r_, interval_rng_.state(), index + 1, index,
+                                done);
+    return done;
+  }
+
+  /// Ends a run that did not converge: persists the latest state and lets
+  /// the rules leave their final assessment in the partial result.
+  void stop() {
+    ctx_.checkpoint().flush();
+    for (const auto& rule : chain_) {
+      rule->finalize(options_, r_, interval_rng_);
     }
   }
 
-  // Budget epilogue: the chain ended the run without converging. Too few
-  // accepted hyper-samples means the redraw budget was spent on unusable
-  // draws — a data fault, not a clean budget stop.
-  if (r.hyper_samples < options.max_hyper_samples &&
-      r.stop_reason == StopReason::kMaxHyperSamples) {
-    ctx.record_redraws_exhausted(r);
+  const DrawFn& draw_;
+  const Chain& chain_;
+  RunContext& ctx_;
+  const EstimatorOptions& options_;
+  const std::size_t window_;        ///< participants: the claim bound
+  const std::size_t max_attempts_;  ///< hyper-sample + redraw budget
+  std::unique_ptr<Cell[]> cells_;   ///< window_ cells
+
+  std::atomic<std::size_t> next_{0};    ///< next unclaimed index
+  std::atomic<std::size_t> cursor_{0};  ///< next index to fold
+  std::atomic<bool> finished_{false};
+  /// Bumped after every cursor advance and at the end of the run: what
+  /// idle participants wait on.
+  std::atomic<std::uint32_t> progress_{0};
+  std::atomic<std::uint32_t> helpers_{0};  ///< helpers inside the run
+  std::atomic<std::size_t> drawn_{0};      ///< hyper-samples drawn
+
+  // Fold state, touched only under fold_mutex_.
+  std::mutex fold_mutex_;
+  EstimationResult r_;
+  Rng interval_rng_;
+  bool checked_ = false;    ///< pre-draw rules consulted for cursor_
+  std::size_t folded_ = 0;  ///< drawn hyper-samples folded
+  std::exception_ptr error_;
+};
+
+/// Runs one estimate on `participants` participants; the pool hosts the
+/// participants - 1 helpers (unused when participants == 1).
+EstimationResult run_loop(const DrawFn& draw,
+                          std::optional<std::size_t> population_size,
+                          const Chain& chain, RunContext& ctx,
+                          std::uint64_t seed, unsigned participants,
+                          util::ThreadPool* pool) {
+  auto loop =
+      std::make_shared<Pipeline>(draw, chain, ctx, seed, participants);
+  loop->start(population_size);
+  if (!loop->finished()) {
+    for (unsigned h = 1; h < participants; ++h) {
+      pool->post([loop] { loop->help(); });
+    }
+    loop->participate();
   }
-  ctx.checkpoint().flush();
-  finalize_chain(chain, options, r, interval_rng);
-  return r;
+  return loop->finish();
 }
 
 /// Canonical description of a non-default strategy composition, folded into
@@ -408,6 +489,7 @@ std::string strategy_canon(const EngineConfig& config) {
 EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
                              const ParallelOptions& parallel) const {
   check_options(config_.options);
+  const EstimatorOptions& options = config_.options;
   const TailFitter& fitter =
       config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
   const auto chain =
@@ -419,29 +501,35 @@ EstimationResult Engine::run(UnitSource& source, std::uint64_t seed,
   } else if (threads == 0) {
     threads = std::max(1u, std::thread::hardware_concurrency());
   }
-  // Concurrent speculation needs thread-safe draws; otherwise draw the wave
-  // sequentially (identical result, since streams are per-index anyway).
-  const bool concurrent = threads > 1 && source.concurrent_fill_safe();
+  // Concurrent participants need thread-safe draws; otherwise the caller
+  // draws alone (identical result, since streams are per-index anyway).
+  const unsigned participants =
+      threads > 1 && source.concurrent_fill_safe() ? threads : 1;
 
-  // A local pool only when actually speculating concurrently and the caller
-  // did not provide one.
+  // A local pool only when there are helpers to host and the caller did
+  // not provide one.
   std::unique_ptr<util::ThreadPool> local_pool;
   util::ThreadPool* pool = parallel.pool;
-  if (concurrent && pool == nullptr) {
-    local_pool = std::make_unique<util::ThreadPool>(threads - 1);
+  if (participants > 1 && pool == nullptr) {
+    local_pool = std::make_unique<util::ThreadPool>(participants - 1);
     pool = local_pool.get();
   }
-  const std::size_t wave = concurrent ? threads : 1;
 
-  RunScope scope(config_.options, source, threads);
-  RunContext ctx(config_.options,
-                 run_fingerprint(config_.options, seed, source.description(),
+  RunScope scope(options, source, threads);
+  RunContext ctx(options,
+                 run_fingerprint(options, seed, source.description(),
                                  strategy_canon(config_)),
                  seed);
-  SpeculativeExecution policy(
-      seed, wave, concurrent, pool,
-      config_.options.max_hyper_samples + config_.options.max_redraws);
-  EstimationResult r = run_loop(source, fitter, chain, ctx, policy, seed);
+  const DrawFn draw = [&](std::size_t index, HyperSampleResult& out) {
+    if (options.control.should_stop() != util::StopCause::kNone) {
+      return false;
+    }
+    Rng hyper_rng(stream_seed(seed, index));
+    out = draw_hyper_sample(source, options.hyper, fitter, hyper_rng);
+    return true;
+  };
+  EstimationResult r = run_loop(draw, source.population_size(), chain, ctx,
+                                seed, participants, pool);
   scope.finish(r);
   return r;
 }
@@ -465,8 +553,6 @@ EstimationResult Engine::replay(
                       .str());
     }
   }
-  const TailFitter& fitter =
-      config_.fitter != nullptr ? *config_.fitter : default_tail_fitter();
   const auto chain =
       config_.stopping.empty() ? default_stopping_chain() : config_.stopping;
   // Replay is a pure fold: no checkpoint, no tracer, and an inert run
@@ -477,9 +563,12 @@ EstimationResult Engine::replay(
   options.tracer = nullptr;
   options.control = util::RunControl{};
   RunContext ctx(options, /*fingerprint=*/0, seed);
-  ReplaySource source;
-  ReplayExecution policy(samples);
-  return run_loop(source, fitter, chain, ctx, policy, seed);
+  const DrawFn draw = [&samples](std::size_t index, HyperSampleResult& out) {
+    if (index >= samples.size()) return false;  // recorded prefix exhausted
+    out = samples[index].hs;
+    return true;
+  };
+  return run_loop(draw, std::nullopt, chain, ctx, seed, 1, nullptr);
 }
 
 }  // namespace mpe::maxpower

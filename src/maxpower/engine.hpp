@@ -1,21 +1,24 @@
 // The estimation engine: ONE run loop for the paper's iterative procedure
-// (Figure 4), composed from four pluggable layers instead of two hand-woven
+// (Figure 4), composed from three pluggable layers instead of hand-woven
 // code paths:
 //
 //   UnitSource       — where unit values come from (maxpower/unit_source.hpp)
 //   TailFitter       — how sample maxima become one estimate
 //                      (maxpower/tail_fitter.hpp)
 //   StoppingRule[]   — when the run ends (maxpower/stopping.hpp)
-//   ExecutionPolicy  — where hyper-samples come from, internal to the
-//                      engine: run() draws hyper-sample i from its own
-//                      counter-derived stream stream_seed(seed, i), in waves
-//                      on a thread pool; replay() folds hyper-samples
-//                      computed elsewhere (shard workers).
+//
+// run() draws hyper-sample i from its own counter-derived stream
+// stream_seed(seed, i) in one pipelined loop: the caller and its pool
+// helpers (dispatched once per run) each claim the next index, draw it,
+// and fold every completed index in index order under one lock, never more
+// than `threads` indices ahead of the fold. replay() is the same loop with
+// one participant whose draws are hyper-samples computed elsewhere (shard
+// workers).
 //
 // The paper's Figure-4 loop and its Student-t interval need only
 // independent hyper-samples, which the per-index streams provide; the
 // result is therefore a function of the seed alone, never of the thread
-// count, the wave size or the host that drew a hyper-sample.
+// count, the schedule or the host that drew a hyper-sample.
 //
 // Cross-cutting services (tracing, metrics, checkpointing, run control)
 // live in one RunContext (maxpower/run_context.hpp) threaded through the
@@ -70,16 +73,19 @@ class Engine {
   const EngineConfig& config() const { return config_; }
 
   /// The paper's Figure-4 loop: hyper-sample i draws from the
-  /// counter-derived stream stream_seed(seed, i); waves of hyper-samples
-  /// are computed speculatively (in parallel when the source allows it) and
-  /// the stopping chain is applied in index order. Bit-identical for every
-  /// thread count: `parallel` changes wall time only.
+  /// counter-derived stream stream_seed(seed, i); up to `threads`
+  /// participants draw concurrently (when the source allows it), at most
+  /// `threads` - 1 indices past the last folded one, and the stopping chain
+  /// is applied in index order. Bit-identical for every thread count:
+  /// `parallel` changes wall time only. Returns once every helper that
+  /// joined the run has left it; helpers the pool has not started yet are
+  /// not waited for.
   EstimationResult run(UnitSource& source, std::uint64_t seed,
                        const ParallelOptions& parallel = {}) const;
   EstimationResult run(vec::Population& population, std::uint64_t seed,
                        const ParallelOptions& parallel = {}) const;
 
-  /// One pre-computed hyper-sample for replay(): the draw for wave index
+  /// One pre-computed hyper-sample for replay(): the draw for index
   /// `index` of the stream_seed(seed, index) RNG stream, as produced by
   /// draw_hyper_sample. Whether it was usable is re-derived by the fold.
   struct ReplaySample {
@@ -96,7 +102,8 @@ class Engine {
   /// If the prefix runs out earlier, the returned partial result is a
   /// probe: not converged and not budget-terminal, and callers must
   /// discard it. Checkpointing, tracing, and run control are disabled —
-  /// replay is a pure deterministic fold.
+  /// replay is a pure deterministic fold: run()'s loop with one participant
+  /// whose draw of index i returns samples[i].
   EstimationResult replay(std::uint64_t seed,
                           const std::vector<ReplaySample>& samples) const;
 

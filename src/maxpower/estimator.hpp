@@ -7,12 +7,13 @@
 // One entry point, estimate_max_power(pop, options, seed, parallel):
 // hyper-sample i always draws from the counter-derived stream
 // stream_seed(seed, i), so the hyper-samples are independent, as the
-// paper's loop and its Student-t interval require. Waves of hyper-samples
-// are computed speculatively (in parallel when the population allows it)
-// and the stopping rule is applied in index order. The result is a function
-// of the seed alone, bit-identical for every thread count — block maxima
-// over i.i.d. draws are order-insensitive, and the per-index streams make
-// the schedule unobservable — with wasted speculation bounded by one wave.
+// paper's loop and its Student-t interval require. Up to `threads`
+// participants draw hyper-samples concurrently (when the population allows
+// it) and the stopping rule is applied in index order. The result is a
+// function of the seed alone, bit-identical for every thread count — block
+// maxima over i.i.d. draws are order-insensitive, and the per-index streams
+// make the schedule unobservable — with wasted speculation bounded by
+// `threads` - 1 hyper-samples past the stop index.
 #pragma once
 
 #include <cstdint>
@@ -54,14 +55,14 @@ struct EstimatorOptions {
   /// the run stops with StopReason::kDataFault rather than looping forever
   /// against a population that cannot produce usable samples.
   std::size_t max_redraws = 16;
-  /// Deadline / cancellation brakes, polled once per wave plus once per
-  /// speculative index. Inert by default; runs stopped early report partial
+  /// Deadline / cancellation brakes, polled before each index is drawn and
+  /// before each is folded. Inert by default; runs stopped early report partial
   /// results with StopReason::kDeadlineExceeded or kCancelled.
   util::RunControl control;
   /// Observability hook (non-owning, may be null): when set, the estimator
   /// emits structured run events — a run_config event, one event per
-  /// accepted/discarded hyper-sample carrying its fit diagnostics, wave
-  /// events, and a closing "run" span with wall/CPU
+  /// accepted/discarded hyper-sample carrying its fit diagnostics, and a
+  /// closing "run" span with wall/CPU
   /// time. Tracing never perturbs results: goldens are bit-identical with
   /// it on or off (see test_run_report). Serialize with
   /// maxpower::write_run_report (docs/OBSERVABILITY.md documents the
@@ -153,12 +154,12 @@ struct ParallelOptions {
 
 /// Runs the iterative procedure (the paper's Figure 4) against a
 /// population: hyper-sample i is drawn from the counter-derived stream
-/// stream_seed(seed, i) and waves of up to `threads` hyper-samples are
-/// speculated concurrently, with the stopping rule applied in index order.
-/// Bit-identical for any thread count (including 1). Concurrent
-/// speculation requires population.concurrent_draw_safe(); otherwise the
-/// wave is drawn sequentially (same result, no draw-side speedup).
-/// Discarded speculative hyper-samples are not reported in units_used.
+/// stream_seed(seed, i) and up to `threads` hyper-samples are drawn
+/// concurrently, with the stopping rule applied in index order.
+/// Bit-identical for any thread count (including 1). Concurrent draws
+/// require population.concurrent_draw_safe(); otherwise the caller draws
+/// every hyper-sample itself (same result, no draw-side speedup).
+/// Hyper-samples drawn past the stop index are not reported in units_used.
 EstimationResult estimate_max_power(vec::Population& population,
                                     const EstimatorOptions& options,
                                     std::uint64_t seed,

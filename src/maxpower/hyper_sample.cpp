@@ -31,8 +31,8 @@ double finite_population_estimate(const stats::WeibullParams& params,
 
 namespace {
 
-/// Hyper-sample outcome metrics (thread-safe; draws run concurrently
-/// inside the speculative execution policy). Catalog in
+/// Hyper-sample outcome metrics (thread-safe; the engine's participants
+/// draw concurrently). Catalog in
 /// docs/OBSERVABILITY.md.
 struct HyperMetrics {
   util::Counter draws;

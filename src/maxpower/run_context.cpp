@@ -19,7 +19,6 @@ EstimatorMetrics::EstimatorMetrics() {
   hyper_accepted = reg.counter("mpe_estimator_hyper_samples_total");
   hyper_discarded = reg.counter("mpe_estimator_hyper_discarded_total");
   units = reg.counter("mpe_estimator_units_total");
-  waves = reg.counter("mpe_estimator_waves_total");
   speculation_wasted = reg.counter("mpe_estimator_speculation_wasted_total");
   hyper_per_run = reg.histogram("mpe_estimator_hyper_samples_per_run");
   run_wall_ns = reg.histogram("mpe_estimator_run_wall_ns");
@@ -224,10 +223,8 @@ void RunContext::record_redraws_exhausted(EstimationResult& r) const {
   }
 }
 
-void RunContext::note_wave() const { detail::estimator_metrics().waves.inc(); }
-
-void RunContext::note_speculation_wasted() const {
-  detail::estimator_metrics().speculation_wasted.inc();
+void RunContext::note_speculation_wasted(std::size_t count) const {
+  if (count > 0) detail::estimator_metrics().speculation_wasted.inc(count);
 }
 
 }  // namespace mpe::maxpower

@@ -33,7 +33,6 @@ struct EstimatorMetrics {
   util::Counter hyper_accepted;
   util::Counter hyper_discarded;
   util::Counter units;
-  util::Counter waves;
   util::Counter speculation_wasted;
   util::Histogram hyper_per_run;
   util::Histogram run_wall_ns;
@@ -131,9 +130,8 @@ class RunContext {
   /// Records redraw-budget exhaustion (too few usable hyper-samples).
   void record_redraws_exhausted(EstimationResult& r) const;
 
-  /// Wave bookkeeping.
-  void note_wave() const;
-  void note_speculation_wasted() const;
+  /// Counts hyper-samples drawn past the stop index and never folded.
+  void note_speculation_wasted(std::size_t count) const;
 
  private:
   const EstimatorOptions& options_;

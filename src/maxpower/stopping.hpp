@@ -6,8 +6,8 @@
 // being hand-woven into the run loop.
 //
 // A rule is consulted at two points:
-//   * pre_draw  — before each wave of draws.
-//     Returning a StopReason ends the run: kCancelled / kDeadlineExceeded
+//   * pre_draw  — before each index is folded, once per index, with every
+//     lower index folded. Returning a StopReason ends the run: kCancelled / kDeadlineExceeded
 //     become a recorded partial-result stop; any other reason exits to the
 //     engine's budget epilogue (which decides between kMaxHyperSamples and
 //     redraws-exhausted kDataFault).
@@ -18,10 +18,11 @@
 // plus a `finalize` pass on every non-converged exit so partial results
 // still carry the latest interval.
 //
-// The engine invokes rules only from the coordinating thread (the fold over
-// a wave is sequential even when draws are concurrent), so rules may keep
-// per-run state without locking — but a rule instance must not be shared
-// across simultaneously running engines unless it is stateless.
+// The engine invokes rules only from its fold, which runs under one lock on
+// whichever participant thread completes the next index — strictly in
+// index order even when draws are concurrent — so rules may keep per-run
+// state without locking; but a rule instance must not be shared across
+// simultaneously running engines unless it is stateless.
 #pragma once
 
 #include <memory>
@@ -43,8 +44,8 @@ class StoppingRule {
   /// flag values and checkpoint fingerprints.
   virtual std::string_view name() const = 0;
 
-  /// Consulted before each draw attempt/wave. `cursor` is the next draw
-  /// index the run would consume (== total draw attempts so far).
+  /// Consulted once per index, before it is folded. `cursor` is that index
+  /// (== draw attempts folded so far).
   virtual std::optional<StopReason> pre_draw(const EstimatorOptions& options,
                                              const EstimationResult& r,
                                              std::size_t cursor) {

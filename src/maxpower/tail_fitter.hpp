@@ -45,7 +45,7 @@ struct TailFitOutcome {
 
 /// Strategy interface: fit a tail law to the m sample maxima and report one
 /// maximum estimate. Implementations must be stateless across calls (the
-/// speculative execution policy invokes them concurrently) and must never
+/// engine's participants invoke them concurrently) and must never
 /// throw on hard data — flag `degenerate` instead.
 class TailFitter {
  public:

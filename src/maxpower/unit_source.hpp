@@ -32,9 +32,8 @@ class UnitSource {
   virtual void fill(std::span<double> out, Rng& rng) = 0;
 
   /// True when fill() may run concurrently from multiple threads (each with
-  /// its own Rng). The speculative execution policy falls back to drawing
-  /// waves sequentially when this is false — same result, no draw-side
-  /// speedup.
+  /// its own Rng). When this is false the engine's caller draws every
+  /// hyper-sample alone — same result, no draw-side speedup.
   virtual bool concurrent_fill_safe() const { return false; }
 
   /// |V| when the underlying population is finite; nullopt when unbounded.

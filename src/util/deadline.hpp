@@ -4,7 +4,7 @@
 // wall-clock budget (Deadline) and an external kill switch (a
 // CancellationToken flipped from another thread, e.g. a signal handler or an
 // RPC timeout). Both are *cooperative*: hot loops poll RunControl at natural
-// checkpoints (once per hyper-sample wave, once per parallel_for index) and
+// checkpoints (once per hyper-sample index, once per parallel_for index) and
 // wind down, returning whatever partial result they have with an explicit
 // stop reason — nothing is ever torn down mid-computation.
 //

@@ -67,7 +67,7 @@ ThreadPool::~ThreadPool() {
   for (auto& th : threads_) th.join();
 }
 
-void ThreadPool::enqueue(std::function<void()> job) {
+void ThreadPool::post(std::function<void()> job) {
   Task task{std::move(job), 0};
   if (MetricRegistry::global().enabled()) {
     task.enqueue_ns = steady_now_ns();

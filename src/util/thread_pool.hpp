@@ -4,9 +4,11 @@
 // std::thread fleets, so thread creation is paid once per pool, not once
 // per operation.
 //
-// Two entry points:
+// Three entry points:
 //   * submit(f)        — run one task asynchronously, observe it via the
 //                        returned std::future (exceptions propagate);
+//   * post(f)          — run one task asynchronously with no result and no
+//                        future (f must not throw);
 //   * parallel_for(..) — blocking loop over an index range; the caller
 //                        participates as a worker, indices are handed out
 //                        dynamically, and the first exception thrown by any
@@ -64,9 +66,13 @@ class ThreadPool {
     auto task =
         std::make_shared<std::packaged_task<R()>>(std::forward<F>(f));
     std::future<R> future = task->get_future();
-    enqueue([task] { (*task)(); });
+    post([task] { (*task)(); });
     return future;
   }
+
+  /// Enqueues one fire-and-forget task. Nothing observes it, so `job` must
+  /// not throw; its captures must keep alive whatever it touches.
+  void post(std::function<void()> job);
 
   /// Runs body(i) for every i in [begin, end), blocking until done. The
   /// caller thread participates, so a pool with N workers runs at most
@@ -97,7 +103,6 @@ class ThreadPool {
     std::uint64_t enqueue_ns = 0;
   };
 
-  void enqueue(std::function<void()> job);
   void worker_loop();
 
   std::vector<std::thread> threads_;

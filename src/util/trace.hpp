@@ -17,7 +17,7 @@
 //     first); `dropped()` reports how many were evicted so a report can say
 //     "showing last N of M".
 //   * Thread-safe: events may be emitted from pool workers; a mutex guards
-//     the ring (emission is per hyper-sample / per wave, far off the
+//     the ring (emission is per hyper-sample, far off the
 //     per-unit hot path).
 //
 // Event payloads are pre-rendered JSON fragments built with

@@ -70,6 +70,25 @@ TEST(RelativeHalfWidth, Computes) {
   EXPECT_DOUBLE_EQ(evt::relative_half_width(ci), 0.05);
 }
 
+TEST(TCritical, MemoIsBitIdenticalToStudentT) {
+  // Every k is asked for twice per level: once computed, once from the
+  // memo; the second round of levels starts each table over.
+  const double levels[] = {0.8, 0.9, 0.95, 0.99};
+  for (int round = 0; round < 2; ++round) {
+    for (const double l : levels) {
+      for (int pass = 0; pass < 2; ++pass) {
+        for (std::size_t k = 2; k <= 500; ++k) {
+          const double expected =
+              mpe::stats::StudentT(static_cast<double>(k) - 1.0)
+                  .two_sided_critical(l);
+          ASSERT_EQ(evt::t_critical(k, l), expected)
+              << "k=" << k << " l=" << l << " pass " << pass;
+        }
+      }
+    }
+  }
+}
+
 TEST(Confidence, RejectsBadInputs) {
   EXPECT_THROW(evt::normal_interval(0.0, -1.0, 5, 0.9),
                mpe::ContractViolation);
@@ -77,6 +96,8 @@ TEST(Confidence, RejectsBadInputs) {
                mpe::ContractViolation);
   EXPECT_THROW(evt::t_interval(std::vector<double>{1.0}, 0.9),
                mpe::ContractViolation);
+  EXPECT_THROW(evt::t_critical(1, 0.9), mpe::ContractViolation);
+  EXPECT_THROW(evt::t_critical(5, 1.0), mpe::ContractViolation);
   evt::ConfidenceInterval zero;
   EXPECT_THROW(evt::relative_half_width(zero), mpe::ContractViolation);
 }

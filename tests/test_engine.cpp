@@ -8,9 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <functional>
+#include <future>
+#include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gen/presets.hpp"
@@ -24,6 +32,7 @@
 #include "stats/weibull.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
+#include "util/thread_pool.hpp"
 #include "vectors/generators.hpp"
 #include "vectors/markov.hpp"
 #include "vectors/population.hpp"
@@ -248,6 +257,125 @@ TEST(Engine, PopulationUnitSourceReportsPopulationFacts) {
   src.fill(std::span<double>(via_source), a);
   pop.draw_batch(std::span<double>(via_pop), b);
   EXPECT_EQ(via_source, via_pop);
+}
+
+// --- The pipelined run loop -----------------------------------------------
+
+/// Passes draws through to a population, counting fills and running a hook
+/// before each: a test's handle on what happens mid-pipeline.
+class HookedSource final : public mp::UnitSource {
+ public:
+  HookedSource(vec::Population& inner,
+               std::function<void(std::size_t fill)> hook)
+      : inner_(inner), hook_(std::move(hook)) {}
+
+  void fill(std::span<double> out, mpe::Rng& rng) override {
+    hook_(fills_.fetch_add(1));
+    inner_.draw_batch(out, rng);
+  }
+  bool concurrent_fill_safe() const override {
+    return inner_.concurrent_draw_safe();
+  }
+  std::optional<std::size_t> population_size() const override {
+    return inner_.size();
+  }
+  std::string description() const override { return inner_.description(); }
+
+ private:
+  vec::Population& inner_;
+  std::function<void(std::size_t)> hook_;
+  std::atomic<std::size_t> fills_{0};
+};
+
+/// After a stopped run, the pool must still serve the next estimate.
+void expect_pool_reusable(mpe::util::ThreadPool& pool, vec::Population& pop) {
+  const mp::Engine engine(mp::EngineConfig{});
+  mp::ParallelOptions par;
+  par.pool = &pool;
+  expect_bit_identical(engine.run(pop, 5), engine.run(pop, 5, par));
+}
+
+TEST(EnginePipeline, CancelMidRunReturnsAndPoolStaysReusable) {
+  auto pop = weibull_population(20000, 110);
+  mp::EngineConfig cfg;
+  cfg.options.epsilon = 1e-12;  // only the cancellation can end the run
+  cfg.options.control.cancel = mpe::util::CancellationToken::create();
+  const auto token = cfg.options.control.cancel;
+  const mp::Engine engine(cfg);
+  HookedSource source(pop, [&token](std::size_t fill) {
+    if (fill == 20) token.request_stop();
+  });
+  mpe::util::ThreadPool pool(3);
+  mp::ParallelOptions par;
+  par.pool = &pool;
+  const auto r = engine.run(source, 71, par);
+  EXPECT_EQ(r.stop_reason, mp::StopReason::kCancelled);
+  EXPECT_FALSE(r.converged);
+  EXPECT_GE(r.hyper_samples, 1u);
+  EXPECT_LE(r.hyper_samples, 21u);
+  expect_pool_reusable(pool, pop);
+}
+
+TEST(EnginePipeline, DeadlineMidRunReturnsAndPoolStaysReusable) {
+  auto pop = weibull_population(20000, 111);
+  mp::EngineConfig cfg;
+  cfg.options.epsilon = 1e-12;
+  cfg.options.control.deadline =
+      mpe::util::Deadline::after(std::chrono::milliseconds(30));
+  const mp::Engine engine(cfg);
+  HookedSource slow(pop, [](std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  });
+  mpe::util::ThreadPool pool(3);
+  mp::ParallelOptions par;
+  par.pool = &pool;
+  const auto r = engine.run(slow, 72, par);
+  EXPECT_EQ(r.stop_reason, mp::StopReason::kDeadlineExceeded);
+  EXPECT_FALSE(r.converged);
+  EXPECT_LT(r.hyper_samples, cfg.options.max_hyper_samples);
+  expect_pool_reusable(pool, pop);
+}
+
+TEST(EnginePipeline, RunNeverWaitsForHelpersThatHaveNotStarted) {
+  // The pool's one worker is busy, so the run's helper cannot start: the
+  // caller draws every index alone and returns. The helper starts after
+  // the run's source and engine are gone and must leave without touching
+  // them.
+  auto pop = weibull_population(20000, 112);
+  mpe::util::ThreadPool pool(1);
+  std::promise<void> release;
+  auto blocker = pool.submit([gate = release.get_future()]() mutable {
+    gate.wait();
+  });
+  mp::EstimationResult r;
+  {
+    const mp::Engine engine(mp::EngineConfig{});
+    mp::PopulationUnitSource source(pop);
+    mp::ParallelOptions par;
+    par.pool = &pool;
+    r = engine.run(source, 73, par);
+  }
+  release.set_value();
+  blocker.get();
+  expect_bit_identical(mp::Engine(mp::EngineConfig{}).run(pop, 73), r);
+  expect_pool_reusable(pool, pop);
+}
+
+TEST(EnginePipeline, ForeignExceptionFromADrawPropagates) {
+  // Only mpe::Error is a data fault; anything else reaches the caller, from
+  // whichever participant drew it, and the pool survives.
+  auto pop = weibull_population(20000, 113);
+  mp::EngineConfig cfg;
+  cfg.options.epsilon = 1e-12;  // the run cannot converge before the throw
+  const mp::Engine engine(cfg);
+  HookedSource source(pop, [](std::size_t fill) {
+    if (fill == 3) throw std::runtime_error("not an mpe::Error");
+  });
+  mpe::util::ThreadPool pool(3);
+  mp::ParallelOptions par;
+  par.pool = &pool;
+  EXPECT_THROW((void)engine.run(source, 74, par), std::runtime_error);
+  expect_pool_reusable(pool, pop);
 }
 
 // --- Strategy-aware checkpoint fingerprint --------------------------------

@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "maxpower/engine.hpp"
 #include "maxpower/estimator.hpp"
+#include "maxpower/unit_source.hpp"
 #include "stats/weibull.hpp"
 #include "util/rng.hpp"
 #include "util/status.hpp"
@@ -114,6 +120,73 @@ TEST(FaultInjection, ThrowFaultCarriesTypedCode) {
     FAIL() << "expected mpe::Error";
   } catch (const mpe::Error& e) {
     EXPECT_EQ(e.code(), mpe::ErrorCode::kFaultInjected);
+  }
+}
+
+/// Throws from the draw of one hyper-sample index: the fill whose Rng
+/// starts where the engine's stream for that index, stream_seed(seed,
+/// index), starts. Unlike FaultInjectingPopulation's global draw counter,
+/// the faulting index does not depend on the schedule.
+class ThrowAtIndexSource final : public mp::UnitSource {
+ public:
+  ThrowAtIndexSource(mpe::vec::Population& inner, std::uint64_t seed,
+                     std::uint64_t index)
+      : inner_(inner),
+        target_(mpe::Rng(mpe::stream_seed(seed, index)).state().s) {}
+
+  void fill(std::span<double> out, mpe::Rng& rng) override {
+    if (rng.state().s == target_) {
+      throw mpe::Error(mpe::ErrorCode::kFaultInjected,
+                       "injected fault at one hyper-sample index");
+    }
+    inner_.draw_batch(out, rng);
+  }
+  bool concurrent_fill_safe() const override {
+    return inner_.concurrent_draw_safe();
+  }
+  std::optional<std::size_t> population_size() const override {
+    return inner_.size();
+  }
+  std::string description() const override { return inner_.description(); }
+
+ private:
+  mpe::vec::Population& inner_;
+  std::array<std::uint64_t, 4> target_;
+};
+
+TEST(FaultInjection, DrawFaultIsRecordedOnlyWhenTheFoldReachesIt) {
+  auto pop = weibull_population(20000, 131);
+  const mp::Engine engine(mp::EngineConfig{});
+  const std::uint64_t seed = 23;
+  const auto clean = engine.run(pop, seed);
+  ASSERT_TRUE(clean.converged);
+  // No discards: the run stops at index hyper_samples - 1.
+  ASSERT_EQ(clean.diagnostics.discarded_hyper_samples, 0u);
+  const std::uint64_t stop_index = clean.hyper_samples - 1;
+
+  for (unsigned threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    mp::ParallelOptions par;
+    par.threads = threads;
+    // A fault past the stop index may be drawn by a speculating
+    // participant, but it is never folded: no stop, no note.
+    ThrowAtIndexSource past(pop, seed, stop_index + 1);
+    const auto r = engine.run(past, seed, par);
+    EXPECT_EQ(r.stop_reason, mp::StopReason::kConverged);
+    EXPECT_EQ(r.estimate, clean.estimate);
+    EXPECT_EQ(r.hyper_samples, clean.hyper_samples);
+    EXPECT_EQ(r.units_used, clean.units_used);
+    EXPECT_EQ(r.diagnostics.to_json(), clean.diagnostics.to_json());
+
+    // A fault at the stop index ends the run there, the same way at every
+    // thread count.
+    ThrowAtIndexSource at(pop, seed, stop_index);
+    const auto f = engine.run(at, seed, par);
+    EXPECT_EQ(f.stop_reason, mp::StopReason::kDataFault);
+    EXPECT_FALSE(f.converged);
+    EXPECT_EQ(f.hyper_samples, stop_index);
+    ASSERT_EQ(f.diagnostics.records.size(), 1u);
+    EXPECT_EQ(f.diagnostics.records[0].code, mpe::ErrorCode::kFaultInjected);
   }
 }
 

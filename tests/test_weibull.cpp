@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "util/contracts.hpp"
@@ -95,6 +96,11 @@ TEST(ReversedWeibull, RejectsBadParams) {
 struct WeibullCase {
   double alpha, beta, mu;
 };
+
+// Names the instantiated tests by their values, not by the struct's bytes.
+void PrintTo(const WeibullCase& c, std::ostream* os) {
+  *os << "alpha=" << c.alpha << " beta=" << c.beta << " mu=" << c.mu;
+}
 
 class WeibullSampleCdf : public ::testing::TestWithParam<WeibullCase> {};
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <ostream>
 #include <vector>
 
 #include "fit_corpus.hpp"
@@ -200,6 +201,14 @@ struct MleCase {
   double alpha, beta, mu;
   int m;
 };
+
+// Names the instantiated tests by their values: without it gtest prints the
+// struct's raw bytes, padding included, so the test IDs change from build
+// to build.
+void PrintTo(const MleCase& c, std::ostream* os) {
+  *os << "alpha=" << c.alpha << " beta=" << c.beta << " mu=" << c.mu
+      << " m=" << c.m;
+}
 
 class MleRecovery : public ::testing::TestWithParam<MleCase> {};
 
