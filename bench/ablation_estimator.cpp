@@ -1,8 +1,7 @@
 // Ablation bench for the estimator's design choices (DESIGN.md section 5):
 //   A. sample size n (the paper fixes n = 30 after Figure 1),
 //   B. samples-per-fit m (the paper fixes m = 10 after Figure 2),
-//   C. finite-population correction: off / paper tail-equivalence quantile /
-//      exact-power quantile,
+//   C. finite-population correction: off / paper tail-equivalence quantile,
 //   D. estimator core: Smith MLE vs probability-weighted moments (PWM).
 // Each variant reports average |relative error| and average units consumed
 // over repeated runs on one circuit population.
@@ -126,12 +125,6 @@ int main(int argc, char** argv) try {
     est.hyper.finite_correction = false;
     variants.push_back(run_variant("no finite-pop correction (mu-hat)", pop,
                                    est, opt.runs, opt.seed + 201));
-  }
-  {
-    maxpower::EstimatorOptions est;
-    est.hyper.quantile_mode = maxpower::FiniteQuantileMode::kExactPower;
-    variants.push_back(run_variant("exact-power quantile mode", pop, est,
-                                   opt.runs, opt.seed + 202));
   }
   {
     maxpower::EstimatorOptions est;  // defaults = paper configuration

@@ -13,7 +13,6 @@
 #include "maxpower/engine.hpp"
 #include "maxpower/ledger.hpp"
 #include "maxpower/stopping.hpp"
-#include "maxpower/tail_fitter.hpp"
 #include "sim/delay.hpp"
 #include "sim/power_eval.hpp"
 #include "util/atomic_file.hpp"
@@ -107,8 +106,7 @@ CampaignJob parse_campaign_job_object(const util::JsonValue& v,
                                       std::size_t line_no) {
   static constexpr std::string_view kKnown[] = {
       "job", "circuit", "bench", "verilog", "seed", "epsilon",
-      "confidence", "tprob", "activity", "max_hyper", "fitter", "stop",
-      "delay"};
+      "confidence", "tprob", "activity", "max_hyper", "stop", "delay"};
   if (!v.is_object()) {
     throw Error(ErrorCode::kParse, "manifest line is not a JSON object",
                 ErrorContext{}.kv("line", line_no).str());
@@ -139,13 +137,6 @@ CampaignJob parse_campaign_job_object(const util::JsonValue& v,
   job.activity = number_field(v, "activity", -1.0, line_no);
   job.max_hyper_samples = static_cast<std::size_t>(
       number_field(v, "max_hyper", 500.0, line_no));
-  job.fitter = string_field(v, "fitter", line_no);
-  if (!job.fitter.empty() && !tail_fitter_kind_from_name(job.fitter)) {
-    throw Error(ErrorCode::kBadData,
-                "unknown fitter (want mle | pwm | gev)",
-                ErrorContext{}.kv("fitter", job.fitter)
-                    .kv("line", line_no).str());
-  }
   job.stop = string_field(v, "stop", line_no);
   if (!job.stop.empty() && !interval_kind_from_name(job.stop)) {
     throw Error(ErrorCode::kBadData,
@@ -218,14 +209,6 @@ EngineConfig campaign_engine_config(const CampaignJob& job) {
   if (!job.stop.empty()) {
     cfg.options.interval = *interval_kind_from_name(job.stop);
   }
-  if (!job.fitter.empty()) {
-    // "mle" stays on the default (null) fitter so an explicit request for
-    // the default does not perturb the checkpoint fingerprint.
-    const TailFitterKind kind = *tail_fitter_kind_from_name(job.fitter);
-    if (kind != TailFitterKind::kWeibullMle) {
-      cfg.fitter = make_tail_fitter(kind);
-    }
-  }
   return cfg;
 }
 
@@ -292,7 +275,6 @@ std::string campaign_job_to_json(const CampaignJob& job) {
   f.add("tprob", job.tprob);
   if (job.activity >= 0.0) f.add("activity", job.activity);
   f.add("max_hyper", static_cast<std::uint64_t>(job.max_hyper_samples));
-  if (!job.fitter.empty()) f.add("fitter", job.fitter);
   if (!job.stop.empty()) f.add("stop", job.stop);
   if (!job.delay.empty()) f.add("delay", job.delay);
   return f.object();

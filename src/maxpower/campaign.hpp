@@ -54,12 +54,8 @@ struct CampaignJob {
   double tprob = 0.5;
   double activity = -1.0;  ///< >= 0 selects the high-activity generator
   std::size_t max_hyper_samples = 500;
-  /// Engine strategy overrides (maxpower/engine.hpp). Empty selects the
-  /// defaults (Weibull-MLE fit, Student-t stopping). Validated at manifest
-  /// parse time: "mle" | "pwm" | "gev" and "t" | "bootstrap" respectively.
-  /// Note a non-default fitter changes the run fingerprint, so a job cannot
-  /// silently resume a checkpoint written under a different composition.
-  std::string fitter;
+  /// Stopping rule: "t" | "bootstrap", validated at manifest parse time.
+  /// Empty selects the paper's Student-t interval.
   std::string stop;
   /// Simulation delay model: "zero" | "unit" | "loaded"; empty selects
   /// loaded (the historical campaign default). Zero-delay populations draw
@@ -125,11 +121,10 @@ struct CampaignResult {
 /// Parses a campaign manifest: one JSON object per line, `#` comments and
 /// blank lines ignored. Recognized fields: "job" (required, unique),
 /// "circuit" | "bench" | "verilog", "seed", "epsilon", "confidence",
-/// "tprob", "activity", "max_hyper", "fitter" ("mle" | "pwm" | "gev"),
-/// "stop" ("t" | "bootstrap"), "delay" ("zero" | "unit" | "loaded").
-/// Throws mpe::Error(kParse) on malformed
+/// "tprob", "activity", "max_hyper", "stop" ("t" | "bootstrap"), "delay"
+/// ("zero" | "unit" | "loaded"). Throws mpe::Error(kParse) on malformed
 /// JSON, kBadData on missing/duplicate names, unknown fields, or an
-/// unrecognized fitter/stop/delay name.
+/// unrecognized stop/delay name.
 std::vector<CampaignJob> load_campaign_manifest(const std::string& path);
 std::vector<CampaignJob> parse_campaign_manifest(std::string_view text);
 
@@ -156,7 +151,7 @@ bool valid_campaign_job_name(const std::string& name);
 std::string campaign_record_line(const CampaignJobOutcome& outcome);
 
 /// Engine composition for one job: the estimator options derived from the
-/// manifest fields plus the fitter override. Shared by the single-process
+/// manifest fields. Shared by the single-process
 /// runner, the shard worker, and the coordinator's shard assembly — all
 /// three building from the same function is what makes a sharded campaign
 /// byte-identical to a single-process one. Cross-cutting fields (run

@@ -243,7 +243,7 @@ std::string encode_checkpoint(const RunCheckpoint& checkpoint) {
 
   const RunDiagnostics& d = r.diagnostics;
   put_u64(out, d.degenerate_fits);
-  put_u64(out, d.pwm_refits);
+  put_u64(out, 0);  // the removed PWM refit count's slot, kept for the format
   put_u64(out, d.constant_samples);
   put_u64(out, d.discarded_hyper_samples);
   put_u64(out, d.nonfinite_units);
@@ -334,7 +334,7 @@ RunCheckpoint decode_checkpoint(std::string_view bytes) {
 
   RunDiagnostics& d = r.diagnostics;
   d.degenerate_fits = in.u64();
-  d.pwm_refits = in.u64();
+  in.u64();  // the removed PWM refit count, written 0
   d.constant_samples = in.u64();
   d.discarded_hyper_samples = in.u64();
   d.nonfinite_units = in.u64();

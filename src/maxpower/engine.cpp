@@ -392,7 +392,6 @@ class Pipeline {
     ++r_.hyper_samples;
     if (!hs.mle.converged) ++r_.degenerate_fits;
     if (hs.degenerate) ++r_.diagnostics.degenerate_fits;
-    if (hs.used_pwm) ++r_.diagnostics.pwm_refits;
     if (hs.constant_sample) ++r_.diagnostics.constant_samples;
     bool done = false;
     for (const auto& rule : chain_) {

@@ -41,7 +41,8 @@ std::string RunDiagnostics::to_json() const {
   records_json += ']';
   return util::JsonFields{}
       .add("degenerate_fits", degenerate_fits)
-      .add("pwm_refits", pwm_refits)
+      // Run-report schema v1 field; no policy refits with PWM any more.
+      .add("pwm_refits", std::size_t{0})
       .add("constant_samples", constant_samples)
       .add("discarded_hyper_samples", discarded_hyper_samples)
       .add("nonfinite_units", nonfinite_units)

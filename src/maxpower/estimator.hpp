@@ -107,7 +107,6 @@ struct RunDiagnostics {
   std::size_t degenerate_fits = 0;   ///< accepted fits violating Smith's
                                      ///< conditions (non-converged or
                                      ///< alpha <= 2)
-  std::size_t pwm_refits = 0;        ///< accepted estimates from PWM fallback
   std::size_t constant_samples = 0;  ///< accepted all-equal-maxima samples
   std::size_t discarded_hyper_samples = 0;  ///< drawn but not folded in
   std::size_t nonfinite_units = 0;   ///< NaN/Inf unit powers seen (all draws)

@@ -14,19 +14,10 @@
 namespace mpe::maxpower {
 
 double finite_population_estimate(const stats::WeibullParams& params,
-                                  std::size_t v, std::size_t n,
-                                  FiniteQuantileMode mode) {
+                                  std::size_t v) {
   MPE_EXPECTS(v >= 2);
-  MPE_EXPECTS(n >= 1);
   const stats::ReversedWeibull g(params);
-  const double q_parent = 1.0 - 1.0 / static_cast<double>(v);
-  switch (mode) {
-    case FiniteQuantileMode::kPaperTail:
-      return g.quantile(q_parent);
-    case FiniteQuantileMode::kExactPower:
-      return g.quantile(std::pow(q_parent, static_cast<double>(n)));
-  }
-  return g.quantile(q_parent);
+  return g.quantile(1.0 - 1.0 / static_cast<double>(v));
 }
 
 namespace {
@@ -39,7 +30,6 @@ struct HyperMetrics {
   util::Counter invalid;
   util::Counter degenerate;
   util::Counter constant;
-  util::Counter pwm_refits;
   util::Counter nonfinite_units;
 
   HyperMetrics() {
@@ -48,7 +38,6 @@ struct HyperMetrics {
     invalid = reg.counter("mpe_hyper_invalid_total");
     degenerate = reg.counter("mpe_hyper_degenerate_total");
     constant = reg.counter("mpe_hyper_constant_sample_total");
-    pwm_refits = reg.counter("mpe_hyper_pwm_refit_total");
     nonfinite_units = reg.counter("mpe_hyper_nonfinite_units_total");
   }
 };
@@ -59,7 +48,6 @@ void record_hyper(const HyperSampleResult& out) {
   if (!out.valid) m.invalid.inc();
   if (out.degenerate) m.degenerate.inc();
   if (out.constant_sample) m.constant.inc();
-  if (out.used_pwm) m.pwm_refits.inc();
   if (out.nonfinite_units > 0) m.nonfinite_units.inc(out.nonfinite_units);
 }
 
@@ -136,7 +124,6 @@ HyperSampleResult draw_hyper_sample(UnitSource& source,
   out.mu_hat = fit.mu_hat;
   out.mle = fit.mle;
   out.degenerate = fit.degenerate;
-  out.used_pwm = fit.used_pwm;
 
   // The estimate can never be below the best unit actually observed.
   out.estimate = std::max(out.estimate, overall_max);

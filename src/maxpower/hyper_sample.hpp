@@ -16,17 +16,6 @@ namespace mpe::maxpower {
 class UnitSource;  // maxpower/unit_source.hpp
 class TailFitter;  // maxpower/tail_fitter.hpp
 
-/// How the finite-population quantile is chosen.
-enum class FiniteQuantileMode {
-  /// The paper's rule: G^{-1}(1 - 1/|V|) on the fitted sample-maxima law
-  /// (justified through tail equivalence).
-  kPaperTail,
-  /// Exact composition: the parent's (1 - 1/|V|) quantile corresponds to
-  /// G^{-1}((1 - 1/|V|)^n) of the sample-maxima law. Provided for the
-  /// ablation bench.
-  kExactPower,
-};
-
 /// MLE options for the hyper-sample pipeline: the *raw* (unstabilized)
 /// maximum-likelihood fit, as in the paper. Ridge excursions of the raw fit
 /// are harmless here because the finite-population quantile (Section 3.4)
@@ -42,19 +31,16 @@ inline evt::WeibullMleOptions raw_mle_options() {
 /// What to do with a hyper-sample whose Weibull fit is degenerate — the MLE
 /// failed to converge, or the fitted shape has alpha <= 2 so Smith's
 /// asymptotic-normality conditions for the non-regular MLE are violated.
+/// The values enter the checkpoint fingerprint, so they are pinned: 1 was
+/// a PWM refit policy, since removed.
 enum class DegenerateFitPolicy {
   /// The paper's (implicit) behavior: fold the raw fit into the mean anyway
   /// and only count it. Default, and the only policy the bit-exact golden
   /// tests run under.
-  kUseAnyway,
-  /// Refit the sample maxima with the closed-form PWM/L-moment estimator
-  /// (evt/pwm) and take the corresponding quantile from the fitted GEV; the
-  /// raw MLE diagnostics are kept for inspection. Falls back to the MLE
-  /// estimate when the PWM fit is itself degenerate.
-  kPwmFallback,
+  kUseAnyway = 0,
   /// Discard the hyper-sample and draw a fresh one in its place (bounded by
   /// EstimatorOptions::max_redraws across the run).
-  kDiscardRedraw,
+  kDiscardRedraw = 2,
 };
 
 /// Options for one hyper-sample.
@@ -64,7 +50,6 @@ struct HyperSampleOptions {
   /// Apply the finite-population quantile correction when the population is
   /// finite. When false, the fitted endpoint mu-hat is reported.
   bool finite_correction = true;
-  FiniteQuantileMode quantile_mode = FiniteQuantileMode::kPaperTail;
   evt::WeibullMleOptions mle = raw_mle_options();
   /// Ridge tolerance for the *endpoint* path (infinite populations or
   /// finite_correction == false): its single fit uses this in place of a
@@ -89,8 +74,6 @@ struct HyperSampleResult {
   bool valid = true;
   /// Raw fit was degenerate: non-converged, or fitted alpha <= 2.
   bool degenerate = false;
-  /// Estimate came from the PWM fallback instead of the raw MLE.
-  bool used_pwm = false;
   /// All m maxima were equal; the fit was skipped and the estimate is that
   /// common value (flagged degenerate).
   bool constant_sample = false;
@@ -112,11 +95,10 @@ HyperSampleResult draw_hyper_sample(vec::Population& population,
                                     const HyperSampleOptions& options,
                                     Rng& rng);
 
-/// Applies the finite-population correction to a fitted law: returns the
-/// appropriate quantile for population size `v` under `mode`. Exposed for
-/// tests and the ablation bench.
+/// Applies the finite-population correction to a fitted law: the paper's
+/// G^{-1}(1 - 1/|V|) on the fitted sample-maxima law (justified through
+/// tail equivalence) for population size `v`. Exposed for tests.
 double finite_population_estimate(const stats::WeibullParams& params,
-                                  std::size_t v, std::size_t n,
-                                  FiniteQuantileMode mode);
+                                  std::size_t v);
 
 }  // namespace mpe::maxpower

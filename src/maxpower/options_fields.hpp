@@ -1,36 +1,31 @@
-// Single source of truth for EstimatorOptions' scalar fields: one visitor
-// enumerates every field with its canonical name and whether it is part of
-// the checkpoint fingerprint. run_fingerprint() and the options JSON
-// (de)serialization both walk this list, so an option added or moved in an
-// engine-era refactor cannot silently drift the fingerprint away from what
-// is persisted — adding a field here updates both in lockstep, and
-// test_checkpoint pins the inclusion/exclusion semantics.
+// The fingerprint's field list: one visitor enumerates every scalar field
+// of EstimatorOptions with its canonical name and whether it is part of the
+// checkpoint fingerprint. run_fingerprint() walks this list, so an option
+// added here enters the fingerprint in one place, and test_checkpoint pins
+// the inclusion/exclusion semantics.
 //
 // Fingerprinted fields are everything that shapes the value sequence of a
-// run. Deliberately NOT fingerprinted (but still serialized): budget fields
-// — max_hyper_samples and checkpoint_every_k — because extending a budget
-// is the point of resuming. Not visited at all (process-local wiring with
-// no serializable value): control, tracer, checkpoint_path.
+// run. Visited but deliberately NOT fingerprinted: budget fields —
+// max_hyper_samples and checkpoint_every_k — because extending a budget is
+// the point of resuming. Not visited at all (process-local wiring with no
+// value to fingerprint): control, tracer, checkpoint_path.
 #pragma once
 
-#include <string>
-#include <string_view>
+#include <cstdint>
 
 #include "maxpower/estimator.hpp"
 
 namespace mpe::maxpower {
 
-/// Walks every scalar field of `options`. `Options` is EstimatorOptions or
-/// const EstimatorOptions (the same field list serves read and write
-/// visitors). The visitor provides:
+/// Walks every scalar field of `o`. The visitor provides:
 ///   v.number(name, double-ref, fingerprinted)
 ///   v.integer(name, size_t-or-int-ref, fingerprinted)
 ///   v.flag(name, bool-ref, fingerprinted)
 ///   v.enumeration(name, enum-ref, fingerprinted)
 /// Field order is the canonical fingerprint order — do not reorder, or
 /// every existing checkpoint fingerprint changes.
-template <typename Options, typename Visitor>
-void visit_estimator_options(Options& o, Visitor&& v) {
+template <typename Visitor>
+void visit_estimator_options(const EstimatorOptions& o, Visitor&& v) {
   v.number("epsilon", o.epsilon, true);
   v.number("confidence", o.confidence, true);
   v.enumeration("interval", o.interval, true);
@@ -39,7 +34,8 @@ void visit_estimator_options(Options& o, Visitor&& v) {
   v.integer("n", o.hyper.n, true);
   v.integer("m", o.hyper.m, true);
   v.flag("finite_correction", o.hyper.finite_correction, true);
-  v.enumeration("quantile_mode", o.hyper.quantile_mode, true);
+  // Only the paper quantile (mode 0) is left; its slot keeps old prints.
+  v.integer("quantile_mode", std::uint64_t{0}, true);
   v.enumeration("degenerate_policy", o.hyper.degenerate_policy, true);
   v.number("endpoint_ridge_tolerance", o.hyper.endpoint_ridge_tolerance,
            true);
@@ -50,18 +46,9 @@ void visit_estimator_options(Options& o, Visitor&& v) {
   v.number("mle.alpha_max", o.hyper.mle.alpha_max, true);
   v.number("mle.ridge_spread_factor", o.hyper.mle.ridge_spread_factor, true);
   v.number("mle.ridge_tolerance", o.hyper.mle.ridge_tolerance, true);
-  // Budget / wiring fields: serialized for round-trips, never fingerprinted
-  // (a resumed run may raise them).
+  // Budget fields: never fingerprinted (a resumed run may raise them).
   v.integer("max_hyper_samples", o.max_hyper_samples, false);
   v.integer("checkpoint_every_k", o.checkpoint_every_k, false);
 }
-
-/// Serializes every visited field as one flat JSON object.
-std::string estimator_options_to_json(const EstimatorOptions& options);
-
-/// Rebuilds options from estimator_options_to_json output. Missing or
-/// ill-typed fields throw mpe::Error(kParse); unvisited fields (control,
-/// tracer, checkpoint wiring) keep their defaults.
-EstimatorOptions estimator_options_from_json(std::string_view json);
 
 }  // namespace mpe::maxpower

@@ -131,7 +131,8 @@ void RunContext::record_accept(const HyperSampleResult& hs,
         .add("units", hs.units_used)
         .add("mle_converged", hs.mle.converged)
         .add("degenerate", hs.degenerate)
-        .add("used_pwm", hs.used_pwm)
+        // Run-report schema v1 field; no estimate comes from PWM any more.
+        .add("used_pwm", false)
         .add("constant_sample", hs.constant_sample)
         .add("alpha", hs.mle.params.alpha)
         .add("profile_evals", hs.mle.profile_evaluations);

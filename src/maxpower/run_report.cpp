@@ -152,7 +152,6 @@ RunDiagnostics run_diagnostics_from_json(std::string_view json) {
                : 0;
   };
   d.degenerate_fits = count("degenerate_fits");
-  d.pwm_refits = count("pwm_refits");
   d.constant_samples = count("constant_samples");
   d.discarded_hyper_samples = count("discarded_hyper_samples");
   d.nonfinite_units = count("nonfinite_units");

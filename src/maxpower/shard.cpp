@@ -21,7 +21,7 @@ namespace {
 
 constexpr std::uint8_t kFlagValid = 1u << 0;
 constexpr std::uint8_t kFlagDegenerate = 1u << 1;
-constexpr std::uint8_t kFlagUsedPwm = 1u << 2;
+// Bit 2 was the removed PWM refit flag: never set, ignored when read.
 constexpr std::uint8_t kFlagConstant = 1u << 3;
 constexpr std::uint8_t kFlagMleConverged = 1u << 4;
 
@@ -29,7 +29,6 @@ std::uint8_t pack_flags(const ShardSample& s) {
   std::uint8_t f = 0;
   if (s.valid) f |= kFlagValid;
   if (s.degenerate) f |= kFlagDegenerate;
-  if (s.used_pwm) f |= kFlagUsedPwm;
   if (s.constant_sample) f |= kFlagConstant;
   if (s.mle_converged) f |= kFlagMleConverged;
   return f;
@@ -38,7 +37,6 @@ std::uint8_t pack_flags(const ShardSample& s) {
 void unpack_flags(std::uint8_t f, ShardSample& s) {
   s.valid = (f & kFlagValid) != 0;
   s.degenerate = (f & kFlagDegenerate) != 0;
-  s.used_pwm = (f & kFlagUsedPwm) != 0;
   s.constant_sample = (f & kFlagConstant) != 0;
   s.mle_converged = (f & kFlagMleConverged) != 0;
 }
@@ -115,7 +113,6 @@ ShardSample shard_sample_from_hyper(std::uint64_t index,
   s.nonfinite_units = hs.nonfinite_units;
   s.valid = hs.valid;
   s.degenerate = hs.degenerate;
-  s.used_pwm = hs.used_pwm;
   s.constant_sample = hs.constant_sample;
   s.mle_converged = hs.mle.converged;
   return s;
@@ -129,7 +126,6 @@ Engine::ReplaySample replay_sample(const ShardSample& s) {
   r.hs.nonfinite_units = static_cast<std::size_t>(s.nonfinite_units);
   r.hs.valid = s.valid;
   r.hs.degenerate = s.degenerate;
-  r.hs.used_pwm = s.used_pwm;
   r.hs.constant_sample = s.constant_sample;
   r.hs.mle.converged = s.mle_converged;
   return r;

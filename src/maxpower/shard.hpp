@@ -41,7 +41,6 @@ struct ShardSample {
   std::uint64_t nonfinite_units = 0;  ///< non-finite unit values sanitized
   bool valid = false;
   bool degenerate = false;
-  bool used_pwm = false;
   bool constant_sample = false;
   bool mle_converged = false;
 

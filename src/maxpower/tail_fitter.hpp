@@ -1,11 +1,8 @@
 // TailFitter — the engine's fit layer. The paper fits the m sample maxima
-// with the reversed-Weibull MLE; Hansen's review of the three extreme-value
-// families (arXiv:2009.03711) is the reminder that this choice is a
-// *strategy*, not a constant: PWM/L-moments and full GEV likelihood are
-// equally valid tail fits with different robustness trade-offs. This
-// interface makes the fit swappable — one hyper-sample pipeline, any tail
-// law — and absorbs the degenerate-fit fallback branching that used to be
-// woven inline into draw_hyper_sample.
+// with the reversed-Weibull MLE: circuit power has a finite endpoint, so the
+// maxima fall in the reversed Weibull's domain of attraction and its mu is
+// the maximum power. The interface keeps the fit a seam: one hyper-sample
+// pipeline, and a fitter a caller may supply (tests, timing decorators).
 //
 // A fitter sees only the block maxima plus a small context (population
 // size, the HyperSampleOptions); everything upstream (drawing, maxima
@@ -13,7 +10,6 @@
 // clamp, non-finite guard) is shared pipeline, identical for every fitter.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
@@ -35,12 +31,10 @@ struct TailFitContext {
 struct TailFitOutcome {
   double estimate = 0.0;  ///< the max-power estimate for this hyper-sample
   double mu_hat = 0.0;    ///< raw endpoint estimate (no finite correction)
-  /// Weibull-MLE diagnostics when the fitter ran one (the paper path);
-  /// non-MLE fitters translate their fit into this triple when possible so
-  /// tracing and tests stay uniform.
+  /// Weibull-MLE diagnostics; a fitter that runs no MLE fills in what it
+  /// can so tracing and tests stay uniform.
   evt::WeibullMleResult mle;
   bool degenerate = false;  ///< fit violates the fitter's quality conditions
-  bool used_pwm = false;    ///< estimate came from a PWM(-family) fit
 };
 
 /// Strategy interface: fit a tail law to the m sample maxima and report one
@@ -51,8 +45,7 @@ class TailFitter {
  public:
   virtual ~TailFitter() = default;
 
-  /// Stable identifier ("mle", "pwm", "gev", ...): CLI flag values,
-  /// checkpoint fingerprints, trace events.
+  /// Stable identifier ("mle", ...): checkpoint fingerprints, trace events.
   virtual std::string_view name() const = 0;
 
   /// Fits `maxima` (m >= 3, at least two distinct values — degenerate
@@ -61,23 +54,8 @@ class TailFitter {
                              const TailFitContext& context) const = 0;
 };
 
-/// Built-in fitters.
-enum class TailFitterKind {
-  kWeibullMle,  ///< the paper's reversed-Weibull profile MLE (default);
-                ///< honors HyperSampleOptions::degenerate_policy
-  kPwm,         ///< closed-form GEV via probability-weighted moments
-  kGevMle,      ///< full GEV maximum likelihood (evt/gev_mle), xi free
-};
-
-/// Shared singleton for a built-in fitter (fitters are stateless).
-std::shared_ptr<const TailFitter> make_tail_fitter(TailFitterKind kind);
-
-/// Parses a CLI name ("mle" | "pwm" | "gev"). Nullopt on unknown names.
-std::optional<TailFitterKind> tail_fitter_kind_from_name(
-    std::string_view name);
-
-/// The paper-default fitter (kWeibullMle); what estimate_max_power and a
-/// null EngineConfig::fitter resolve to.
+/// The paper's reversed-Weibull profile MLE ("mle"); what
+/// estimate_max_power and a null EngineConfig::fitter resolve to.
 const TailFitter& default_tail_fitter();
 
 }  // namespace mpe::maxpower

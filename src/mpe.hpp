@@ -47,7 +47,6 @@
 #include "evt/confidence.hpp"
 #include "evt/domain.hpp"
 #include "evt/fisher.hpp"
-#include "evt/gev_mle.hpp"
 #include "evt/pwm.hpp"
 #include "evt/weibull_mle.hpp"
 

@@ -4,9 +4,9 @@
 // wall-clock budget (Deadline) and an external kill switch (a
 // CancellationToken flipped from another thread, e.g. a signal handler or an
 // RPC timeout). Both are *cooperative*: hot loops poll RunControl at natural
-// checkpoints (once per hyper-sample index, once per parallel_for index) and
-// wind down, returning whatever partial result they have with an explicit
-// stop reason — nothing is ever torn down mid-computation.
+// checkpoints (once per hyper-sample index) and wind down, returning
+// whatever partial result they have with an explicit stop reason — nothing
+// is ever torn down mid-computation.
 //
 // A default-constructed token/deadline is inert (never fires), so threading
 // a RunControl through an API costs nothing for callers that don't use it.

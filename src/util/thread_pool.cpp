@@ -5,7 +5,6 @@
 #include <chrono>
 #include <exception>
 
-#include "util/deadline.hpp"
 #include "util/metrics.hpp"
 
 namespace mpe::util {
@@ -104,22 +103,10 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t)>& body,
-    const RunControl* control) {
-  parallel_for_slotted(
-      begin, end, [&body](unsigned, std::size_t index) { body(index); },
-      control);
-}
-
 void ThreadPool::parallel_for_slotted(
     std::size_t begin, std::size_t end,
-    const std::function<void(unsigned, std::size_t)>& body,
-    const RunControl* control) {
+    const std::function<void(unsigned, std::size_t)>& body) {
   if (begin >= end) return;
-  // Polling a dead control is pure overhead; drop it up front.
-  if (control != nullptr && !control->active()) control = nullptr;
   pool_metrics().parallel_fors.inc();
   pool_metrics().parallel_indices.inc(
       static_cast<std::uint64_t>(end - begin));
@@ -135,12 +122,8 @@ void ThreadPool::parallel_for_slotted(
   shared->next.store(begin);
   shared->end = end;
 
-  auto run_slot = [shared, &body, control](unsigned slot) {
+  auto run_slot = [shared, &body](unsigned slot) {
     for (;;) {
-      if (control != nullptr &&
-          control->should_stop() != StopCause::kNone) {
-        break;
-      }
       const std::size_t i = shared->next.fetch_add(1);
       if (i >= shared->end || shared->failed.load(std::memory_order_relaxed))
         break;

@@ -5,22 +5,20 @@
 // per operation.
 //
 // Three entry points:
-//   * submit(f)        — run one task asynchronously, observe it via the
-//                        returned std::future (exceptions propagate);
-//   * post(f)          — run one task asynchronously with no result and no
-//                        future (f must not throw);
-//   * parallel_for(..) — blocking loop over an index range; the caller
-//                        participates as a worker, indices are handed out
-//                        dynamically, and the first exception thrown by any
-//                        body is rethrown in the caller after all work stops.
+//   * submit(f)                — run one task asynchronously, observe it via
+//                                the returned std::future (exceptions
+//                                propagate);
+//   * post(f)                  — run one task asynchronously with no result
+//                                and no future (f must not throw);
+//   * parallel_for_slotted(..) — blocking loop over an index range; the
+//                                caller participates as a worker, indices
+//                                are handed out dynamically, and the first
+//                                exception thrown by any body is rethrown in
+//                                the caller after all work stops.
 //
 // Exception contract: when a body throws, the remaining indices are
 // abandoned, every in-flight body finishes (the wave is drained), the first
 // exception is rethrown in the caller, and the pool stays fully reusable.
-// Cancellation: an optional RunControl makes workers stop claiming new
-// indices once the deadline expires or cancellation is requested; the loop
-// then returns normally with some indices unvisited (the caller polls the
-// same control to learn why).
 //
 // Determinism note: the pool never influences random streams. Callers that
 // need reproducible results derive a counter-based RNG stream per index
@@ -40,8 +38,6 @@
 
 namespace mpe::util {
 
-struct RunControl;
-
 class ThreadPool {
  public:
   /// Spawns `threads` workers; 0 means std::thread::hardware_concurrency().
@@ -56,7 +52,8 @@ class ThreadPool {
   /// Number of pool worker threads.
   unsigned size() const { return static_cast<unsigned>(threads_.size()); }
 
-  /// Maximum concurrent executors of a parallel_for: workers + the caller.
+  /// Maximum concurrent executors of a parallel_for_slotted: workers + the
+  /// caller.
   unsigned participants() const { return size() + 1; }
 
   /// Enqueues one task; the future carries its result or exception.
@@ -74,25 +71,17 @@ class ThreadPool {
   /// not throw; its captures must keep alive whatever it touches.
   void post(std::function<void()> job);
 
-  /// Runs body(i) for every i in [begin, end), blocking until done. The
-  /// caller thread participates, so a pool with N workers runs at most
+  /// Runs body(slot, i) for every i in [begin, end), blocking until done.
+  /// The caller thread participates, so a pool with N workers runs at most
   /// N + 1 bodies concurrently. Indices are claimed dynamically (no static
-  /// partitioning), which keeps irregular workloads balanced. If any body
-  /// throws, remaining indices are abandoned and the first exception is
-  /// rethrown here. With a non-null `control`, workers stop claiming new
-  /// indices once it requests a stop (the loop returns normally; unvisited
-  /// indices are simply skipped).
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body,
-                    const RunControl* control = nullptr);
-
-  /// Like parallel_for, but also hands the body a dense worker slot id in
-  /// [0, participants()). Slot 0 is the caller. Use it to index per-worker
-  /// scratch state (e.g. one simulator instance per slot) without locking.
+  /// partitioning), which keeps irregular workloads balanced. `slot` is a
+  /// dense worker id in [0, participants()), 0 being the caller: use it to
+  /// index per-worker scratch state (e.g. one simulator instance per slot)
+  /// without locking. If any body throws, remaining indices are abandoned
+  /// and the first exception is rethrown here.
   void parallel_for_slotted(
       std::size_t begin, std::size_t end,
-      const std::function<void(unsigned slot, std::size_t index)>& body,
-      const RunControl* control = nullptr);
+      const std::function<void(unsigned slot, std::size_t index)>& body);
 
  private:
   /// Queue entry: the job plus its enqueue timestamp (steady-clock ns),

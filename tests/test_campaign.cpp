@@ -89,27 +89,31 @@ TEST(CampaignManifest, ParsesJobsWithDefaults) {
 
 TEST(CampaignManifest, ParsesAndValidatesStrategyFields) {
   const auto jobs = mp::parse_campaign_manifest(
-      "{\"job\":\"a\",\"circuit\":\"c432\",\"fitter\":\"gev\","
-      "\"stop\":\"bootstrap\"}\n"
+      "{\"job\":\"a\",\"circuit\":\"c432\",\"stop\":\"bootstrap\"}\n"
       "{\"job\":\"b\",\"circuit\":\"c432\"}\n");
   ASSERT_EQ(jobs.size(), 2u);
-  EXPECT_EQ(jobs[0].fitter, "gev");
   EXPECT_EQ(jobs[0].stop, "bootstrap");
-  EXPECT_TRUE(jobs[1].fitter.empty());
   EXPECT_TRUE(jobs[1].stop.empty());
-  try {
-    mp::parse_campaign_manifest(
-        "{\"job\":\"a\",\"fitter\":\"weibull\"}\n");
-    FAIL() << "unknown fitter accepted";
-  } catch (const mpe::Error& e) {
-    EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData);
-    EXPECT_NE(e.context().find("weibull"), std::string::npos);
-  }
   try {
     mp::parse_campaign_manifest("{\"job\":\"a\",\"stop\":\"student\"}\n");
     FAIL() << "unknown stopping rule accepted";
   } catch (const mpe::Error& e) {
     EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData);
+  }
+}
+
+TEST(CampaignManifest, RemovedFitterFieldIsBadData) {
+  // The removed "fitter" field fails like any unknown one, whatever its
+  // value.
+  for (const char* value : {"mle", "pwm", "gev"}) {
+    try {
+      mp::parse_campaign_manifest(
+          std::string("{\"job\":\"a\",\"fitter\":\"") + value + "\"}\n");
+      FAIL() << "manifest field \"fitter\" accepted";
+    } catch (const mpe::Error& e) {
+      EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData);
+      EXPECT_NE(e.context().find("fitter"), std::string::npos);
+    }
   }
 }
 

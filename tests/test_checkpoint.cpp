@@ -84,7 +84,6 @@ mp::RunCheckpoint sample_checkpoint() {
   c.result.degenerate_fits = 1;
   c.result.stop_reason = mp::StopReason::kMaxHyperSamples;
   c.result.diagnostics.degenerate_fits = 1;
-  c.result.diagnostics.pwm_refits = 2;
   c.result.diagnostics.constant_samples = 0;
   c.result.diagnostics.discarded_hyper_samples = 4;
   c.result.diagnostics.nonfinite_units = 5;
@@ -206,11 +205,10 @@ TEST(CheckpointFingerprint, SensitiveToResultShapingOptionsOnly) {
 }
 
 TEST(CheckpointFingerprint, VisitorFieldsMarkedFingerprintedAreFolded) {
-  // The fingerprint is the fingerprinted subset of
-  // visit_estimator_options — the same visitor that (de)serializes the
-  // options — so this asserts the marks, not a hand-maintained list: a
-  // deep fingerprinted field (the MLE grid) must perturb the print, and
-  // the two fields marked non-fingerprinted (budget/cadence) must not.
+  // The fingerprint is the fingerprinted subset of visit_estimator_options,
+  // so this asserts the marks, not a hand-maintained list: a deep
+  // fingerprinted field (the MLE grid) must perturb the print, and the two
+  // fields marked non-fingerprinted (budget/cadence) must not.
   mp::EstimatorOptions a;
   const std::uint64_t fp = mp::run_fingerprint(a, 3, "pop");
 
@@ -226,6 +224,25 @@ TEST(CheckpointFingerprint, VisitorFieldsMarkedFingerprintedAreFolded) {
   budget.max_hyper_samples *= 2;  // not fingerprinted: resumable budget
   budget.checkpoint_every_k += 4;  // not fingerprinted: write cadence
   EXPECT_EQ(mp::run_fingerprint(budget, 3, "pop"), fp);
+}
+
+TEST(CheckpointFingerprint, PinnedAcrossReleases) {
+  // Values of an earlier release, which still offered a third degenerate
+  // policy and a second quantile mode: removing them must not move the
+  // print of any composition that remains, or its checkpoints stop
+  // resuming.
+  const mp::EstimatorOptions paper;
+  EXPECT_EQ(mp::run_fingerprint(paper, 3, "finite(20000)"),
+            0x3362fb8cb5297fa3ull);
+
+  mp::EstimatorOptions other;
+  other.hyper.degenerate_policy = mp::DegenerateFitPolicy::kDiscardRedraw;
+  other.interval = mp::IntervalKind::kBootstrap;
+  other.hyper.finite_correction = false;
+  other.hyper.n = 77;
+  other.hyper.m = 13;
+  EXPECT_EQ(mp::run_fingerprint(other, 3, "finite(20000)"),
+            0x629fc49d47f81d8dull);
 }
 
 // --- Resume bit-identity ----------------------------------------------------

@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <thread>
-
-#include "util/thread_pool.hpp"
 
 namespace {
 
@@ -102,59 +98,6 @@ TEST(RunControlTest, LiveTokenAloneMakesControlActive) {
   control.cancel = CancellationToken::create();
   EXPECT_TRUE(control.active());
   EXPECT_EQ(control.should_stop(), StopCause::kNone);
-}
-
-TEST(RunControlThreadPool, PreCancelledControlRunsNoBodies) {
-  mpe::util::ThreadPool pool(3);
-  RunControl control;
-  control.cancel = CancellationToken::create();
-  control.cancel.request_stop();
-  std::atomic<int> ran{0};
-  pool.parallel_for(0, 1000, [&](std::size_t) { ++ran; }, &control);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(RunControlThreadPool, MidLoopCancellationSkipsRemainingIndices) {
-  mpe::util::ThreadPool pool(3);
-  RunControl control;
-  control.cancel = CancellationToken::create();
-  std::atomic<int> ran{0};
-  pool.parallel_for(
-      0, 100000,
-      [&](std::size_t) {
-        if (++ran == 8) control.cancel.request_stop();
-      },
-      &control);
-  // The loop returned normally well short of the full range; in-flight
-  // bodies may still have finished, so allow a small overshoot.
-  EXPECT_GE(ran.load(), 8);
-  EXPECT_LT(ran.load(), 100000);
-  EXPECT_EQ(control.should_stop(), StopCause::kCancelled);
-}
-
-TEST(RunControlThreadPool, ExpiredDeadlineStopsSlottedLoop) {
-  mpe::util::ThreadPool pool(2);
-  RunControl control;
-  control.deadline = Deadline::at(std::chrono::steady_clock::now() - 1ms);
-  std::atomic<int> ran{0};
-  pool.parallel_for_slotted(
-      0, 1000, [&](unsigned, std::size_t) { ++ran; }, &control);
-  EXPECT_EQ(ran.load(), 0);
-}
-
-TEST(RunControlThreadPool, NullControlVisitsEveryIndex) {
-  mpe::util::ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  pool.parallel_for(0, 500, [&](std::size_t) { ++ran; }, nullptr);
-  EXPECT_EQ(ran.load(), 500);
-}
-
-TEST(RunControlThreadPool, InertControlVisitsEveryIndex) {
-  mpe::util::ThreadPool pool(3);
-  const RunControl control;  // inert: dropped up front, zero polling cost
-  std::atomic<int> ran{0};
-  pool.parallel_for(0, 500, [&](std::size_t) { ++ran; }, &control);
-  EXPECT_EQ(ran.load(), 500);
 }
 
 }  // namespace

@@ -186,23 +186,6 @@ TEST(Estimator, SmallPopulationFlaggedButStillEstimates) {
   EXPECT_FALSE(r.diagnostics.records.empty());
 }
 
-TEST(Estimator, HeavyTailWithPwmPolicyStaysFinite) {
-  // alpha = 1.2 <= 2: Smith's MLE conditions fail on most hyper-samples.
-  // The PWM policy must keep every folded value finite and count its work.
-  auto pop = weibull_population(30000, 35, /*alpha=*/1.2, /*mu=*/10.0);
-  mp::EstimatorOptions opt;
-  opt.hyper.degenerate_policy = mp::DegenerateFitPolicy::kPwmFallback;
-  opt.epsilon = 1e-9;  // unattainable: fold max_hyper_samples values
-  opt.max_hyper_samples = 10;
-  const std::uint64_t seed = 36;
-  const auto r = mp::estimate_max_power(pop, opt, seed);
-  EXPECT_EQ(r.hyper_samples, 10u);
-  EXPECT_TRUE(std::isfinite(r.estimate));
-  for (double v : r.hyper_values) EXPECT_TRUE(std::isfinite(v));
-  EXPECT_GT(r.diagnostics.degenerate_fits, 0u);
-  EXPECT_GT(r.diagnostics.pwm_refits, 0u);
-}
-
 TEST(Estimator, DiscardRedrawExhaustsBudgetOnHopelessPopulation) {
   // Every hyper-sample from a constant population is degenerate, so the
   // redraw policy can never accept one: the run must stop at the redraw

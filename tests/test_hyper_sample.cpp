@@ -28,20 +28,9 @@ mpe::vec::FinitePopulation weibull_population(std::size_t size,
 TEST(FinitePopulationEstimate, PaperTailQuantile) {
   const mpe::stats::WeibullParams p{3.0, 1.0, 10.0};
   const mpe::stats::ReversedWeibull g(p);
-  const double est = mp::finite_population_estimate(
-      p, 100000, 30, mp::FiniteQuantileMode::kPaperTail);
+  const double est = mp::finite_population_estimate(p, 100000);
   EXPECT_NEAR(est, g.quantile(1.0 - 1e-5), 1e-12);
   EXPECT_LT(est, p.mu);
-}
-
-TEST(FinitePopulationEstimate, ExactPowerModeIsLower) {
-  const mpe::stats::WeibullParams p{3.0, 1.0, 10.0};
-  const double paper = mp::finite_population_estimate(
-      p, 100000, 30, mp::FiniteQuantileMode::kPaperTail);
-  const double exact = mp::finite_population_estimate(
-      p, 100000, 30, mp::FiniteQuantileMode::kExactPower);
-  // (1-1/V)^n < (1-1/V), so the exact-power quantile sits lower.
-  EXPECT_LT(exact, paper);
 }
 
 TEST(HyperSample, UsesExactlyNmUnits) {
@@ -189,26 +178,6 @@ TEST(HyperSample, AllNanPopulationIsInvalidNotFatal) {
   EXPECT_EQ(hs.nonfinite_units, hs.units_used);
 }
 
-TEST(HyperSample, PwmFallbackEngagesOnHeavyTailedPopulation) {
-  // alpha = 1.2 < 2 violates Smith's conditions: most raw fits come back
-  // with alpha_below_two set. Under kPwmFallback the estimate must switch
-  // to the L-moment fit for at least some draws, and stay finite always.
-  auto pop = weibull_population(30000, 25, /*alpha=*/1.2, /*mu=*/10.0);
-  mp::HyperSampleOptions opt;
-  opt.degenerate_policy = mp::DegenerateFitPolicy::kPwmFallback;
-  mpe::Rng rng(26);
-  int degenerate = 0, used_pwm = 0;
-  for (int r = 0; r < 30; ++r) {
-    const auto hs = mp::draw_hyper_sample(pop, opt, rng);
-    EXPECT_TRUE(std::isfinite(hs.estimate));
-    EXPECT_GE(hs.estimate, hs.sample_max);
-    if (hs.degenerate) ++degenerate;
-    if (hs.used_pwm) ++used_pwm;
-  }
-  EXPECT_GT(degenerate, 0);
-  EXPECT_GT(used_pwm, 0);
-}
-
 TEST(HyperSample, ContractChecks) {
   auto pop = weibull_population(1000, 13);
   mp::HyperSampleOptions bad;
@@ -222,9 +191,7 @@ TEST(HyperSample, ContractChecks) {
 
 TEST(FinitePopulationEstimate, ContractChecks) {
   const mpe::stats::WeibullParams p{3.0, 1.0, 10.0};
-  EXPECT_THROW(mp::finite_population_estimate(
-                   p, 1, 30, mp::FiniteQuantileMode::kPaperTail),
-               mpe::ContractViolation);
+  EXPECT_THROW(mp::finite_population_estimate(p, 1), mpe::ContractViolation);
 }
 
 }  // namespace

@@ -236,7 +236,6 @@ TEST(RunReport, GlobalMetricsFlowIntoReport) {
 TEST(RunReport, DiagnosticsJsonRoundTrips) {
   mp::RunDiagnostics d;
   d.degenerate_fits = 3;
-  d.pwm_refits = 1;
   d.constant_samples = 2;
   d.discarded_hyper_samples = 4;
   d.nonfinite_units = 17;
@@ -247,7 +246,8 @@ TEST(RunReport, DiagnosticsJsonRoundTrips) {
 
   const mp::RunDiagnostics back = mp::run_diagnostics_from_json(d.to_json());
   EXPECT_EQ(back.degenerate_fits, d.degenerate_fits);
-  EXPECT_EQ(back.pwm_refits, d.pwm_refits);
+  // Schema v1 keeps the removed PWM refit count, always 0.
+  EXPECT_NE(d.to_json().find("\"pwm_refits\":0,"), std::string::npos);
   EXPECT_EQ(back.constant_samples, d.constant_samples);
   EXPECT_EQ(back.discarded_hyper_samples, d.discarded_hyper_samples);
   EXPECT_EQ(back.nonfinite_units, d.nonfinite_units);

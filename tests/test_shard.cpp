@@ -109,7 +109,7 @@ TEST(ShardCodec, RoundTripsBitExactlyIncludingNonFiniteEstimates) {
   samples[1].degenerate = true;
   samples[2].index = 9;
   samples[2].estimate = -std::numeric_limits<double>::infinity();
-  samples[2].used_pwm = true;
+  samples[2].degenerate = true;
   samples[2].constant_sample = true;
 
   const auto decoded =
@@ -120,6 +120,13 @@ TEST(ShardCodec, RoundTripsBitExactlyIncludingNonFiniteEstimates) {
   EXPECT_EQ(decoded[1].nonfinite_units, 3u);
   EXPECT_TRUE(decoded[1].degenerate);
   EXPECT_EQ(decoded[2], samples[2]);
+
+  // Flag bit 2 (a removed PWM flag) is never written and ignored on read.
+  const auto old = mp::decode_shard_samples(R"([{"i":1,"est":2,"u":3,"f":5}])");
+  ASSERT_EQ(old.size(), 1u);
+  EXPECT_TRUE(old[0].valid);
+  EXPECT_FALSE(old[0].degenerate);
+  EXPECT_EQ(mp::encode_shard_samples(old).find("\"f\":5"), std::string::npos);
 
   EXPECT_THROW((void)mp::decode_shard_samples("not json"), mpe::Error);
   EXPECT_THROW((void)mp::decode_shard_samples(R"({"i":1})"), mpe::Error);

@@ -273,8 +273,7 @@ void check_set(const MaximaSet& maxima,
         ref_fit_weibull_mle(maxima, options.mle);
     const mp::TailFitOutcome q =
         fitter.fit(maxima, mp::TailFitContext{options, size});
-    const double want_q = mp::finite_population_estimate(
-        raw.params, size, options.n, options.quantile_mode);
+    const double want_q = mp::finite_population_estimate(raw.params, size);
     moved = std::max(moved, compare_fit(q, raw, want_q, flags_same, gate));
   }
 

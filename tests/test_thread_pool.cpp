@@ -39,8 +39,8 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
   // Each body writes its own slot: no shared mutable state, the
   // TSan-friendly pattern the parallel pipeline uses throughout.
   std::vector<int> hits(1000, 0);
-  pool.parallel_for(0, hits.size(),
-                    [&hits](std::size_t i) { hits[i] += 1; });
+  pool.parallel_for_slotted(
+      0, hits.size(), [&hits](unsigned, std::size_t i) { hits[i] += 1; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
             static_cast<int>(hits.size()));
   for (int h : hits) EXPECT_EQ(h, 1);
@@ -49,7 +49,7 @@ TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
 TEST(ThreadPool, ParallelForSharedAtomicAccumulator) {
   ThreadPool pool(4);
   std::atomic<long> sum{0};
-  pool.parallel_for(1, 101, [&sum](std::size_t i) {
+  pool.parallel_for_slotted(1, 101, [&sum](unsigned, std::size_t i) {
     sum.fetch_add(static_cast<long>(i), std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 5050);
@@ -58,7 +58,8 @@ TEST(ThreadPool, ParallelForSharedAtomicAccumulator) {
 TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
   ThreadPool pool(2);
   bool ran = false;
-  pool.parallel_for(5, 5, [&ran](std::size_t) { ran = true; });
+  pool.parallel_for_slotted(5, 5,
+                            [&ran](unsigned, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
 }
 
@@ -66,24 +67,29 @@ TEST(ThreadPool, ParallelForSingleIndexRunsInCaller) {
   ThreadPool pool(2);
   const auto caller = std::this_thread::get_id();
   std::thread::id seen;
-  pool.parallel_for(0, 1, [&seen](std::size_t) {
+  unsigned seen_slot = 99;
+  pool.parallel_for_slotted(0, 1, [&](unsigned slot, std::size_t) {
     seen = std::this_thread::get_id();
+    seen_slot = slot;
   });
   EXPECT_EQ(seen, caller);
+  EXPECT_EQ(seen_slot, 0u);
 }
 
 TEST(ThreadPool, ParallelForPropagatesFirstException) {
   ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [](std::size_t i) {
-                                   if (i == 37) {
-                                     throw std::runtime_error("item 37");
-                                   }
-                                 }),
+  EXPECT_THROW(pool.parallel_for_slotted(0, 100,
+                                         [](unsigned, std::size_t i) {
+                                           if (i == 37) {
+                                             throw std::runtime_error(
+                                                 "item 37");
+                                           }
+                                         }),
                std::runtime_error);
   // The pool must remain usable after a failed loop.
   std::atomic<int> counter{0};
-  pool.parallel_for(0, 10, [&counter](std::size_t) { ++counter; });
+  pool.parallel_for_slotted(0, 10,
+                            [&counter](unsigned, std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 10);
 }
 
@@ -95,7 +101,7 @@ TEST(ThreadPool, ParallelForDrainsWaveBeforeRethrow) {
   ThreadPool pool(3);
   std::atomic<int> in_flight{0};
   try {
-    pool.parallel_for(0, 200, [&](std::size_t i) {
+    pool.parallel_for_slotted(0, 200, [&](unsigned, std::size_t i) {
       ++in_flight;
       if (i == 10) {
         --in_flight;
@@ -119,7 +125,7 @@ TEST(ThreadPool, ParallelForSlottedPropagatesFirstException) {
                                            }
                                          }),
                std::runtime_error);
-  // Reusable afterwards, like the plain variant.
+  // Reusable afterwards.
   std::atomic<int> counter{0};
   pool.parallel_for_slotted(0, 10,
                             [&counter](unsigned, std::size_t) { ++counter; });
@@ -128,21 +134,25 @@ TEST(ThreadPool, ParallelForSlottedPropagatesFirstException) {
 
 TEST(ThreadPool, ParallelForAllBodiesThrowStillRethrowsOnce) {
   ThreadPool pool(3);
-  EXPECT_THROW(pool.parallel_for(0, 50,
-                                 [](std::size_t) {
-                                   throw std::runtime_error("every body");
-                                 }),
+  EXPECT_THROW(pool.parallel_for_slotted(0, 50,
+                                         [](unsigned, std::size_t) {
+                                           throw std::runtime_error(
+                                               "every body");
+                                         }),
                std::runtime_error);
   std::atomic<int> counter{0};
-  pool.parallel_for(0, 10, [&counter](std::size_t) { ++counter; });
+  pool.parallel_for_slotted(0, 10,
+                            [&counter](unsigned, std::size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 10);
 }
 
 TEST(ThreadPool, SubmitStillWorksAfterFailedParallelFor) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      pool.parallel_for(0, 20,
-                        [](std::size_t) { throw std::runtime_error("x"); }),
+      pool.parallel_for_slotted(0, 20,
+                                [](unsigned, std::size_t) {
+                                  throw std::runtime_error("x");
+                                }),
       std::runtime_error);
   auto f = pool.submit([] { return 7; });
   EXPECT_EQ(f.get(), 7);

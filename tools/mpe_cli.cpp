@@ -83,8 +83,8 @@ void install_signal_handlers() {
       "  common circuit flags: --circuit <preset> | --bench <file> | "
       "--verilog <file>, --seed N\n"
       "  estimate: --epsilon E --confidence L [--tprob P | --activity A]\n"
-      "            [--deadline-ms N] [--fit-policy use|pwm|redraw]\n"
-      "            [--fitter mle|pwm|gev] [--stop t|bootstrap]\n"
+      "            [--deadline-ms N] [--fit-policy use|redraw]\n"
+      "            [--stop t|bootstrap]\n"
       "            [--max-hyper K] [--metrics-out FILE|-] [--trace]\n"
       "            [--checkpoint FILE [--checkpoint-every K]]\n"
       "            [--threads N] [--delay zero|unit|loaded]\n"
@@ -139,7 +139,7 @@ circuit::Netlist load_circuit(const Cli& cli, std::uint64_t seed) {
 int cmd_estimate(const Cli& cli) {
   cli.check_known({"circuit", "bench", "verilog", "seed", "epsilon",
                    "confidence", "tprob", "activity", "max-hyper",
-                   "fit-policy", "fitter", "stop", "deadline-ms",
+                   "fit-policy", "stop", "deadline-ms",
                    "metrics-out", "trace", "checkpoint", "checkpoint-every",
                    "threads", "delay"});
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -177,20 +177,14 @@ int cmd_estimate(const Cli& cli) {
   options.max_hyper_samples =
       static_cast<std::size_t>(cli.get_int("max-hyper", 500));
   const std::string policy = cli.get("fit-policy", "use");
-  if (policy == "pwm") {
-    options.hyper.degenerate_policy =
-        maxpower::DegenerateFitPolicy::kPwmFallback;
-  } else if (policy == "redraw") {
+  if (policy == "redraw") {
     options.hyper.degenerate_policy =
         maxpower::DegenerateFitPolicy::kDiscardRedraw;
   } else if (policy != "use") {
-    throw Error(ErrorCode::kUsage, "unknown --fit-policy (use|pwm|redraw)",
+    throw Error(ErrorCode::kUsage, "unknown --fit-policy (use|redraw)",
                 ErrorContext{}.kv("value", policy).str());
   }
-  // Engine strategy selection: --stop picks the interval/stopping rule,
-  // --fitter swaps the tail fitter (maxpower/engine.hpp). "mle" maps to the
-  // default (null) fitter so it does not perturb checkpoint fingerprints.
-  maxpower::EngineConfig engine_cfg;
+  // --stop picks the interval/stopping rule (maxpower/stopping.hpp).
   const std::string stop_name = cli.get("stop", "");
   if (!stop_name.empty()) {
     const auto kind = maxpower::interval_kind_from_name(stop_name);
@@ -199,17 +193,6 @@ int cmd_estimate(const Cli& cli) {
                   ErrorContext{}.kv("value", stop_name).str());
     }
     options.interval = *kind;
-  }
-  const std::string fitter_name = cli.get("fitter", "");
-  if (!fitter_name.empty()) {
-    const auto kind = maxpower::tail_fitter_kind_from_name(fitter_name);
-    if (!kind) {
-      throw Error(ErrorCode::kUsage, "unknown --fitter (mle|pwm|gev)",
-                  ErrorContext{}.kv("value", fitter_name).str());
-    }
-    if (*kind != maxpower::TailFitterKind::kWeibullMle) {
-      engine_cfg.fitter = maxpower::make_tail_fitter(*kind);
-    }
   }
   const auto deadline_ms = cli.get_int("deadline-ms", 0);
   if (deadline_ms > 0) {
@@ -239,12 +222,11 @@ int cmd_estimate(const Cli& cli) {
   // --threads changes wall time only: the estimate is bit-identical across
   // thread counts, so a checkpoint taken at --threads 8 resumes at
   // --threads 1 and vice versa.
-  engine_cfg.options = options;
-  const maxpower::Engine engine(engine_cfg);
   maxpower::ParallelOptions par;
   par.threads =
       static_cast<unsigned>(std::max<long long>(0, cli.get_int("threads", 1)));
-  const maxpower::EstimationResult r = engine.run(population, seed, par);
+  const maxpower::EstimationResult r =
+      maxpower::estimate_max_power(population, options, seed, par);
 
   if (!metrics_out.empty()) {
     maxpower::RunReportOptions ropt;
@@ -288,13 +270,13 @@ int cmd_estimate(const Cli& cli) {
   std::printf("converged         : %s (%s)\n", r.converged ? "yes" : "no",
               std::string(maxpower::to_string(r.stop_reason)).c_str());
   const auto& diag = r.diagnostics;
-  if (diag.degenerate_fits || diag.pwm_refits || diag.constant_samples ||
+  if (diag.degenerate_fits || diag.constant_samples ||
       diag.discarded_hyper_samples || diag.nonfinite_units ||
       diag.small_population) {
     std::printf(
-        "fit health        : %zu degenerate, %zu pwm-refit, %zu constant, "
+        "fit health        : %zu degenerate, %zu constant, "
         "%zu discarded, %zu non-finite units%s\n",
-        diag.degenerate_fits, diag.pwm_refits, diag.constant_samples,
+        diag.degenerate_fits, diag.constant_samples,
         diag.discarded_hyper_samples, diag.nonfinite_units,
         diag.small_population ? ", small population" : "");
   }
@@ -661,7 +643,6 @@ maxpower::CampaignJob submit_job_from_flags(const Cli& cli) {
   if (cli.has("activity")) job.activity = cli.get_double("activity", 0.3);
   job.max_hyper_samples =
       static_cast<std::size_t>(cli.get_int("max-hyper", 500));
-  job.fitter = cli.get("fitter", "");
   job.stop = cli.get("stop", "");
   job.delay = cli.get("delay", "");
   return job;
@@ -670,8 +651,8 @@ maxpower::CampaignJob submit_job_from_flags(const Cli& cli) {
 int cmd_submit(const Cli& cli) {
   cli.check_known({"socket", "host", "port", "stats", "scrape", "manifest",
                    "job", "circuit", "bench", "verilog", "seed", "epsilon",
-                   "confidence", "tprob", "activity", "max-hyper", "fitter",
-                   "stop", "delay", "deadline-ms", "report-dir", "timeout-ms",
+                   "confidence", "tprob", "activity", "max-hyper", "stop",
+                   "delay", "deadline-ms", "report-dir", "timeout-ms",
                    "client-id", "events"});
   std::unique_ptr<dist::LineChannel> channel;
   const std::string socket_path = cli.get("socket", "");
