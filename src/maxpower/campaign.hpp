@@ -194,24 +194,25 @@ CampaignJobRuntime build_campaign_runtime(const CampaignJob& job);
 std::string campaign_population_description(const CampaignJob& job,
                                             CircuitCache& cache);
 
-/// How one job is executed (the per-job slice of CampaignOptions). Shared
-/// by the single-process campaign loop and the distributed worker so a job
-/// runs under the exact same engine configuration either way — that shared
-/// construction is what makes distributed results bit-identical.
+/// How one job is executed (the per-job slice of CampaignOptions) by the
+/// single-process campaign loop. Fleet workers run shards instead
+/// (maxpower/shard.hpp run_campaign_shard); both build the engine from
+/// campaign_engine_config, which is what keeps their results bit-identical.
 struct JobRunOptions {
   std::string state_dir;     ///< required: per-job checkpoints live here
   util::RetryPolicy retry;
-  util::RunControl control;  ///< campaign-/worker-level brakes
+  util::RunControl control;  ///< campaign-level brakes
   util::Deadline job_deadline;  ///< per-job budget; combined with control
   unsigned threads = 1;
   std::size_t checkpoint_every_k = 1;
 };
 
-/// Runs one job to a terminal outcome (never throws; failures land in the
-/// outcome). Retries transient failures under options.retry using
-/// `jitter_rng` for backoff jitter. The circuit comes from `cache`. The
-/// job's checkpoint path is <state_dir>/<name>.ckpt; a pre-existing
-/// checkpoint is resumed.
+/// Runs one job of run_campaign to a terminal outcome in this process
+/// (never throws; failures land in the outcome); tests call it directly as
+/// the single-process reference. Retries transient failures under
+/// options.retry using `jitter_rng` for backoff jitter. The circuit comes
+/// from `cache`. The job's checkpoint path is <state_dir>/<name>.ckpt; a
+/// pre-existing checkpoint is resumed.
 CampaignJobOutcome run_campaign_job(CampaignJob& job,
                                     const JobRunOptions& options,
                                     Rng& jitter_rng, CircuitCache& cache);

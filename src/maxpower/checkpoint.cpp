@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "evt/weibull_mle.hpp"
-#include "maxpower/options_fields.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/crc32.hpp"
@@ -126,9 +125,14 @@ class Reader {
 // --- fingerprint ------------------------------------------------------------
 
 void fp_num(std::string& out, const char* key, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%s=%.17g;", key, v);
-  out += buf;
+  out += key;
+  out += '=';
+  // "%.17g" of any double is at most 24 characters; the 25th is the NUL.
+  const std::size_t at = out.size();
+  out.resize(at + 25);
+  const int len = std::snprintf(out.data() + at, 25, "%.17g", v);
+  out.resize(at + static_cast<std::size_t>(len));
+  out += ';';
 }
 
 void fp_u64(std::string& out, const char* key, std::uint64_t v) {
@@ -146,34 +150,6 @@ std::uint64_t fnv1a(std::string_view s) {
   }
   return h;
 }
-
-}  // namespace
-
-namespace {
-
-/// options_fields visitor that renders the fingerprinted subset in the
-/// canonical order and format (doubles via "%.17g", everything else as
-/// decimal integers). Non-fingerprinted fields are skipped, which is the
-/// whole exclusion mechanism: the flag lives next to the field in
-/// visit_estimator_options, not in a second hand-maintained list here.
-struct FingerprintVisitor {
-  std::string& canon;
-
-  void number(const char* name, const double& v, bool fingerprinted) {
-    if (fingerprinted) fp_num(canon, name, v);
-  }
-  template <typename T>
-  void integer(const char* name, const T& v, bool fingerprinted) {
-    if (fingerprinted) fp_u64(canon, name, static_cast<std::uint64_t>(v));
-  }
-  void flag(const char* name, const bool& v, bool fingerprinted) {
-    if (fingerprinted) fp_u64(canon, name, v ? 1 : 0);
-  }
-  template <typename E>
-  void enumeration(const char* name, const E& v, bool fingerprinted) {
-    if (fingerprinted) fp_u64(canon, name, static_cast<std::uint64_t>(v));
-  }
-};
 
 }  // namespace
 
@@ -195,7 +171,32 @@ std::uint64_t run_fingerprint(const EstimatorOptions& options,
   canon += "path=parallel;";
   fp_u64(canon, "seed", base_seed);
   fp_u64(canon, "mle_solver", evt::kWeibullMleSolverRevision);
-  visit_estimator_options(options, FingerprintVisitor{canon});
+  // The result-shaping option fields, in the canonical order: reordering
+  // or reformatting them changes every existing fingerprint. The budget
+  // fields max_hyper_samples and checkpoint_every_k are left out, because
+  // extending a budget is the point of resuming.
+  const HyperSampleOptions& h = options.hyper;
+  fp_num(canon, "epsilon", options.epsilon);
+  fp_num(canon, "confidence", options.confidence);
+  fp_u64(canon, "interval", static_cast<std::uint64_t>(options.interval));
+  fp_u64(canon, "min_hyper", options.min_hyper_samples);
+  fp_u64(canon, "max_redraws", options.max_redraws);
+  fp_u64(canon, "n", h.n);
+  fp_u64(canon, "m", h.m);
+  fp_u64(canon, "finite_correction", h.finite_correction ? 1 : 0);
+  // Only the paper quantile (mode 0) is left; its slot keeps old prints.
+  canon += "quantile_mode=0;";
+  fp_u64(canon, "degenerate_policy",
+         static_cast<std::uint64_t>(h.degenerate_policy));
+  fp_num(canon, "endpoint_ridge_tolerance", h.endpoint_ridge_tolerance);
+  fp_num(canon, "mle.lo_frac", h.mle.lo_frac);
+  fp_num(canon, "mle.hi_frac", h.mle.hi_frac);
+  fp_u64(canon, "mle.grid_points",
+         static_cast<std::uint64_t>(h.mle.grid_points));
+  fp_num(canon, "mle.alpha_min", h.mle.alpha_min);
+  fp_num(canon, "mle.alpha_max", h.mle.alpha_max);
+  fp_num(canon, "mle.ridge_spread_factor", h.mle.ridge_spread_factor);
+  fp_num(canon, "mle.ridge_tolerance", h.mle.ridge_tolerance);
   canon += "population=";
   canon += population;
   if (!strategies.empty()) {

@@ -68,10 +68,10 @@ struct RunCheckpoint {
 /// configuration), the base seed, the population description, and the
 /// Weibull fit's solver revision
 /// (evt::kWeibullMleSolverRevision), since another solver fits the same
-/// maxima to values a few ulps to ~1e-6 apart. The option field list is
-/// not maintained here — it is the fingerprinted subset of
-/// visit_estimator_options (maxpower/options_fields.hpp), the same visitor
-/// that serializes options, so the two cannot drift apart. Excluded on
+/// maxima to values a few ulps to ~1e-6 apart. run_fingerprint appends the
+/// option fields to its canonical string in a fixed order (doubles as
+/// "%.17g", everything else as decimal integers); CheckpointFingerprint
+/// tests pin the result. Excluded on
 /// purpose: max_hyper_samples and RunControl (budgets — extending them is
 /// the point of resuming), thread counts (runs are bit-identical across
 /// them), tracer/checkpoint wiring.

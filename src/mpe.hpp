@@ -3,7 +3,7 @@
 // Layering (each layer depends only on the ones above it):
 //   util    — RNG, special functions, solvers, contracts
 //   stats   — distributions, descriptive statistics, fitting, tests
-//   evt     — extreme-value machinery (block maxima, Weibull MLE, PWM)
+//   evt     — extreme-value machinery (Weibull MLE, PWM, domain tests)
 //   circuit — netlist model, gate library, .bench I/O
 //   gen     — circuit generators and ISCAS-85-like presets
 //   sim     — power/delay models, zero-delay and event-driven simulators
@@ -28,7 +28,6 @@
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
 
-#include "stats/chi_squared.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/ecdf.hpp"
 #include "stats/frechet.hpp"
@@ -42,11 +41,9 @@
 #include "stats/student_t.hpp"
 #include "stats/weibull.hpp"
 
-#include "evt/block_maxima.hpp"
 #include "evt/bootstrap.hpp"
 #include "evt/confidence.hpp"
 #include "evt/domain.hpp"
-#include "evt/fisher.hpp"
 #include "evt/pwm.hpp"
 #include "evt/weibull_mle.hpp"
 
@@ -85,7 +82,6 @@
 #include "vectors/parallel_db.hpp"
 #include "vectors/population.hpp"
 #include "vectors/power_db.hpp"
-#include "vectors/serialize.hpp"
 
 #include "maxpower/bounds.hpp"
 #include "maxpower/campaign.hpp"
@@ -95,7 +91,6 @@
 #include "maxpower/estimator.hpp"
 #include "maxpower/hyper_sample.hpp"
 #include "maxpower/ledger.hpp"
-#include "maxpower/options_fields.hpp"
 #include "maxpower/quantile_baseline.hpp"
 #include "maxpower/run_context.hpp"
 #include "maxpower/run_report.hpp"
@@ -118,7 +113,6 @@
 #include "server/server_core.hpp"
 #include "server/server_protocol.hpp"
 
-#include "seq/seq_bench_io.hpp"
 #include "seq/seq_gen.hpp"
 #include "seq/seq_netlist.hpp"
 #include "seq/seq_presets.hpp"

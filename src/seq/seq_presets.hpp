@@ -1,8 +1,9 @@
 // Sequential benchmark stand-ins mirroring the ISCAS-89 "s-series" the way
 // gen/presets.hpp mirrors the ISCAS-85 c-series: random levelized DAG cores
 // with the original primary-input / primary-output / flip-flop / gate
-// counts, plus feedback wiring through the state elements. Real s-series
-// netlists can be loaded instead via seq::read_bench_sequential_file.
+// counts, plus feedback wiring through the state elements. The library
+// reads no sequential netlist files: the s-series exist only as these
+// stand-ins.
 #pragma once
 
 #include <string>

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) for the durable on-disk
-// formats: the run checkpoint (maxpower/checkpoint) and the power-db
-// trailer (vectors/serialize) both append a checksum so torn or bit-rotted
+// formats: the run checkpoint (maxpower/checkpoint) appends a checksum and
+// every ledger record (maxpower/ledger) carries one, so torn or bit-rotted
 // files fail closed with ErrorCode::kCorruptData instead of resuming from
 // silently wrong state. Incremental: feed bytes as they are produced or
 // consumed, read value() at the end.

@@ -77,48 +77,6 @@ double incomplete_beta(double a, double b, double x) {
   return 1.0 - front * betacf(b, a, 1.0 - x) / b;
 }
 
-double incomplete_gamma_lower(double a, double x) {
-  MPE_EXPECTS(a > 0.0);
-  MPE_EXPECTS(x >= 0.0);
-  if (x == 0.0) return 0.0;
-  if (x < a + 1.0) {
-    // Series representation.
-    double ap = a;
-    double sum = 1.0 / a;
-    double del = sum;
-    for (int n = 0; n < 500; ++n) {
-      ap += 1.0;
-      del *= x / ap;
-      sum += del;
-      if (std::fabs(del) < std::fabs(sum) * 1e-16) break;
-    }
-    return sum * std::exp(-x + a * std::log(x) - std::lgamma(a));
-  }
-  // Continued fraction for Q(a, x), then complement.
-  double b = x + 1.0 - a;
-  double c = 1.0 / kTiny;
-  double d = 1.0 / b;
-  double h = d;
-  for (int i = 1; i <= 500; ++i) {
-    const double an = -static_cast<double>(i) * (i - a);
-    b += 2.0;
-    d = an * d + b;
-    if (std::fabs(d) < kTiny) d = kTiny;
-    c = b + an / c;
-    if (std::fabs(c) < kTiny) c = kTiny;
-    d = 1.0 / d;
-    const double del = d * c;
-    h *= del;
-    if (std::fabs(del - 1.0) < 1e-16) break;
-  }
-  const double q = std::exp(-x + a * std::log(x) - std::lgamma(a)) * h;
-  return 1.0 - q;
-}
-
-double incomplete_gamma_upper(double a, double x) {
-  return 1.0 - incomplete_gamma_lower(a, x);
-}
-
 double erf_inv(double y) {
   MPE_EXPECTS(y > -1.0 && y < 1.0);
   if (y == 0.0) return 0.0;
@@ -293,35 +251,6 @@ SolveResult brent_root(const std::function<double(double)>& f, double lo,
   return r;
 }
 
-SolveResult bisect_root(const std::function<double(double)>& f, double lo,
-                        double hi, double xtol, int max_iter) {
-  MPE_EXPECTS(lo <= hi);
-  double fa = f(lo), fb = f(hi);
-  if (fa == 0.0) return {lo, 0.0, 0, true};
-  if (fb == 0.0) return {hi, 0.0, 0, true};
-  MPE_EXPECTS_MSG(fa * fb < 0.0, "bisect_root requires a sign change");
-  double a = lo, b = hi;
-  SolveResult r;
-  for (int i = 1; i <= max_iter; ++i) {
-    const double m = 0.5 * (a + b);
-    const double fm = f(m);
-    r.iterations = i;
-    if (fm == 0.0 || (b - a) < xtol) {
-      return {m, fm, i, true};
-    }
-    if ((fm > 0.0) == (fa > 0.0)) {
-      a = m;
-      fa = fm;
-    } else {
-      b = m;
-    }
-  }
-  r.x = 0.5 * (a + b);
-  r.f = f(r.x);
-  r.converged = false;
-  return r;
-}
-
 SolveResult golden_minimize(const std::function<double(double)>& f, double lo,
                             double hi, double xtol, int max_iter) {
   MPE_EXPECTS(lo <= hi);
@@ -382,19 +311,6 @@ bool bracket_minimum(const std::function<double(double)>& f, double& lo,
     }
   }
   return fm <= fl && fm <= fh;
-}
-
-double central_diff(const std::function<double(double)>& f, double x,
-                    double h) {
-  return (f(x + h) - f(x - h)) / (2.0 * h);
-}
-
-double log1mexp(double x) {
-  MPE_EXPECTS(x < 0.0);
-  // Mächler (2012): use log(-expm1(x)) for x > -log 2, log1p(-exp(x)) else.
-  constexpr double kLog2 = 0.6931471805599453;
-  if (x > -kLog2) return std::log(-std::expm1(x));
-  return std::log1p(-std::exp(x));
 }
 
 }  // namespace mpe::math

@@ -205,10 +205,9 @@ TEST(CheckpointFingerprint, SensitiveToResultShapingOptionsOnly) {
 }
 
 TEST(CheckpointFingerprint, VisitorFieldsMarkedFingerprintedAreFolded) {
-  // The fingerprint is the fingerprinted subset of visit_estimator_options,
-  // so this asserts the marks, not a hand-maintained list: a deep
-  // fingerprinted field (the MLE grid) must perturb the print, and the two
-  // fields marked non-fingerprinted (budget/cadence) must not.
+  // A deep result-shaping field (the MLE grid) and an enum must perturb
+  // the print; the two budget/cadence fields run_fingerprint leaves out
+  // must not.
   mp::EstimatorOptions a;
   const std::uint64_t fp = mp::run_fingerprint(a, 3, "pop");
 
@@ -243,6 +242,18 @@ TEST(CheckpointFingerprint, PinnedAcrossReleases) {
   other.hyper.m = 13;
   EXPECT_EQ(mp::run_fingerprint(other, 3, "finite(20000)"),
             0x629fc49d47f81d8dull);
+}
+
+TEST(CheckpointFingerprint, FullPrecisionOfLongFieldNames) {
+  // The longest field name plus a 23-character value once overflowed a
+  // fixed 48-byte buffer, so values differing only in their last digit
+  // shared a fingerprint.
+  mp::EstimatorOptions a;
+  a.hyper.endpoint_ridge_tolerance = 1.2345678901234567e-100;
+  mp::EstimatorOptions b;
+  b.hyper.endpoint_ridge_tolerance = 1.2345678901234567e-101;
+  EXPECT_NE(mp::run_fingerprint(a, 3, "pop"),
+            mp::run_fingerprint(b, 3, "pop"));
 }
 
 // --- Resume bit-identity ----------------------------------------------------

@@ -243,7 +243,7 @@ TEST(StreamingCompiled, EngineBitIdenticalAcrossThreadCounts) {
   opt.epsilon = 0.12;
   opt.max_hyper_samples = 40;
   const std::uint64_t seed = 9;
-  const mp::Engine engine(mp::EngineConfig{.options = opt});
+  const mp::Engine engine(mp::EngineConfig{opt, nullptr, {}});
   const auto expect_same = [](const mp::EstimationResult& r,
                               const mp::EstimationResult& base) {
     EXPECT_EQ(r.estimate, base.estimate);

@@ -42,21 +42,6 @@ TEST(IncompleteBeta, HalfIntegerCase) {
   }
 }
 
-TEST(IncompleteGamma, KnownValues) {
-  // P(1, x) = 1 - exp(-x).
-  for (double x : {0.1, 1.0, 3.0, 10.0}) {
-    EXPECT_NEAR(math::incomplete_gamma_lower(1.0, x), 1.0 - std::exp(-x),
-                1e-12);
-  }
-  EXPECT_DOUBLE_EQ(math::incomplete_gamma_lower(2.5, 0.0), 0.0);
-  EXPECT_NEAR(math::incomplete_gamma_upper(1.0, 2.0), std::exp(-2.0), 1e-12);
-}
-
-TEST(IncompleteGamma, ChiSquareMedianSanity) {
-  // P(k/2, k/2) is close to 0.5 for moderate k (chi-square median ~ k).
-  EXPECT_NEAR(math::incomplete_gamma_lower(5.0, 5.0 - 1.0 / 3.0), 0.5, 0.02);
-}
-
 TEST(ErfInv, RoundTrip) {
   for (double y : {-0.999, -0.9, -0.5, -0.1, 0.0, 0.1, 0.5, 0.9, 0.999}) {
     EXPECT_NEAR(std::erf(math::erf_inv(y)), y, 1e-12) << "y=" << y;
@@ -119,14 +104,6 @@ TEST(BrentRoot, KnownEndpointValuesAreNotReevaluated) {
   EXPECT_EQ(calls, full_calls);  // the two endpoint calls above included
 }
 
-TEST(BisectRoot, AgreesWithBrent) {
-  auto f = [](double x) { return std::exp(x) - 3.0; };
-  const auto rb = math::brent_root(f, 0.0, 2.0);
-  const auto ri = math::bisect_root(f, 0.0, 2.0, 1e-12);
-  EXPECT_NEAR(rb.x, ri.x, 1e-9);
-  EXPECT_NEAR(ri.x, std::log(3.0), 1e-9);
-}
-
 TEST(GoldenMinimize, FindsParabolaMinimum) {
   const auto r = math::golden_minimize(
       [](double x) { return (x - 1.7) * (x - 1.7) + 3.0; }, -10.0, 10.0);
@@ -147,24 +124,6 @@ TEST(BracketMinimum, ExpandsToFindInteriorMin) {
   EXPECT_TRUE(ok);
   EXPECT_LE(lo, 0.0);
   EXPECT_GE(hi, 0.0);
-}
-
-TEST(CentralDiff, ApproximatesDerivative) {
-  const double d = math::central_diff([](double x) { return std::sin(x); },
-                                      0.5);
-  EXPECT_NEAR(d, std::cos(0.5), 1e-8);
-}
-
-TEST(Log1mExp, BothBranchesAccurate) {
-  for (double x : {-1e-8, -0.1, -0.5, -0.6931, -1.0, -10.0, -40.0}) {
-    // Reference via expm1 (the naive log(1 - exp(x)) loses precision for
-    // x near zero, which is exactly what log1mexp protects against).
-    const double expected = std::log(-std::expm1(x));
-    EXPECT_NEAR(math::log1mexp(x), expected,
-                1e-12 * (1.0 + std::fabs(expected)))
-        << "x=" << x;
-  }
-  EXPECT_THROW(math::log1mexp(0.0), mpe::ContractViolation);
 }
 
 }  // namespace

@@ -2,15 +2,7 @@
 // generated netlist must survive bench -> verilog -> bench conversion with
 // its function intact, and the two simulators must agree on it. This is the
 // closest thing to a fuzzer the deterministic test suite runs.
-// The binary population format gets the same treatment: truncations,
-// bit flips, and poisoned payloads must all surface as typed mpe::Error
-// throws from the load path, never a crash or a huge allocation.
 #include <gtest/gtest.h>
-
-#include <cmath>
-#include <cstring>
-#include <limits>
-#include <sstream>
 
 #include "circuit/analysis.hpp"
 #include "circuit/bench_io.hpp"
@@ -19,9 +11,6 @@
 #include "sim/event_sim.hpp"
 #include "sim/zero_delay_sim.hpp"
 #include "util/rng.hpp"
-#include "util/status.hpp"
-#include "vectors/population.hpp"
-#include "vectors/serialize.hpp"
 
 namespace {
 
@@ -95,164 +84,5 @@ TEST_P(RoundTripFuzz, EventAndZeroDelaySimulatorsAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoundTripFuzz,
                          ::testing::Range<std::uint64_t>(1, 13));
-
-// --- Population serialization fuzz ------------------------------------------
-
-namespace vec = mpe::vec;
-
-std::string healthy_blob(std::size_t count, std::uint64_t seed) {
-  mpe::Rng rng(seed);
-  std::vector<double> vals(count);
-  for (auto& v : vals) v = rng.uniform(0.5, 20.0);
-  const vec::FinitePopulation pop(std::move(vals), "fuzz population");
-  std::ostringstream out(std::ios::binary);
-  vec::save_population(out, pop);
-  return out.str();
-}
-
-TEST(SerializeFuzz, HealthyRoundTripSurvives) {
-  const std::string blob = healthy_blob(64, 2024);
-  std::istringstream in(blob, std::ios::binary);
-  const auto pop = vec::load_population(in);
-  EXPECT_EQ(pop.size(), 64u);
-  EXPECT_EQ(pop.description(), "fuzz population");
-}
-
-TEST(SerializeFuzz, EveryTruncationThrowsTypedError) {
-  const std::string blob = healthy_blob(16, 7);
-  // Cutting off exactly the 8-byte integrity trailer produces a valid
-  // legacy (pre-trailer) file, which must still load; every other prefix
-  // must be rejected with a typed error.
-  const std::size_t legacy_len = blob.size() - 8;
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    std::istringstream in(blob.substr(0, len), std::ios::binary);
-    if (len == legacy_len) {
-      const auto pop = vec::load_population(in);
-      EXPECT_EQ(pop.size(), 16u);
-      continue;
-    }
-    try {
-      vec::load_population(in);
-      FAIL() << "truncation at " << len << " bytes loaded successfully";
-    } catch (const mpe::Error& e) {
-      // Truncation surfaces as an I/O, bad-data, or corrupt-data error,
-      // never internal.
-      EXPECT_TRUE(e.code() == mpe::ErrorCode::kIo ||
-                  e.code() == mpe::ErrorCode::kBadData ||
-                  e.code() == mpe::ErrorCode::kParse ||
-                  e.code() == mpe::ErrorCode::kCorruptData)
-          << "len=" << len << " code=" << mpe::to_string(e.code());
-    }
-  }
-}
-
-TEST(SerializeFuzz, PayloadBitFlipCaughtByCrc) {
-  const std::string blob = healthy_blob(16, 21);
-  // Flip one bit inside a stored double. The value stays finite for almost
-  // every flip, so without the CRC the load would silently succeed with a
-  // wrong payload.
-  const std::size_t desc_len = std::strlen("fuzz population");
-  const std::size_t payload_off = 4 + 4 + 8 + desc_len + 8;
-  ASSERT_LT(payload_off + 8, blob.size());
-  std::string mutated = blob;
-  mutated[payload_off + 3] = static_cast<char>(mutated[payload_off + 3] ^ 1);
-  std::istringstream in(mutated, std::ios::binary);
-  try {
-    vec::load_population(in);
-    FAIL() << "bit-flipped payload accepted";
-  } catch (const mpe::Error& e) {
-    // kBadData when the flip makes the double non-finite, kCorruptData
-    // when the CRC catches it.
-    EXPECT_TRUE(e.code() == mpe::ErrorCode::kCorruptData ||
-                e.code() == mpe::ErrorCode::kBadData)
-        << mpe::to_string(e.code());
-  }
-}
-
-TEST(SerializeFuzz, HeaderBitFlipsNeverCrash) {
-  const std::string blob = healthy_blob(16, 11);
-  // Magic, version, desc_len, description, count: flip every bit of the
-  // first 50 bytes. Each mutation must either load (payload-equivalent) or
-  // throw a typed error.
-  const std::size_t header_bytes = std::min<std::size_t>(50, blob.size());
-  for (std::size_t byte = 0; byte < header_bytes; ++byte) {
-    for (int bit = 0; bit < 8; ++bit) {
-      std::string mutated = blob;
-      mutated[byte] = static_cast<char>(mutated[byte] ^ (1 << bit));
-      std::istringstream in(mutated, std::ios::binary);
-      try {
-        vec::load_population(in);
-      } catch (const mpe::Error&) {
-        // Typed rejection is the expected outcome for most flips.
-      }
-      // Anything else escaping (bad_alloc, logic_error, segfault) fails the
-      // test via the GTest uncaught-exception handler.
-    }
-  }
-}
-
-TEST(SerializeFuzz, ImplausibleCountRejectedBeforeAllocation) {
-  std::string blob = healthy_blob(4, 3);
-  // The count field sits right after the 4+4 byte magic/version, the 8-byte
-  // desc_len and the description payload.
-  const std::size_t desc_len = std::strlen("fuzz population");
-  const std::size_t count_off = 4 + 4 + 8 + desc_len;
-  ASSERT_LT(count_off + 8, blob.size());
-  const std::uint64_t huge = std::uint64_t{1} << 60;
-  for (int i = 0; i < 8; ++i) {
-    blob[count_off + i] = static_cast<char>((huge >> (8 * i)) & 0xff);
-  }
-  std::istringstream in(blob, std::ios::binary);
-  try {
-    vec::load_population(in);
-    FAIL() << "lying count accepted";
-  } catch (const mpe::Error& e) {
-    EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData);
-  }
-}
-
-TEST(SerializeFuzz, NanPayloadRejectedOnLoad) {
-  std::string blob = healthy_blob(4, 5);
-  const std::size_t desc_len = std::strlen("fuzz population");
-  const std::size_t payload_off = 4 + 4 + 8 + desc_len + 8;
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::uint64_t bits;
-  std::memcpy(&bits, &nan, sizeof bits);
-  for (int i = 0; i < 8; ++i) {
-    blob[payload_off + 8 + i] = static_cast<char>((bits >> (8 * i)) & 0xff);
-  }
-  std::istringstream in(blob, std::ios::binary);
-  try {
-    vec::load_population(in);
-    FAIL() << "NaN payload accepted";
-  } catch (const mpe::Error& e) {
-    EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData);
-    EXPECT_NE(e.context().find("index=1"), std::string::npos) << e.context();
-  }
-}
-
-TEST(SerializeFuzz, SaveRejectsNonFiniteValues) {
-  std::vector<double> vals = {1.0, std::numeric_limits<double>::infinity()};
-  const vec::FinitePopulation pop(std::move(vals), "poisoned");
-  std::ostringstream out(std::ios::binary);
-  try {
-    vec::save_population(out, pop);
-    FAIL() << "non-finite value serialized";
-  } catch (const mpe::Error& e) {
-    EXPECT_EQ(e.code(), mpe::ErrorCode::kBadData);
-  }
-}
-
-TEST(SerializeFuzz, WrongMagicIsParseError) {
-  std::string blob = healthy_blob(4, 9);
-  blob[0] = 'X';
-  std::istringstream in(blob, std::ios::binary);
-  try {
-    vec::load_population(in);
-    FAIL() << "bad magic accepted";
-  } catch (const mpe::Error& e) {
-    EXPECT_EQ(e.code(), mpe::ErrorCode::kParse);
-  }
-}
 
 }  // namespace
