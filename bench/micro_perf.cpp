@@ -159,6 +159,27 @@ void BM_PairGen(benchmark::State& state, const std::string& kind) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
 
+// Pair generation into packed rows at c7552 width: one tape pass's worth
+// of pairs (the dispatched kernel's lanes) per iteration through
+// generate_rows, the form the zero-delay population draws with. Items are
+// pairs, so the rate compares directly with BM_PairGen.
+void BM_PairRows(benchmark::State& state, const std::string& kind) {
+  const auto gen = make_generator(kind, preset("c7552").num_inputs());
+  const sim::SimdKernel kernel = sim::best_kernel();
+  const std::size_t count = sim::kernel_lanes(kernel);
+  Rng rng(7);
+  vec::PairRows rows;
+  for (auto _ : state) {
+    gen->generate_rows(rng, count, rows, kernel);
+    benchmark::DoNotOptimize(rows.first.data());
+    benchmark::DoNotOptimize(rows.second.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(state.iterations() * count));
+  state.SetLabel(sim::to_string(kernel));
+}
+
 // End-to-end draw throughput of a zero-delay population (generation +
 // compiled-tape simulation on the dispatched kernel), directly comparable to
 // BM_ScalarDraw. The `c7552_tprob` row draws with the production
@@ -425,6 +446,8 @@ BENCHMARK_CAPTURE(BM_PairGen, uniform, std::string("uniform"));
 BENCHMARK_CAPTURE(BM_PairGen, tprob, std::string("tprob"));
 BENCHMARK_CAPTURE(BM_PairGen, highact, std::string("highact"));
 BENCHMARK_CAPTURE(BM_PairGen, markov, std::string("markov"));
+BENCHMARK_CAPTURE(BM_PairRows, uniform, std::string("uniform"));
+BENCHMARK_CAPTURE(BM_PairRows, tprob, std::string("tprob"));
 BENCHMARK(BM_EstimatorPipeline)
     ->ArgName("threads")
     ->Arg(1)

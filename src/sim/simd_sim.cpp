@@ -1,5 +1,6 @@
 #include "sim/simd_sim.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 
@@ -77,15 +78,6 @@ CompiledSimulator::CompiledSimulator(
 
 namespace {
 
-/// Packs the low bits of 8 consecutive 0/1 bytes into 8 result bits
-/// (bit i = byte i). The multiplier places byte k's LSB at bit 56 + k;
-/// all 64 partial-product bit positions are distinct, so no carries.
-inline std::uint64_t pack8(const std::uint8_t* p) {
-  std::uint64_t x;
-  std::memcpy(&x, p, 8);
-  return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
-}
-
 /// In-place transpose of a 64x64 bit matrix with LSB-first columns:
 /// afterwards bit j of a[i] is the old bit i of a[j]. Radix-swap of
 /// off-diagonal blocks at strides 32,16,...,1 (Hacker's Delight 7-3,
@@ -103,51 +95,26 @@ void transpose64(std::uint64_t a[64]) {
 
 }  // namespace
 
-void CompiledSimulator::pack_inputs(std::span<const vec::VectorPair> pairs) {
+void CompiledSimulator::load_rows(const vec::PairRows& rows) {
   const auto& input_node = program_->input_node();
   const std::size_t width = input_node.size();
   const std::size_t kW = words_per_node_;
-  const std::size_t in_words = (width + 63) / 64;
-  pack_rows_.resize(2 * 64 * in_words);
-  // Bit-transpose pack, one 64-lane word column at a time: pack each lane's
-  // 0/1 bytes into a bit row (8 bytes per multiply), transpose each 64x64
-  // block, then store whole words into the input node rows. ~6 word ops per
-  // 64 input bits instead of one read-modify-write store per bit.
+  const std::size_t in_words = rows.row_words();
+  // One 64-lane word column at a time: gather 64 rows' word b (zero past
+  // the last pair), transpose the 64x64 block, then store whole words into
+  // the input node rows.
   for (std::size_t w = 0; w < kW; ++w) {
-    std::uint64_t* rows1 = pack_rows_.data();
-    std::uint64_t* rows2 = rows1 + 64 * in_words;
-    for (std::size_t j = 0; j < 64; ++j) {
-      std::uint64_t* r1 = rows1 + j * in_words;
-      std::uint64_t* r2 = rows2 + j * in_words;
-      const std::size_t k = w * 64 + j;
-      if (k >= pairs.size()) {
-        std::memset(r1, 0, in_words * sizeof(std::uint64_t));
-        std::memset(r2, 0, in_words * sizeof(std::uint64_t));
-        continue;
-      }
-      const auto& v1 = pairs[k].first;
-      const auto& v2 = pairs[k].second;
-      MPE_EXPECTS_MSG(v1.size() == width && v2.size() == width,
-                      "pair width must match the netlist input count");
-      std::memset(r1, 0, in_words * sizeof(std::uint64_t));
-      std::memset(r2, 0, in_words * sizeof(std::uint64_t));
-      std::size_t i = 0;
-      for (; i + 8 <= width; i += 8) {
-        r1[i >> 6] |= pack8(v1.data() + i) << (i & 63);
-        r2[i >> 6] |= pack8(v2.data() + i) << (i & 63);
-      }
-      for (; i < width; ++i) {
-        r1[i >> 6] |= static_cast<std::uint64_t>(v1[i] & 1) << (i & 63);
-        r2[i >> 6] |= static_cast<std::uint64_t>(v2[i] & 1) << (i & 63);
-      }
-    }
+    const std::size_t lanes = std::min<std::size_t>(
+        64, rows.count > 64 * w ? rows.count - 64 * w : 0);
+    const std::uint64_t* rows1 = rows.first.data() + 64 * w * in_words;
+    const std::uint64_t* rows2 = rows.second.data() + 64 * w * in_words;
     for (std::size_t b = 0; b < in_words; ++b) {
       const std::size_t count = std::min<std::size_t>(64, width - 64 * b);
       std::uint64_t t1[64];
       std::uint64_t t2[64];
       for (std::size_t j = 0; j < 64; ++j) {
-        t1[j] = rows1[j * in_words + b];
-        t2[j] = rows2[j * in_words + b];
+        t1[j] = j < lanes ? rows1[j * in_words + b] : 0;
+        t2[j] = j < lanes ? rows2[j * in_words + b] : 0;
       }
       transpose64(t1);
       transpose64(t2);
@@ -165,7 +132,21 @@ void CompiledSimulator::evaluate_batch(std::span<const vec::VectorPair> pairs,
   MPE_EXPECTS(!pairs.empty());
   MPE_EXPECTS_MSG(pairs.size() <= lanes_,
                   "at most lanes() pairs per compiled batch");
-  pack_inputs(pairs);
+  pack_rows_.resize(program_->input_node().size(), pairs.size());
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    pack_rows_.set_pair(k, pairs[k]);
+  }
+  evaluate_rows(pack_rows_, out);
+}
+
+void CompiledSimulator::evaluate_rows(const vec::PairRows& rows,
+                                      std::vector<CycleResult>& out) {
+  MPE_EXPECTS(rows.count >= 1);
+  MPE_EXPECTS_MSG(rows.count <= lanes_,
+                  "at most lanes() pairs per compiled batch");
+  MPE_EXPECTS_MSG(rows.width == program_->input_node().size(),
+                  "pair width must match the netlist input count");
+  load_rows(rows);
   std::memset(lane_energy_.data(), 0, lanes_ * sizeof(double));
   std::memset(lane_toggles_.data(), 0, lanes_ * sizeof(std::uint64_t));
 
@@ -194,9 +175,9 @@ void CompiledSimulator::evaluate_batch(std::span<const vec::VectorPair> pairs,
 #endif
   }
 
-  out.resize(pairs.size());
+  out.resize(rows.count);
   const double period = program_->technology().clock_period_ns;
-  for (std::size_t k = 0; k < pairs.size(); ++k) {
+  for (std::size_t k = 0; k < rows.count; ++k) {
     CycleResult& r = out[k];
     r.energy_pj = lane_energy_[k];
     r.toggles = static_cast<std::size_t>(lane_toggles_[k]);

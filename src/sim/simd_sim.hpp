@@ -33,8 +33,14 @@ class CompiledSimulator {
   explicit CompiledSimulator(std::shared_ptr<const GateProgram> program,
                              SimdKernel kernel = best_kernel());
 
-  /// Evaluates up to lanes() vector pairs in one tape pass, filling `out`
-  /// with one CycleResult per pair (settle_time is 0 under zero delay).
+  /// Evaluates rows.count (1 to lanes()) packed pairs in one tape pass,
+  /// filling `out` with one CycleResult per pair (settle_time is 0 under
+  /// zero delay). rows.width must be the netlist's input count.
+  void evaluate_rows(const vec::PairRows& rows,
+                     std::vector<CycleResult>& out);
+
+  /// Packs up to lanes() vector pairs into rows and evaluates them with
+  /// evaluate_rows().
   void evaluate_batch(std::span<const vec::VectorPair> pairs,
                       std::vector<CycleResult>& out);
 
@@ -49,7 +55,7 @@ class CompiledSimulator {
   const GateProgram& program() const { return *program_; }
 
  private:
-  void pack_inputs(std::span<const vec::VectorPair> pairs);
+  void load_rows(const vec::PairRows& rows);
 
   std::shared_ptr<const GateProgram> program_;
   SimdKernel kernel_;
@@ -61,9 +67,8 @@ class CompiledSimulator {
   std::uint64_t* state2_ = nullptr;
   std::vector<double> lane_energy_;
   std::vector<std::uint64_t> lane_toggles_;
-  // pack_inputs scratch: two 64-row bit matrices (one per state), each row
-  // one lane's input bits, ceil(width/64) words per row.
-  std::vector<std::uint64_t> pack_rows_;
+  // evaluate_batch's packed pairs.
+  vec::PairRows pack_rows_;
 };
 
 }  // namespace mpe::sim

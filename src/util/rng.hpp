@@ -86,6 +86,23 @@ class Rng {
   /// Use to carve independent substreams from one seed.
   void jump();
 
+  /// A jump polynomial: x^D mod P over GF(2), where P is the characteristic
+  /// polynomial of the xoshiro256 state update, whose state update is linear
+  /// over GF(2). Coefficient i is bit i % 64 of word i / 64, the form of the
+  /// constant jump() applies (x^(2^128) mod P).
+  using JumpPoly = std::array<std::uint64_t, 4>;
+
+  /// x^steps mod P, by square-and-multiply: log2(steps) squarings.
+  static JumpPoly jump_poly(std::uint64_t steps);
+
+  /// Advances the state by the steps of `poly` (a jump_poly): the sum of
+  /// T^i(state) over the set coefficients i, 256 generator steps.
+  void apply_jump(const JumpPoly& poly);
+
+  /// Advances this generator `steps` steps: the state `steps` calls of
+  /// operator() would leave, spare normal untouched.
+  void advance(std::uint64_t steps) { apply_jump(jump_poly(steps)); }
+
   /// Returns an independent child generator (jumps this one first).
   Rng split();
 

@@ -1,6 +1,7 @@
 #include "vectors/generators.hpp"
 
 #include "util/contracts.hpp"
+#include "vectors/bit_lanes.hpp"
 
 namespace mpe::vec {
 
@@ -10,18 +11,42 @@ const std::uint64_t kHalf = Rng::bernoulli_threshold(0.5);
 
 }  // namespace
 
-UniformPairGenerator::UniformPairGenerator(std::size_t width)
-    : width_(width) {
+void PairGenerator::generate_rows(Rng& rng, std::size_t count,
+                                  PairRows& out, sim::SimdKernel) const {
+  out.resize(width(), count);
+  VectorPair pair;
+  for (std::size_t k = 0; k < count; ++k) {
+    generate_into(rng, pair);
+    out.set_pair(k, pair);
+  }
+}
+
+FixedDrawPairGenerator::FixedDrawPairGenerator(std::size_t width,
+                                               BitRecipe recipe)
+    : width_(width), recipe_(recipe) {
   MPE_EXPECTS(width >= 1);
 }
 
-void UniformPairGenerator::generate_into(Rng& rng, VectorPair& out) const {
-  fill_bernoulli(width_, kHalf, out.first, rng);
-  fill_bernoulli(width_, kHalf, out.second, rng);
+void FixedDrawPairGenerator::generate_into(Rng& rng, VectorPair& out) const {
+  fill_bernoulli(width_, recipe_.first_threshold, out.first, rng);
+  if (recipe_.flips) {
+    fill_flipped(out.first, recipe_.second_threshold, out.second, rng);
+  } else {
+    fill_bernoulli(width_, recipe_.second_threshold, out.second, rng);
+  }
 }
 
+void FixedDrawPairGenerator::generate_rows(Rng& rng, std::size_t count,
+                                           PairRows& out,
+                                           sim::SimdKernel kernel) const {
+  detail::draw_rows(recipe_, width_, rng, count, out, kernel);
+}
+
+UniformPairGenerator::UniformPairGenerator(std::size_t width)
+    : FixedDrawPairGenerator(width, {kHalf, kHalf, false}) {}
+
 std::string UniformPairGenerator::description() const {
-  return "uniform pairs, width " + std::to_string(width_);
+  return "uniform pairs, width " + std::to_string(width());
 }
 
 HighActivityPairGenerator::HighActivityPairGenerator(std::size_t width,
@@ -57,27 +82,20 @@ void HighActivityPairGenerator::generate_into(Rng& rng,
 
 std::string HighActivityPairGenerator::description() const {
   return "high-activity pairs (>= " + std::to_string(min_activity_) +
-         "), width " + std::to_string(width_);
+         "), width " + std::to_string(width());
 }
 
 TransitionProbPairGenerator::TransitionProbPairGenerator(
     std::size_t width, double transition_prob, double p1)
-    : width_(width),
-      transition_prob_(transition_prob),
-      one_threshold_(Rng::bernoulli_threshold(p1)),
-      flip_threshold_(Rng::bernoulli_threshold(transition_prob)) {
-  MPE_EXPECTS(width >= 1);
-}
-
-void TransitionProbPairGenerator::generate_into(Rng& rng,
-                                                VectorPair& out) const {
-  fill_bernoulli(width_, one_threshold_, out.first, rng);
-  fill_flipped(out.first, flip_threshold_, out.second, rng);
-}
+    : FixedDrawPairGenerator(width,
+                             {Rng::bernoulli_threshold(p1),
+                              Rng::bernoulli_threshold(transition_prob),
+                              true}),
+      transition_prob_(transition_prob) {}
 
 std::string TransitionProbPairGenerator::description() const {
   return "transition-prob " + std::to_string(transition_prob_) +
-         " pairs, width " + std::to_string(width_);
+         " pairs, width " + std::to_string(width());
 }
 
 }  // namespace mpe::vec

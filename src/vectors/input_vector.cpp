@@ -1,16 +1,74 @@
 #include "vectors/input_vector.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "util/contracts.hpp"
 
 namespace mpe::vec {
 
+namespace {
+
+constexpr std::uint64_t kLow7 = 0x7f7f7f7f7f7f7f7fULL;
+
+/// Packs the low bits of 8 consecutive bytes into 8 result bits (bit i =
+/// byte i). The multiplier places byte k's LSB at bit 56 + k; all 64
+/// partial-product bit positions are distinct, so no carries.
+std::uint64_t pack8(const std::uint8_t* p) {
+  std::uint64_t x;
+  std::memcpy(&x, p, 8);
+  return ((x & 0x0101010101010101ULL) * 0x0102040810204080ULL) >> 56;
+}
+
+}  // namespace
+
 std::size_t VectorPair::hamming() const {
   MPE_EXPECTS(first.size() == second.size());
+  const std::size_t n = first.size();
   std::size_t h = 0;
-  for (std::size_t i = 0; i < first.size(); ++i) {
-    h += (first[i] != second[i]) ? 1 : 0;
+  std::size_t i = 0;
+  // Eight bytes at a time: a byte of a ^ b is non-zero exactly when its low
+  // seven bits carry into its top bit (adding 0x7f cannot carry past the
+  // byte) or its top bit is set.
+  for (; i + 8 <= n; i += 8) {
+    std::uint64_t a, b;
+    std::memcpy(&a, first.data() + i, 8);
+    std::memcpy(&b, second.data() + i, 8);
+    const std::uint64_t x = a ^ b;
+    h += static_cast<std::size_t>(
+        std::popcount((((x & kLow7) + kLow7) | x) & ~kLow7));
   }
+  for (; i < n; ++i) h += (first[i] != second[i]) ? 1 : 0;
   return h;
+}
+
+void PairRows::resize(std::size_t new_width, std::size_t new_count) {
+  width = new_width;
+  count = new_count;
+  first.resize(count * row_words());
+  second.resize(count * row_words());
+}
+
+void PairRows::set_pair(std::size_t k, const VectorPair& pair) {
+  MPE_EXPECTS(k < count);
+  MPE_EXPECTS_MSG(pair.first.size() == width && pair.second.size() == width,
+                  "pair width must match the rows' width");
+  const std::size_t words = row_words();
+  std::uint64_t* r1 = first.data() + k * words;
+  std::uint64_t* r2 = second.data() + k * words;
+  std::memset(r1, 0, words * sizeof(std::uint64_t));
+  std::memset(r2, 0, words * sizeof(std::uint64_t));
+  const std::uint8_t* v1 = pair.first.data();
+  const std::uint8_t* v2 = pair.second.data();
+  std::size_t i = 0;
+  for (; i + 8 <= width; i += 8) {
+    r1[i >> 6] |= pack8(v1 + i) << (i & 63);
+    r2[i >> 6] |= pack8(v2 + i) << (i & 63);
+  }
+  for (; i < width; ++i) {
+    r1[i >> 6] |= static_cast<std::uint64_t>(v1[i] & 1) << (i & 63);
+    r2[i >> 6] |= static_cast<std::uint64_t>(v2[i] & 1) << (i & 63);
+  }
 }
 
 double VectorPair::activity() const {

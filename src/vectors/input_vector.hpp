@@ -21,8 +21,29 @@ struct VectorPair {
   /// Average per-line switching activity: hamming(first, second) / width.
   double activity() const;
 
-  /// Number of differing bit positions.
+  /// Number of positions whose bytes differ.
   std::size_t hamming() const;
+};
+
+/// A batch of vector pairs as packed bit rows: row k of `first` (`second`)
+/// holds pair k's first (second) vector, input i at bit i % 64 of word
+/// i / 64, row_words() words per row, bits past the width zero. It is the
+/// layout the compiled simulator transposes into its lanes, and the one
+/// fixed-draw generators draw into without storing a byte per bit.
+struct PairRows {
+  std::size_t width = 0;
+  std::size_t count = 0;
+  std::vector<std::uint64_t> first;
+  std::vector<std::uint64_t> second;
+
+  std::size_t row_words() const { return (width + 63) / 64; }
+
+  /// Sets width and count and sizes both matrices; rows are left to the
+  /// caller to write.
+  void resize(std::size_t width, std::size_t count);
+
+  /// Packs the low bit of each byte of `pair` into row k.
+  void set_pair(std::size_t k, const VectorPair& pair);
 };
 
 /// Uniform random vector of the given width.

@@ -1,6 +1,7 @@
 #include "vectors/population.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/contracts.hpp"
 #include "util/metrics.hpp"
@@ -97,16 +98,23 @@ PowerBatcher::PowerBatcher(const circuit::Netlist& netlist,
 
 void PowerBatcher::simulate(const PairGenerator& generator, Rng& rng,
                             std::span<double> out) {
-  // Generate pairs in scalar order (identical RNG consumption), then
-  // evaluate up to `lanes` of them per pass.
+  // Draw each pass's pairs in scalar order (identical RNG consumption):
+  // as packed rows for the compiled tape, as pairs for the event
+  // simulator.
   std::visit(
       [&](auto& sim) {
         for (std::size_t done = 0; done < out.size();) {
           const std::size_t lanes =
               std::min(sim.lanes(), out.size() - done);
-          pairs_.resize(lanes);
-          for (auto& p : pairs_) generator.generate_into(rng, p);
-          sim.evaluate_batch(pairs_, results_);
+          if constexpr (std::is_same_v<std::decay_t<decltype(sim)>,
+                                       sim::CompiledSimulator>) {
+            generator.generate_rows(rng, lanes, rows_, sim.kernel());
+            sim.evaluate_rows(rows_, results_);
+          } else {
+            pairs_.resize(lanes);
+            for (auto& p : pairs_) generator.generate_into(rng, p);
+            sim.evaluate_batch(pairs_, results_);
+          }
           for (std::size_t k = 0; k < lanes; ++k) {
             out[done + k] = results_[k].power_mw;
           }

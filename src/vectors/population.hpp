@@ -40,8 +40,9 @@ namespace mpe::vec {
 /// Batched simulation state: the fast simulator of a delay model plus
 /// reusable pair and result buffers, so steady-state passes allocate
 /// nothing. Under zero delay it is the compiled gate tape on
-/// sim::best_kernel(), 64/256/512 pairs per pass; under unit or loaded delay
-/// the 64-lane sim::BatchEventSimulator. Every value equals
+/// sim::best_kernel(), 64/256/512 pairs per pass, fed packed rows that the
+/// generator draws on the kernel's lanes; under unit or loaded delay the
+/// 64-lane sim::BatchEventSimulator. Every value equals
 /// sim::CyclePowerEvaluator::power_mw on the same pair and options, bit for
 /// bit. One per thread.
 class PowerBatcher {
@@ -64,7 +65,8 @@ class PowerBatcher {
 
  private:
   std::variant<sim::CompiledSimulator, sim::BatchEventSimulator> sim_;
-  std::vector<VectorPair> pairs_;
+  PairRows rows_;                   // zero delay
+  std::vector<VectorPair> pairs_;   // event timing
   std::vector<sim::CycleResult> results_;
 };
 

@@ -68,6 +68,37 @@ TEST(VectorPair, HammingAndActivity) {
   EXPECT_DOUBLE_EQ(p.activity(), 0.5);
 }
 
+// hamming() counts differing bytes, eight at a time: it must stay exact for
+// any byte values (not just 0/1), including pairs that differ only in the
+// top bit or only in low bits, at every offset of the 8-byte blocks and in
+// the tail past the last whole block.
+TEST(VectorPair, HammingCountsDifferingBytesOfAnyValue) {
+  const std::vector<std::uint8_t> values = {0x00, 0x01, 0x02, 0x7f, 0x80,
+                                            0x81, 0xfe, 0xff};
+  mpe::Rng rng(11);
+  for (std::size_t width : {1, 7, 8, 9, 16, 23, 64, 100}) {
+    for (int trial = 0; trial < 50; ++trial) {
+      vec::VectorPair p;
+      p.first.resize(width);
+      p.second.resize(width);
+      std::size_t want = 0;
+      for (std::size_t i = 0; i < width; ++i) {
+        p.first[i] = values[rng.below(values.size())];
+        p.second[i] = rng.bernoulli(0.5) ? p.first[i]
+                                         : values[rng.below(values.size())];
+        if (p.first[i] != p.second[i]) ++want;
+      }
+      ASSERT_EQ(p.hamming(), want) << "width " << width;
+    }
+  }
+  vec::VectorPair top{vec::InputVector(9, 0x00), vec::InputVector(9, 0x80)};
+  EXPECT_EQ(top.hamming(), 9u);
+  vec::VectorPair low{vec::InputVector(9, 0x7f), vec::InputVector(9, 0x7e)};
+  EXPECT_EQ(low.hamming(), 9u);
+  vec::VectorPair same{vec::InputVector(9, 0xff), vec::InputVector(9, 0xff)};
+  EXPECT_EQ(same.hamming(), 0u);
+}
+
 TEST(VectorPair, MismatchedWidthsRejected) {
   vec::VectorPair p;
   p.first = {0, 1};

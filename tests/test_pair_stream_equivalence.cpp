@@ -2,12 +2,17 @@
 // each bit drawn with rng.bernoulli(p) through the Rng's state in memory.
 // The reference loops below are kept verbatim; the generators draw by
 // integer threshold from a local copy of the Rng, and must match them in
-// the pair bytes and in the Rng state after every draw.
+// the pair bytes and in the Rng state after every draw. The PairRows tests
+// hold generate_rows() to the same stream: on every kernel, its packed rows
+// and the Rng's end state equal `count` generate_into() calls.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <thread>
 #include <vector>
 
+#include "sim/cpu_dispatch.hpp"
+#include "util/contracts.hpp"
 #include "util/rng.hpp"
 #include "vectors/generators.hpp"
 #include "vectors/markov.hpp"
@@ -279,6 +284,151 @@ TEST(PairStreamEquivalence, CorrelatedEventProbabilities) {
           return reference::correlated(group_of, kProbs, 0.5, 0.5, rng);
         },
         600 + w);
+  }
+}
+
+// Asserts that `rows` holds `pairs` bit for bit, input i at bit i % 64 of
+// word i / 64, with every bit past the width zero.
+void expect_rows_hold(const vec::PairRows& rows,
+                      const std::vector<vec::VectorPair>& pairs,
+                      const std::string& what) {
+  const std::size_t width = pairs.front().first.size();
+  const std::size_t words = (width + 63) / 64;
+  ASSERT_EQ(rows.width, width) << what;
+  ASSERT_EQ(rows.count, pairs.size()) << what;
+  ASSERT_EQ(rows.row_words(), words) << what;
+  ASSERT_EQ(rows.first.size(), pairs.size() * words) << what;
+  ASSERT_EQ(rows.second.size(), pairs.size() * words) << what;
+  for (std::size_t k = 0; k < pairs.size(); ++k) {
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t want1 = 0, want2 = 0;
+      for (std::size_t b = 0; b < 64 && 64 * w + b < width; ++b) {
+        want1 |= std::uint64_t{pairs[k].first[64 * w + b]} << b;
+        want2 |= std::uint64_t{pairs[k].second[64 * w + b]} << b;
+      }
+      ASSERT_EQ(rows.first[k * words + w], want1)
+          << what << ", pair " << k << ", word " << w;
+      ASSERT_EQ(rows.second[k * words + w], want2)
+          << what << ", pair " << k << ", word " << w;
+    }
+  }
+}
+
+// Draws `count` pairs through generate_rows() on every available kernel,
+// from a reused PairRows that holds stale bits, and through generate_into()
+// on a copy of the same Rng; the rows and the Rng end states must match.
+void expect_rows_match_pairs(const vec::PairGenerator& gen, std::size_t count,
+                             std::uint64_t seed) {
+  Rng want(seed);
+  std::vector<vec::VectorPair> pairs(count);
+  for (auto& pair : pairs) gen.generate_into(want, pair);
+  for (const mpe::sim::SimdKernel kernel : mpe::sim::available_kernels()) {
+    const std::string what = gen.description() + ", " + std::to_string(count) +
+                             " pairs on " + mpe::sim::to_string(kernel);
+    vec::PairRows rows;
+    rows.width = gen.width();
+    rows.count = count + 3;
+    rows.first.assign(rows.count * rows.row_words(), ~0ULL);
+    rows.second.assign(rows.count * rows.row_words(), ~0ULL);
+    Rng got(seed);
+    Rng::State start = got.state();
+    start.spare_normal = 0.25;  // a spare normal, which the draw must keep
+    start.has_spare = true;
+    got.set_state(start);
+    gen.generate_rows(got, count, rows, kernel);
+    expect_rows_hold(rows, pairs, what);
+    ASSERT_EQ(got.state().s, want.state().s) << what;
+    ASSERT_TRUE(got.state().has_spare) << what;
+    ASSERT_EQ(got.state().spare_normal, 0.25) << what;
+  }
+}
+
+const std::vector<std::size_t> kRowWidths = {1, 7, 63, 64, 65, 207, 233};
+const std::vector<std::size_t> kRowCounts = {1, 7, 8, 9, 63, 64, 300, 512};
+
+TEST(PairRows, UniformMatchesGenerateInto) {
+  for (std::size_t w : kRowWidths) {
+    const vec::UniformPairGenerator gen(w);
+    for (std::size_t count : kRowCounts) {
+      expect_rows_match_pairs(gen, count, 700 + w + count);
+    }
+  }
+}
+
+TEST(PairRows, TransitionProbMatchesGenerateInto) {
+  for (std::size_t w : kRowWidths) {
+    for (double tprob : {0.0, 0.3, 0.5, 0.7, 1.0}) {
+      for (double p1 : {0.5, 0.2, 1.0}) {
+        const vec::TransitionProbPairGenerator gen(w, tprob, p1);
+        for (std::size_t count : kRowCounts) {
+          expect_rows_match_pairs(gen, count, 800 + w + count);
+        }
+      }
+    }
+  }
+}
+
+// The generators that keep the default generate_rows(): per-pair
+// generate_into() packed into rows.
+TEST(PairRows, DefaultPacksGenerateInto) {
+  for (std::size_t w : {std::size_t{7}, std::size_t{65}}) {
+    const vec::HighActivityPairGenerator high(w, 0.3);
+    const vec::MarkovPairGenerator markov(w, 0.3, 0.2);
+    for (std::size_t count : {std::size_t{1}, std::size_t{9}}) {
+      expect_rows_match_pairs(high, count, 900 + w + count);
+      expect_rows_match_pairs(markov, count, 900 + w + count);
+    }
+  }
+}
+
+// Lane start-up tables are shared by every thread of the process: threads
+// drawing at the same and at different strides at once must each still get
+// the generate_into() stream.
+TEST(PairRows, ConcurrentDrawsShareTheJumpCache) {
+  const mpe::sim::SimdKernel kernel = mpe::sim::best_kernel();
+  std::vector<std::thread> threads;
+  std::vector<int> mismatches(4, 0);
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const vec::TransitionProbPairGenerator gen(61 + 2 * (t % 2), 0.3);
+      vec::PairRows rows, want;
+      vec::VectorPair pair;
+      for (std::size_t round = 0; round < 20; ++round) {
+        const std::size_t count = 40 + 8 * ((t + round) % 3);
+        Rng got(1000 * t + round), ref(1000 * t + round);
+        gen.generate_rows(got, count, rows, kernel);
+        want.resize(gen.width(), count);
+        for (std::size_t k = 0; k < count; ++k) {
+          gen.generate_into(ref, pair);
+          want.set_pair(k, pair);
+        }
+        if (rows.first != want.first || rows.second != want.second ||
+            got.state().s != ref.state().s) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::size_t t = 0; t < mismatches.size(); ++t) {
+    EXPECT_EQ(mismatches[t], 0) << "thread " << t;
+  }
+}
+
+TEST(PairRows, RejectsAnUnavailableKernelAndWidthMismatch) {
+  const vec::UniformPairGenerator gen(9);
+  vec::PairRows rows;
+  rows.resize(9, 1);
+  const vec::VectorPair wrong{vec::InputVector(8), vec::InputVector(8)};
+  EXPECT_THROW(rows.set_pair(0, wrong), mpe::ContractViolation);
+  EXPECT_THROW(rows.set_pair(1, {vec::InputVector(9), vec::InputVector(9)}),
+               mpe::ContractViolation);
+  for (const auto kernel : {mpe::sim::SimdKernel::kAvx2x256,
+                            mpe::sim::SimdKernel::kAvx512x512}) {
+    if (mpe::sim::kernel_available(kernel)) continue;
+    Rng rng(1);
+    EXPECT_THROW(gen.generate_rows(rng, 64, rows, kernel),
+                 mpe::ContractViolation);
   }
 }
 

@@ -201,6 +201,47 @@ TEST(Rng, JumpChangesSequence) {
   EXPECT_LT(equal, 5);
 }
 
+// advance(D) must leave exactly the state of D operator() calls: past
+// degree 256 the jump polynomial is reduced modulo the characteristic
+// polynomial, so the large D check the reduction constant too.
+TEST(Rng, AdvanceEqualsRepeatedCalls) {
+  Rng pick(97);
+  std::vector<std::uint64_t> steps = {0, 1, 63, 64, 65, 255, 256, 257,
+                                      (1ULL << 20) + 3};
+  for (int i = 0; i < 3; ++i) steps.push_back(pick.below(1ULL << 18));
+  for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
+    for (std::uint64_t d : steps) {
+      Rng stepped(seed);
+      stepped.normal();  // leaves a spare normal, which advance keeps
+      Rng advanced = stepped;
+      for (std::uint64_t k = 0; k < d; ++k) stepped();
+      advanced.advance(d);
+      EXPECT_EQ(advanced.state().s, stepped.state().s)
+          << "seed " << seed << ", " << d << " steps";
+      EXPECT_TRUE(advanced.state().has_spare);
+      EXPECT_EQ(advanced(), stepped());
+    }
+  }
+}
+
+// Jumps compose: advancing by a then b equals advancing by a + b, here for
+// distances far beyond any loop.
+TEST(Rng, AdvanceComposes) {
+  const std::uint64_t a = 0x0123456789abcdefULL;
+  const std::uint64_t b = 0x00fedcba98765432ULL;
+  Rng two_jumps(5), one_jump(5);
+  two_jumps.advance(a);
+  two_jumps.advance(b);
+  one_jump.advance(a + b);
+  EXPECT_EQ(two_jumps.state().s, one_jump.state().s);
+  Rng::State state = one_jump.state();
+  one_jump.apply_jump(Rng::jump_poly(1));
+  Rng single;
+  single.set_state(state);
+  single();
+  EXPECT_EQ(one_jump.state().s, single.state().s);
+}
+
 TEST(Rng, RejectsInvalidArguments) {
   Rng rng(1);
   EXPECT_THROW(rng.below(0), mpe::ContractViolation);
